@@ -6,6 +6,13 @@ S-power in {0,1,2,3} per qubit), and CNOT rounds (an invertible GF(2)
 matrix stored with its inverse).  The described unitary is the product of
 the rounds as written, so `apply` walks them right-to-left.
 
+One kernel applies descriptions: `CliffordLayer` compiles k descriptions
+(they all share ROUND_PATTERN) into one whole-array operation per round on
+a (k, 2^n) array, with each CNOT permutation built by
+`f2linalg.apply_to_all`.  `apply`, `apply_inverse`, `sign_pattern_state`,
+`overlap_with_sign_state` and `to_matrix` are k = 1 uses of it, and the
+query circuit applies all of its step descriptions as one layer.
+
 Sign-pattern states: for a residual vector eta and Clifford C, the state
 C . 2^{-n/2} sum_x sr(<eta|C|x>) |x>, where sr(c) is +1 iff Re(c) >= 0.
 The overlap search samples random Cliffords until this state's real overlap
@@ -14,6 +21,8 @@ with the normalized residual reaches a threshold.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,45 +132,113 @@ def identity_desc(n: int) -> CliffordDesc:
     return CliffordDesc(n, tuple(rounds))
 
 
-def _h_on_qubit(amps: np.ndarray, n: int, i: int) -> None:
-    view = amps.reshape(1 << i, 2, 1 << (n - 1 - i))
-    a0 = view[:, 0, :].copy()
-    a1 = view[:, 1, :]
-    view[:, 0, :] = (a0 + a1) * _INV_SQRT2
-    view[:, 1, :] = (a0 - a1) * _INV_SQRT2
+#: S-power phase factors, indexed by the digit sum mod 4.
+_PHASES = np.array([1, 1j, -1, -1j])
 
 
-def _apply_round(rnd: Round, amps: np.ndarray, n: int, invert: bool) -> np.ndarray:
-    if isinstance(rnd, HRound):
-        for i, bit in enumerate(rnd.bits):
-            if bit:
-                _h_on_qubit(amps, n, i)
-        return amps
-    if isinstance(rnd, PRound):
-        for i, digit in enumerate(rnd.digits):
-            d = (4 - digit) % 4 if invert else digit
-            if d:
-                view = amps.reshape(1 << i, 2, 1 << (n - 1 - i))
-                view[:, 1, :] *= 1j**d
-        return amps
-    matrix = rnd.m_inv if invert else rnd.m
-    perm = np.fromiter(
-        (f2linalg.apply_to_index(matrix, x) for x in range(len(amps))),
-        dtype=np.int64,
-        count=len(amps),
-    )
-    out = np.empty_like(amps)
-    out[perm] = amps
-    return out
+@functools.lru_cache(maxsize=None)
+def _qubit_bits(n: int, negate: bool) -> np.ndarray:
+    """(n, 2^n) int8 table: entry (i, x) is qubit i's bit of x (qubit 0 is the
+    MSB), negated when asked, so digits @ table is a per-index S power."""
+    xs = np.arange(1 << n)
+    bits = ((xs >> (n - 1 - np.arange(n))[:, None]) & 1).astype(np.int8)
+    table = -bits if negate else bits
+    table.flags.writeable = False
+    return table
+
+
+def _butterfly(amps: np.ndarray, n: int, i: int, rows: np.ndarray | None) -> None:
+    """H on qubit i of the given rows (all rows when None) of a (k, 2^n) array."""
+    view = amps.reshape(amps.shape[0], 1 << i, 2, 1 << (n - 1 - i))
+    if rows is None:
+        a0 = view[:, :, 0].copy()
+        a1 = view[:, :, 1]
+        view[:, :, 0] = (a0 + a1) * _INV_SQRT2
+        view[:, :, 1] = (a0 - a1) * _INV_SQRT2
+    else:
+        sub = view[rows]
+        a0 = sub[:, :, 0]
+        a1 = sub[:, :, 1]
+        view[rows, :, 0] = (a0 + a1) * _INV_SQRT2
+        view[rows, :, 1] = (a0 - a1) * _INV_SQRT2
+
+
+class CliffordLayer:
+    """k descriptions on n qubits, compiled into one operation per round.
+
+    Row r of a (k, 2^n) array moves by description r, or by its inverse when
+    compiled with invert=True (rounds in written order, P digits negated mod
+    4, each C round gathering through the opposite matrix).  H rounds are
+    butterflies on the rows whose bit is set, P rounds multiply by a per-row
+    table of S-power digits (int8), and C rounds gather every row through
+    `f2linalg.apply_to_all` of its matrix at once: out[Mx] = amps[x] is
+    out[y] = amps[M^-1 y].  Every factor is an exact unit and every gather a
+    permutation, so a row's values do not depend on the batch it is in.
+    """
+
+    def __init__(self, descs: Sequence[CliffordDesc], invert: bool = False) -> None:
+        n = descs[0].n if descs else 0
+        if not descs or {d.n for d in descs} != {n}:
+            raise ValueError("a layer needs one or more descriptions on the same n")
+        k = len(descs)
+        self.n = n
+        self.k = k
+        eye = tuple(1 << c for c in range(n))
+        no_phase = (0,) * n
+        # Index maps by matrix rows, so a repeated matrix is mapped once.
+        images: dict[tuple[int, ...], np.ndarray] = {}
+        last = len(ROUND_PATTERN) - 1
+        ops: list[tuple[str, object]] = []
+        for pos in range(last + 1) if invert else range(last, -1, -1):
+            rounds = [d.rounds[pos] for d in descs]
+            kind = ROUND_PATTERN[pos]
+            # Rounds that leave every row as it is compile to nothing.
+            if kind == "H":
+                qubits = []
+                for i, column in enumerate(zip(*[r.bits for r in rounds])):
+                    hits = k - column.count(0)
+                    if hits:
+                        qubits.append((i, None if hits == k else np.flatnonzero(column)))
+                if qubits:
+                    ops.append(("H", qubits))
+            elif kind == "P":
+                digits = [r.digits for r in rounds]
+                if digits.count(no_phase) < k:
+                    table = np.array(digits, dtype=np.int8) @ _qubit_bits(n, invert)
+                    ops.append(("P", table & 3))
+            else:
+                mats = [r.m if invert else r.m_inv for r in rounds]
+                keys = [m.row_bits for m in mats]
+                if keys.count(eye) < k:
+                    for key, m in zip(keys, mats):
+                        if key not in images:
+                            images[key] = f2linalg.apply_to_all(m)
+                    # Flat indices into the (k, 2^n) array: row r starts at r 2^n.
+                    index = np.array([images[key] for key in keys])
+                    if k > 1:
+                        index += (np.arange(k) << n)[:, None]
+                    ops.append(("C", index.reshape(-1)))
+        self._ops = ops
+
+    def __call__(self, amps: np.ndarray) -> np.ndarray:
+        """The layer on a (k, 2^n) array; returns a new array."""
+        work = np.array(amps, dtype=np.complex128)
+        if work.shape != (self.k, 1 << self.n):
+            raise ValueError(f"expected shape {(self.k, 1 << self.n)}, got {work.shape}")
+        for kind, data in self._ops:
+            if kind == "H":
+                for i, rows in data:
+                    _butterfly(work, self.n, i, rows)
+            elif kind == "P":
+                work *= _PHASES[data]
+            else:
+                work = work.reshape(-1)[data].reshape(work.shape)
+        return work
 
 
 def _apply_amps(d: CliffordDesc, amps: np.ndarray, invert: bool) -> np.ndarray:
     """The described unitary (or its inverse) acting on a dense vector."""
-    work = np.array(amps, dtype=np.complex128)
-    order = d.rounds if invert else tuple(reversed(d.rounds))
-    for rnd in order:
-        work = _apply_round(rnd, work, d.n, invert)
-    return work
+    return CliffordLayer([d], invert)(np.reshape(amps, (1, -1)))[0]
 
 
 def apply(d: CliffordDesc, v: PureState) -> PureState:
@@ -183,12 +260,8 @@ def to_matrix(d: CliffordDesc) -> np.ndarray:
     if d.n > 3:
         raise ValueError(f"to_matrix is limited to n <= 3, got n={d.n}")
     dim = 1 << d.n
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for x in range(dim):
-        basis = np.zeros(dim, dtype=np.complex128)
-        basis[x] = 1.0
-        out[:, x] = _apply_amps(d, basis, invert=False)
-    return out
+    # Row x of the layer's output is the image of basis vector x.
+    return CliffordLayer([d] * dim)(np.eye(dim)).T.copy()
 
 
 def random_clifford_from(rng: np.random.Generator, n: int) -> CliffordDesc:
@@ -200,20 +273,9 @@ def random_clifford_from(rng: np.random.Generator, n: int) -> CliffordDesc:
         elif kind == "P":
             rounds.append(PRound(tuple(int(p) for p in rng.integers(0, 4, size=n))))
         else:
-            m = _random_invertible_from(rng, n)
+            m = f2linalg.random_invertible_from(rng, n)
             rounds.append(CRound(m, f2linalg.inverse(m)))
     return CliffordDesc(n, tuple(rounds))
-
-
-def _random_invertible_from(rng: np.random.Generator, n: int) -> F2Matrix:
-    while True:
-        packed = []
-        for _ in range(n):
-            bits = rng.integers(0, 2, size=n)
-            packed.append(sum(int(b) << c for c, b in enumerate(bits)))
-        candidate = F2Matrix(n, n, tuple(packed))
-        if f2linalg.rank(candidate) == n:
-            return candidate
 
 
 def random_clifford(n: int, seed: int) -> CliffordDesc:

@@ -87,14 +87,8 @@ def _index_qubit_gate(state: np.ndarray, t_reg: int, q: int, mat: np.ndarray) ->
 
 def _hadamard_target(state: np.ndarray, n: int) -> np.ndarray:
     """H on every target-register qubit of a (rows, 2^n) state."""
-    rows = state.shape[0]
-    inv = 1.0 / math.sqrt(2.0)
     for i in range(n):
-        view = state.reshape(rows, 1 << i, 2, 1 << (n - 1 - i))
-        top = (view[:, :, 0] + view[:, :, 1]) * inv
-        bot = (view[:, :, 0] - view[:, :, 1]) * inv
-        view[:, :, 0] = top
-        view[:, :, 1] = bot
+        cliff._butterfly(state, n, i, None)
     return state
 
 
@@ -170,15 +164,17 @@ class PostselectCircuit:
             np.array([[f[0], -f[1]], [f[1], f[0]]]) for f in factors
         ]
         self._sign_matrix = 1.0 - 2.0 * plan_bits.astype(np.float64)
-        self._rotations: list[_HashRotation | None] = []
+        self._rotations: list[tuple[int, _HashRotation]] = []
         scale = 1.0 / math.sqrt(self.dim)
-        for step in steps:
+        for j, step in enumerate(steps):
             if step.kind == "hash":
                 w = step.signs.signs() * scale
                 xi = step.phase * step.hash_state.state_vector()
-                self._rotations.append(_HashRotation(w, xi))
-            else:
-                self._rotations.append(None)
+                self._rotations.append((j, _HashRotation(w, xi)))
+        self._clifford_rows = [j for j, step in enumerate(steps) if step.kind == "clifford"]
+        # The step descriptions compiled into one batched layer, per direction,
+        # on first use.
+        self._layers: dict[bool, cliff.CliffordLayer] = {}
         self.query_count = 0
         self.z_register = bytes(len(plan.z))
 
@@ -199,22 +195,21 @@ class PostselectCircuit:
 
     def _query(self, state: np.ndarray) -> np.ndarray:
         self.query_count += 1
-        self.z_register = bytes(a ^ b for a, b in zip(self.z_register, self.oracle.z))
+        z = self.oracle.z
+        merged = int.from_bytes(self.z_register, "little") ^ int.from_bytes(z, "little")
+        self.z_register = merged.to_bytes(len(z), "little")
         return state * self._sign_matrix
 
     def _steps(self, state: np.ndarray, invert: bool) -> np.ndarray:
-        for j, step in enumerate(self.plan.steps):
-            rot = self._rotations[j]
-            if rot is not None:
-                state[j] = rot.apply_inverse(state[j]) if invert else rot.apply(state[j])
-            else:
-                row = PureState(self.n, state[j])
-                moved = (
-                    cliff.apply_inverse(step.desc, row)
-                    if invert
-                    else cliff.apply(step.desc, row)
-                )
-                state[j] = moved.amps
+        for j, rot in self._rotations:
+            state[j] = rot.apply_inverse(state[j]) if invert else rot.apply(state[j])
+        rows = self._clifford_rows
+        if rows:
+            layer = self._layers.get(invert)
+            if layer is None:
+                descs = [self.plan.steps[j].desc for j in rows]
+                layer = self._layers[invert] = cliff.CliffordLayer(descs, invert)
+            state[rows] = layer(state[rows])
         return state
 
     def apply(self, state: np.ndarray) -> np.ndarray:

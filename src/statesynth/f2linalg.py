@@ -165,11 +165,8 @@ def inverse(m: F2Matrix) -> F2Matrix:
     return F2Matrix(n, n, tuple(right))
 
 
-def random_invertible(n: int, seed: int) -> F2Matrix:
-    """Uniform element of GL_n(F2) by rejection sampling; deterministic per seed."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    rng = substream(seed, f"gl2-random-{n}")
+def random_invertible_from(rng: np.random.Generator, n: int) -> F2Matrix:
+    """Uniform element of GL_n(F2) by rejection sampling from the given stream."""
     while True:
         packed = []
         for _ in range(n):
@@ -178,6 +175,13 @@ def random_invertible(n: int, seed: int) -> F2Matrix:
         candidate = F2Matrix(n, n, tuple(packed))
         if rank(candidate) == n:
             return candidate
+
+
+def random_invertible(n: int, seed: int) -> F2Matrix:
+    """Uniform element of GL_n(F2) by rejection sampling; deterministic per seed."""
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    return random_invertible_from(substream(seed, f"gl2-random-{n}"), n)
 
 
 def apply_to_index(m: F2Matrix, x: int) -> int:
@@ -191,20 +195,20 @@ def apply_to_index(m: F2Matrix, x: int) -> int:
 
 
 def apply_to_all(m: F2Matrix) -> np.ndarray:
-    """Images of every basis index 0..2^cols-1 at once.
+    """Images of every basis index 0..2^cols-1 at once, as an int64 array.
 
-    Row r of the matrix contributes output bit (rows-1-r); the parity of the
-    masked input bits is folded with shifted XORs.
+    The map is linear, so the image of x is the XOR of the column images of
+    its set bits.  Input bit b (coordinate cols-1-b) has the column image
+    with output bit (rows-1-r) set for each row r holding entry (r, cols-1-b).
+    Taking the input bits from the lowest up, the images of 0..2^b-1 are
+    doubled into those of 0..2^(b+1)-1 by XORing in column b's image, so the
+    whole table costs 2^cols integer XORs.  Works for any rows x cols shape;
+    with no rows every image is 0.
     """
-    xs = np.arange(1 << m.cols, dtype=np.uint64)
-    out = np.zeros(1 << m.cols, dtype=np.int64)
-    for r in range(m.rows):
-        mask = 0
-        for c in range(m.cols):
-            if (m.row_bits[r] >> c) & 1:
-                mask |= 1 << (m.cols - 1 - c)
-        v = xs & np.uint64(mask)
-        for shift in (32, 16, 8, 4, 2, 1):
-            v = v ^ (v >> np.uint64(shift))
-        out |= (v & np.uint64(1)).astype(np.int64) << (m.rows - 1 - r)
-    return out
+    images = [0]
+    for c in range(m.cols - 1, -1, -1):
+        img = 0
+        for bits in m.row_bits:
+            img = (img << 1) | ((bits >> c) & 1)
+        images += [p ^ img for p in images]
+    return np.array(images, dtype=np.int64)

@@ -169,10 +169,10 @@ class HashState:
             raise ValueError("signs must be +-1")
         if list(self.support) != sorted(set(self.support)):
             raise ValueError("support must be strictly ascending")
-        if self.support and self.support[-1] >= 1 << self.n:
+        if self.support and (self.support[0] < 0 or self.support[-1] >= 1 << self.n):
             raise ValueError("support index out of range")
-        images = {f2linalg.apply_to_index(self.matrix, x) for x in self.support}
-        if len(images) != len(self.support):
+        images = f2linalg.apply_to_all(self.matrix)[list(self.support)]
+        if np.unique(images).size != len(self.support):
             raise ValueError("hash matrix is not one-to-one on the support")
 
     def state_vector(self) -> np.ndarray:

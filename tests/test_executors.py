@@ -13,8 +13,10 @@ import math
 import numpy as np
 import pytest
 
+from statesynth import clifford as cliff
 from statesynth.executors import (
     OracleMismatchError,
+    PostselectCircuit,
     four_query_diagnostics,
     quantum_z_leakage,
     query_substitution_bound,
@@ -25,6 +27,7 @@ from statesynth.executors import (
     run_postselect,
     run_ten_query,
 )
+from statesynth.executors.common import _hadamard_target
 from statesynth.executors.four_query import default_copy_count as four_query_copies
 from statesynth.executors.four_query import expand_structured
 from statesynth.executors.one_query import default_copy_count as one_query_copies
@@ -70,6 +73,40 @@ def test_postselect_haar_targets():
         report = run_postselect(plan, oracle)
         assert report.error_2norm <= EPS
         assert abs(report.success_amplitude - plan.params.gamma) <= EPS
+
+
+def _per_row_reference(circuit: PostselectCircuit, state: np.ndarray, dagger: bool) -> np.ndarray:
+    """The circuit with its step layer applied one row at a time, by k = 1
+    clifford.apply / apply_inverse calls."""
+    n = circuit.n
+    move = cliff.apply_inverse if dagger else cliff.apply
+    state = circuit._load(state.copy())
+    if not dagger:
+        state = circuit._query(_hadamard_target(state, n))
+    for j, step in enumerate(circuit.plan.steps):
+        state[j] = move(step.desc, PureState(n, state[j])).amps
+    if dagger:
+        state = _hadamard_target(circuit._query(state), n)
+    return circuit._unload(state)
+
+
+def test_batched_step_layer_matches_per_row():
+    rng = np.random.default_rng(23)
+    for n in range(1, 7):
+        psi = haar_random_state(n, 40 + n)
+        plan = build_plan(psi, derive_params(n, EPS, t_override=3), seed=n)
+        oracle = plan_to_oracle(plan)
+        circuit = PostselectCircuit(plan, oracle)
+        reference = PostselectCircuit(plan, oracle)
+        shape = (circuit.rows, circuit.dim)
+        state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for dagger in (False, True):
+            run = circuit.apply_dagger if dagger else circuit.apply
+            # Twice, so the second call runs the already compiled layer.
+            for _ in range(2):
+                assert np.array_equal(run(state), _per_row_reference(reference, state, dagger))
+        assert circuit.query_count == reference.query_count == 4
+        assert circuit.z_register == reference.z_register == bytes(len(plan.z))
 
 
 def test_postselect_oracle_mismatch_detected():

@@ -176,14 +176,19 @@ def test_apply_composition_property():
 
 def test_apply_to_all_matches_pointwise():
     rng = np.random.default_rng(17)
-    for _ in range(20):
-        rows = int(rng.integers(1, 7))
-        cols = int(rng.integers(1, 7))
+    shapes = [(int(rng.integers(1, 7)), int(rng.integers(1, 7))) for _ in range(20)]
+    # Non-square hash shapes k x n, k < n, including the k = 0 matrix.
+    shapes += [(0, 1), (0, 5), (1, 6), (2, 5), (3, 8), (5, 8), (6, 3)]
+    for rows, cols in shapes:
         m = _from_array(rng.integers(0, 2, (rows, cols)).astype(np.uint8))
+        if rows == 0:
+            m = F2Matrix.zero(0, cols)
         table = apply_to_all(m)
+        assert table.dtype == np.int64
         assert table.shape == (1 << cols,)
         for x in range(1 << cols):
             assert int(table[x]) == apply_to_index(m, x)
+    assert not apply_to_all(F2Matrix.zero(0, 4)).any()
 
 
 def test_index_vector_roundtrip():

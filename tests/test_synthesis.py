@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import mpmath
@@ -9,11 +10,12 @@ import numpy as np
 import pytest
 
 from statesynth.clifford import desc_to_bytes, identity_desc, sr
-from statesynth.f2linalg import apply_to_index
+from statesynth.f2linalg import F2Matrix, apply_to_index
 from statesynth.numerics import PureState, haar_random_state
 from statesynth.rng import substream
 from statesynth.synthesis import (
     ORACLE_MAGIC,
+    HashState,
     OracleSpec,
     Z_PAD_MULTIPLE,
     build_plan,
@@ -393,6 +395,18 @@ def test_hash_state_for_input_validation():
         hash_state_for(PureState(1, np.array([1.2, 0.0], dtype=complex)))
 
 
+def test_hash_state_validation():
+    # The 1 x 2 matrix reads the high bit: 0 -> 0, 1 -> 0, 2 -> 1.
+    m = F2Matrix(1, 2, (1,))
+    hs = HashState(2, 1, m, (0, 2), (1, -1))
+    assert np.allclose(hs.state_vector(), [2**-0.5, 0, -(2**-0.5), 0])
+    with pytest.raises(ValueError, match="one-to-one"):
+        HashState(2, 1, m, (0, 1), (1, 1))
+    for support in ((-1, 0), (0, 4)):
+        with pytest.raises(ValueError, match="out of range"):
+            HashState(2, 1, m, support, (1, 1))
+
+
 def test_trivial_hash_state():
     hs = trivial_hash_state(2)
     assert (hs.k, hs.support, hs.signs) == (0, (0,), (1,))
@@ -418,3 +432,76 @@ def test_find_hash_matrix_cases():
 
     with pytest.raises(ValueError):
         find_hash_matrix({0, 1, 2}, 2, 4)
+
+
+#: sha256 of plan_to_oracle(plan).to_bytes() for the grid of
+#: test_oracle_bytes_pinned, recorded before the batched Clifford kernel
+#: replaced the per-index one.  Equal seeds must keep giving these bytes.
+_ORACLE_DIGESTS = {
+    ("clifford", 1, 0.1, "exact"):
+        "492ff4b5bbe490a02465d5bc1c1ac316197bcef2604a7e31664910a6cd90e4d0",
+    ("clifford", 1, 0.1, "perturbed"):
+        "e79c241e469147c692d45316e3062a33fb4a89fdbeeeb3bee0212ec9d866621d",
+    ("clifford", 1, 0.01, "exact"):
+        "fe6a929636f6a15346f63a0257be029b1db52c13c165541b6aa9a65d435b04eb",
+    ("clifford", 1, 0.01, "perturbed"):
+        "0e853ff1551e0f0d71728bdf21f9c43c237f8ab152c8881afd92a53632456fac",
+    ("clifford", 3, 0.1, "exact"):
+        "3f3cdddee79366691068615145fe083740b4aaa40eaa67ad7ebdbb3fbad705b4",
+    ("clifford", 3, 0.1, "perturbed"):
+        "7fdd154d94feec021802cd227b1e561ed8adea3db2298788820e1c4fe116fc9d",
+    ("clifford", 3, 0.01, "exact"):
+        "fcb6d3856c146b403e78abf111bd181986e69daf86f22da068aa56ef02800980",
+    ("clifford", 3, 0.01, "perturbed"):
+        "f39bd0f313e7bea44af94342754c5b4e520a62496171fdc9b8d2b7a0ff1976d9",
+    ("clifford", 5, 0.1, "exact"):
+        "99e239eaa6dc88331ca06b9f127ea189d5aa9a21d941fdc574c08bf723f4eb59",
+    ("clifford", 5, 0.1, "perturbed"):
+        "1c0752b9e95e714d93e45490510963070c9aef1d2a2057b96b0bbcd658db6fb2",
+    ("clifford", 5, 0.01, "exact"):
+        "5d113a736b38b4ce7c8ba3f4893b928c7d0755e428fa1703e2855d71c8cfc474",
+    ("clifford", 5, 0.01, "perturbed"):
+        "3f3db34f5f4ea7b702a2e786ea178307c6df34f78510cc763bfd5bed8419aa8c",
+    ("hash", 1, 0.1, "exact"):
+        "ca11615ed5a9e6cadad30a14fb2672d98cbba4c9c68ed9ec2a582cb4d29d2ac6",
+    ("hash", 1, 0.1, "perturbed"):
+        "8f0131b26916366b4df9fbf26b85a395a6c4e696e51d1554548d2e29c62aaafb",
+    ("hash", 1, 0.01, "exact"):
+        "ca11615ed5a9e6cadad30a14fb2672d98cbba4c9c68ed9ec2a582cb4d29d2ac6",
+    ("hash", 1, 0.01, "perturbed"):
+        "8f0131b26916366b4df9fbf26b85a395a6c4e696e51d1554548d2e29c62aaafb",
+    ("hash", 3, 0.1, "exact"):
+        "42a8178aa4f248c884fc2737886ed64d3ee0d023c640d7ce9d65d7ace69f31a6",
+    ("hash", 3, 0.1, "perturbed"):
+        "a5a484b03cf9ba84dfaf3c052fd99158a020e2be1aba64792c28ab16fc2cf1d3",
+    ("hash", 3, 0.01, "exact"):
+        "42a8178aa4f248c884fc2737886ed64d3ee0d023c640d7ce9d65d7ace69f31a6",
+    ("hash", 3, 0.01, "perturbed"):
+        "a5a484b03cf9ba84dfaf3c052fd99158a020e2be1aba64792c28ab16fc2cf1d3",
+    ("hash", 5, 0.1, "exact"):
+        "0d1ff2f758029a477baa52a3807ce1992bcc811534b94210f1e4a99057573761",
+    ("hash", 5, 0.1, "perturbed"):
+        "d8847c6fcb88914270ee369e5985742edcdb14842d866652ca61213dd1781a3f",
+    ("hash", 5, 0.01, "exact"):
+        "b6a709dde797f72a44181d08a8a8780fbc4ea1905f02c8e39127e8df2a711d45",
+    ("hash", 5, 0.01, "perturbed"):
+        "5c72e9c50f5f5c94875aee48281bcd9617083c57c184e8d9e691957ffd466317",
+}
+
+
+@pytest.mark.parametrize(
+    "key", list(_ORACLE_DIGESTS), ids=["-".join(map(str, k)) for k in _ORACLE_DIGESTS]
+)
+def test_oracle_bytes_pinned(key):
+    strategy, n, eps, mode = key
+    derive = derive_params if strategy == "clifford" else derive_hash_params
+    plan = build_plan(
+        haar_random_state(n, 11 * n),
+        derive(n, eps),
+        strategy=strategy,
+        mode=mode,
+        perturb_bound=0.05 if mode == "perturbed" else None,
+        seed=5,
+    )
+    digest = hashlib.sha256(plan_to_oracle(plan).to_bytes()).hexdigest()
+    assert digest == _ORACLE_DIGESTS[key]
