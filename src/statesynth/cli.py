@@ -27,8 +27,6 @@ import numpy as np
 
 from .executors import run_four_query, run_one_query, run_postselect, run_ten_query
 from .executors.common import ensure_plan
-from .executors.four_query import default_copy_count as four_query_copies
-from .executors.one_query import default_copy_count as one_query_copies
 from .geometry import (
     GeometryQuery,
     cap_fraction,
@@ -38,7 +36,6 @@ from .geometry import (
     sphere_measure_mc,
 )
 from .numerics import PureState, haar_random_state
-from .synthesis import nominal_success_amplitude
 
 REPORT_COLUMNS = (
     "algorithm",
@@ -269,31 +266,13 @@ def run_config(config: ExperimentConfig) -> dict:
         seed=config.seed,
         t_override=t_override,
     )
-    s_used: int | None = None
     if config.algorithm == "postselect":
         report = run_postselect(plan, oracle)
-    elif config.algorithm == "one-query":
-        s_used = (
-            s_override
-            if s_override is not None
-            else one_query_copies(config.epsilon, nominal_success_amplitude(plan))
-        )
-        report = run_one_query(
-            psi, config.epsilon, s_override=s_used, plan=plan, oracle=oracle
-        )
     elif config.algorithm == "ten-query":
         report = run_ten_query(psi, config.epsilon, plan=plan, oracle=oracle)
     else:
-        gamma = nominal_success_amplitude(plan)
-        delta = math.sqrt(max(0.0, 1.0 - gamma * gamma))
-        s_used = (
-            s_override
-            if s_override is not None
-            else four_query_copies(config.epsilon, delta)
-        )
-        report = run_four_query(
-            psi, config.epsilon, s_override=s_used, plan=plan, oracle=oracle
-        )
+        run = run_one_query if config.algorithm == "one-query" else run_four_query
+        report = run(psi, config.epsilon, s_override=s_override, plan=plan, oracle=oracle)
     wall_ms = round(1000.0 * (time.perf_counter() - start), 3)
     return {
         "algorithm": config.algorithm,
@@ -303,7 +282,7 @@ def run_config(config: ExperimentConfig) -> dict:
         "epsilon": config.epsilon,
         "t": plan.params.t,
         "T": plan.params.T,
-        "s": s_used,
+        "s": report.copies,
         "query_count": report.query_count,
         "success_amplitude": report.success_amplitude,
         "error_2norm": report.error_2norm,

@@ -7,8 +7,9 @@ Four entry points, one per query regime:
   coherently; output is a reduced density matrix (analytic composition).
 * :func:`run_ten_query` — amplitude amplification to a clean pure output
   in exactly ten queries.
-* :func:`run_four_query` — the four-query clean synthesizer, evaluated
-  either on a structured branch decomposition or densely.
+* :func:`run_four_query` — the four-query clean synthesizer, evaluated on
+  a structured branch decomposition (:func:`run_four_query_dense` simulates
+  the full register on tiny instances).
 """
 
 from .common import (

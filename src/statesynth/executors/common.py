@@ -6,12 +6,20 @@ the step-weight superposition on the index register, queries the oracle once
 classical register), applies the indexed step transforms, and unloads the
 index register.  All drivers are built from forward/inverse applications of
 this circuit, so query and z bookkeeping live here.
+
+:class:`PreparedCircuit` is where every driver starts: it builds the circuit
+once per driver call, runs A|0> once, and holds the pieces all
+constructions share -- the success branch theta (index row 0) and its norm,
+the nominal amplitude gamma, and, on first use, the normalized junk
+direction tau_hat and the ideal-mode designed state
+gamma |0..0>|psi> + sqrt(1 - gamma^2) |tau_hat>.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,7 +46,8 @@ class ExecutionReport:
 
     output_pure is the final register state when the driver ends in a pure
     state it can afford to materialize; output_reduced is the traced-out
-    output for mixed-output drivers.  Unused metrics are None.
+    output for mixed-output drivers.  copies is the number of circuit copies
+    the one- and four-query drivers ran.  Unused metrics are None.
     """
 
     query_count: int
@@ -47,6 +56,7 @@ class ExecutionReport:
     error_trace: float | None = None
     output_pure: PureState | None = None
     output_reduced: DensityMatrix | None = None
+    copies: int | None = None
 
 
 def query_substitution_bound(query_count: int, deviation: float) -> float:
@@ -92,8 +102,9 @@ def _hadamard_target(state: np.ndarray, n: int) -> np.ndarray:
     return state
 
 
-class _HashRotation:
-    """The rank-two unitary taking the queried sign state to a hash step's state."""
+class _PlanarRotation:
+    """The rank-two unitary taking unit vector w to xi: the queried sign state
+    to a hash step's state, or (ideal mode) |0..0> to A^dagger |designed>."""
 
     def __init__(self, w: np.ndarray, xi: np.ndarray) -> None:
         self.w = w.astype(np.complex128)
@@ -164,13 +175,13 @@ class PostselectCircuit:
             np.array([[f[0], -f[1]], [f[1], f[0]]]) for f in factors
         ]
         self._sign_matrix = 1.0 - 2.0 * plan_bits.astype(np.float64)
-        self._rotations: list[tuple[int, _HashRotation]] = []
+        self._rotations: list[tuple[int, _PlanarRotation]] = []
         scale = 1.0 / math.sqrt(self.dim)
         for j, step in enumerate(steps):
             if step.kind == "hash":
                 w = step.signs.signs() * scale
                 xi = step.phase * step.hash_state.state_vector()
-                self._rotations.append((j, _HashRotation(w, xi)))
+                self._rotations.append((j, _PlanarRotation(w, xi)))
         self._clifford_rows = [j for j, step in enumerate(steps) if step.kind == "clifford"]
         # The step descriptions compiled into one batched layer, per direction,
         # on first use.
@@ -241,7 +252,6 @@ def ensure_plan(
     t_override: int | None = None,
     plan: SynthesisPlan | None = None,
     oracle: OracleSpec | None = None,
-    max_trials: int = 1000,
 ) -> tuple[SynthesisPlan, OracleSpec]:
     """Build (or pass through) the plan and oracle a driver should query."""
     if plan is None:
@@ -249,40 +259,39 @@ def ensure_plan(
             params = derive_hash_params(psi.n, epsilon, t_override)
         else:
             params = derive_params(psi.n, epsilon, t_override)
-        plan = build_plan(
-            psi, params, strategy=strategy, mode=mode, seed=seed, max_trials=max_trials
-        )
+        plan = build_plan(psi, params, strategy=strategy, mode=mode, seed=seed)
     if oracle is None:
         oracle = plan_to_oracle(plan)
     return plan, oracle
 
 
-def success_branch(state: np.ndarray) -> np.ndarray:
-    """The target-register amplitudes flagged by the all-zeros index row."""
-    return state[0].copy()
+class PreparedCircuit:
+    """A|0..0> as state; theta its success branch (index row 0), amp the
+    branch norm, gamma the nominal amplitude.  Built once per driver call;
+    circuit keeps counting the queries the driver applies next."""
 
+    def __init__(self, plan: SynthesisPlan, oracle: OracleSpec) -> None:
+        self.plan = plan
+        self.circuit = PostselectCircuit(plan, oracle)
+        self.state = self.circuit.prepare()
+        self.theta = self.state[0]
+        self.amp = float(np.linalg.norm(self.theta))
+        self.gamma = nominal_success_amplitude(plan)
 
-def postselect_metrics(
-    plan: SynthesisPlan, state: np.ndarray
-) -> tuple[float, float, float]:
-    """(success amplitude, 2-norm error, postselected trace distance).
+    @cached_property
+    def tau_hat(self) -> np.ndarray:
+        """The normalized junk branch: A|0..0> with the success row removed."""
+        junk = self.state.copy()
+        junk[0] = 0.0
+        norm = float(np.linalg.norm(junk))
+        if norm == 0.0:
+            raise ValueError("prepared state has no junk branch to amplify")
+        return junk / norm
 
-    The 2-norm error is the distance from the prepared state to the nearest
-    state of the designed form g |0..0>|psi> + sqrt(1 - g^2) |junk> with the
-    junk branch orthogonal to the success flag and g the plan's nominal
-    success amplitude.
-    """
-    theta = success_branch(state)
-    g = nominal_success_amplitude(plan)
-    psi = plan.target.amps
-    amp = float(np.linalg.norm(theta))
-    flag_err_sq = float(np.linalg.norm(theta - g * psi) ** 2)
-    rest = math.sqrt(max(0.0, 1.0 - amp * amp))
-    rest_err = rest - math.sqrt(max(0.0, 1.0 - g * g))
-    error_2norm = math.sqrt(flag_err_sq + rest_err * rest_err)
-    if amp > 0.0:
-        overlap = min(1.0, abs(complex(np.vdot(psi, theta))) / amp)
-    else:
-        overlap = 0.0
-    error_trace = math.sqrt(max(0.0, 1.0 - overlap * overlap))
-    return amp, error_2norm, error_trace
+    @cached_property
+    def designed(self) -> np.ndarray:
+        """gamma |0..0>|psi> + sqrt(1 - gamma^2) |tau_hat>: the prepared state
+        the ideal modes run on, with the circuit's own junk direction."""
+        designed = math.sqrt(1.0 - self.gamma**2) * self.tau_hat
+        designed[0] += self.gamma * self.plan.target.amps
+        return designed

@@ -11,11 +11,11 @@ uncomputation layers merge across copies into three more queries, for a
 total of four.  A final tensor-product gate folds the geometric weights on
 K back onto |0>.
 
-Two evaluators: ``structured`` tracks the s + 1 exactly-known branches
-(first success at k, or all fail) as per-register factors, which scales to
-the real copy counts; ``dense`` simulates the full register on tiny
-instances and is used to cross-check the structured bookkeeping, including
-the classical description-register flow.
+Two evaluators: :func:`run_four_query` tracks the s + 1 exactly-known
+branches (first success at k, or all fail) as per-register factors, which
+scales to the real copy counts; :func:`run_four_query_dense` simulates the
+full register on tiny instances and is used to cross-check the structured
+bookkeeping, including the classical description-register flow.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import math
 import numpy as np
 
 from ..numerics import PureState
-from ..synthesis import OracleSpec, SynthesisPlan, nominal_success_amplitude
-from .common import ExecutionReport, PostselectCircuit, _HashRotation, ensure_plan
+from ..synthesis import OracleSpec, SynthesisPlan
+from .common import ExecutionReport, PreparedCircuit, _PlanarRotation, ensure_plan
 
 _FOUR_QUERY_COUNT = 4
 _SIN_PI_6 = math.sin(math.pi / 6.0)
@@ -45,7 +45,7 @@ def default_copy_count(epsilon: float, delta: float) -> int:
 
 
 class _Pieces:
-    """Everything the evaluators need about one plan's circuit.
+    """The four-query amplification pieces on top of one prepared circuit.
 
     In ideal mode the circuit A is replaced by A composed with a planar
     rotation that sends |0..0> to A^dagger of the *designed* prepared state
@@ -55,39 +55,28 @@ class _Pieces:
     """
 
     def __init__(self, plan: SynthesisPlan, oracle: OracleSpec, ideal: bool) -> None:
+        prep = PreparedCircuit(plan, oracle)
         self.plan = plan
-        self.circuit = PostselectCircuit(plan, oracle)
-        self.rows = self.circuit.rows
-        self.dim = self.circuit.dim
-        self.n = plan.params.n
-        prepared = self.circuit.prepare()
-        self.gamma_nominal = nominal_success_amplitude(plan)
-        self.delta_nominal = math.sqrt(1.0 - self.gamma_nominal**2)
-        comp = prepared.copy()
-        comp[0] = 0.0
-        comp_norm = float(np.linalg.norm(comp))
-        if comp_norm == 0.0:
-            raise ValueError("prepared state has no junk branch to amplify")
-        self.tau_hat = comp / comp_norm
-        self.ideal = ideal
+        self.circuit = prep.circuit
+        self.rows, self.dim, self.n = self.circuit.rows, self.circuit.dim, plan.params.n
+        self.gamma_nominal = prep.gamma
+        self.delta_nominal = math.sqrt(1.0 - prep.gamma**2)
+        self.tau_hat = prep.tau_hat
+        self.designed = prep.designed
         self._rotation = None
         if ideal:
-            designed = math.sqrt(1.0 - self.gamma_nominal**2) * self.tau_hat
-            designed[0] += self.gamma_nominal * plan.target.amps
-            u = self.circuit.apply_dagger(designed).reshape(-1)
-            e0 = np.zeros_like(u)
+            e0 = np.zeros(self.rows * self.dim, dtype=np.complex128)
             e0[0] = 1.0
-            self._rotation = _HashRotation(e0, u)
-            self.prepared_eff = designed
-            self.gamma_eff = self.gamma_nominal
-            self.delta_eff = self.delta_nominal
+            u = self.circuit.apply_dagger(self.designed).reshape(-1)
+            self._rotation = _PlanarRotation(e0, u)
+            self.prepared_eff = self.designed
+            self.gamma_eff, self.delta_eff = self.gamma_nominal, self.delta_nominal
             self.theta_hat = plan.target.amps.copy()
         else:
-            self.prepared_eff = prepared
-            theta = prepared[0]
-            self.gamma_eff = float(np.linalg.norm(theta))
-            self.delta_eff = math.sqrt(max(0.0, 1.0 - self.gamma_eff**2))
-            self.theta_hat = theta / self.gamma_eff
+            self.prepared_eff = prep.state
+            self.gamma_eff = prep.amp
+            self.delta_eff = math.sqrt(max(0.0, 1.0 - prep.amp**2))
+            self.theta_hat = prep.theta / prep.amp
         h0 = _SIN_PI_6 / self.delta_nominal
         if h0 > 1.0:
             raise ValueError(
@@ -95,8 +84,6 @@ class _Pieces:
                 "the one-step amplification gate is undefined"
             )
         self.h = (h0, math.sqrt(1.0 - h0 * h0))
-
-    # -- the effective circuit ------------------------------------------------
 
     def apply_a(self, state: np.ndarray) -> np.ndarray:
         if self._rotation is not None:
@@ -108,13 +95,6 @@ class _Pieces:
         if self._rotation is not None:
             state = self._rotation.apply_inverse(state.reshape(-1)).reshape(state.shape)
         return state
-
-    def apply_w(self, v: np.ndarray) -> np.ndarray:
-        """(rotation gate) tensor A on a (2, rows, dim) copy factor."""
-        h0, h1 = self.h
-        a0 = self.apply_a(v[0])
-        a1 = self.apply_a(v[1])
-        return np.stack([h0 * a0 - h1 * a1, h1 * a0 + h0 * a1])
 
     def apply_w_dagger(self, v: np.ndarray) -> np.ndarray:
         h0, h1 = self.h
@@ -241,35 +221,30 @@ def _structured_run(pieces: _Pieces, s: int) -> tuple[ExecutionReport, dict]:
         "norm_sq": norm_sq,
         "copies": s,
         "junk_uncompute_gap": float(np.linalg.norm(br["w_junk"] - e0)),
-        "prep_deviation": float(
-            np.linalg.norm(
-                pieces.prepared_eff
-                - (
-                    pieces.delta_nominal * pieces.tau_hat
-                    + _target_block(pieces, psi)
-                )
-            )
-        ),
+        "prep_deviation": float(np.linalg.norm(pieces.prepared_eff - pieces.designed)),
     }
     payload = PureState(pieces.n, br["theta_hat"])
     report = ExecutionReport(
         query_count=_FOUR_QUERY_COUNT,
         error_2norm=error_2norm,
         output_pure=payload,
+        copies=s,
     )
     return report, diagnostics
 
 
-def _target_block(pieces: _Pieces, psi: np.ndarray) -> np.ndarray:
-    block = np.zeros((pieces.rows, pieces.dim), dtype=np.complex128)
-    block[0] = pieces.gamma_nominal * psi
-    return block
+def _copy_count(epsilon: float, pieces: _Pieces, s_override: int | None) -> int:
+    s = s_override if s_override is not None else default_copy_count(
+        epsilon, pieces.delta_nominal
+    )
+    if s < 2 or s & (s - 1):
+        raise ValueError(f"copy count must be a power of two >= 2, got {s}")
+    return s
 
 
 def run_four_query(
     psi: PureState,
     epsilon: float,
-    evaluator: str = "structured",
     ideal: bool = False,
     s_override: int | None = None,
     strategy: str = "clifford",
@@ -278,32 +253,14 @@ def run_four_query(
     t_override: int | None = None,
     plan: SynthesisPlan | None = None,
     oracle: OracleSpec | None = None,
-    max_trials: int = 1000,
 ) -> ExecutionReport:
-    """Clean synthesis in exactly four queries.
-
-    evaluator "structured" uses the branch bookkeeping (any copy count);
-    "dense" simulates the full register and only accepts tiny instances.
-    """
-    if evaluator not in ("structured", "dense"):
-        raise ValueError(f"unknown evaluator {evaluator!r}")
+    """Clean synthesis in exactly four queries, on the structured branch
+    bookkeeping (any copy count)."""
     plan, oracle = ensure_plan(
-        psi, epsilon, strategy, mode, seed, t_override, plan, oracle, max_trials
+        psi, epsilon, strategy, mode, seed, t_override, plan, oracle
     )
     pieces = _Pieces(plan, oracle, ideal)
-    s = s_override if s_override is not None else default_copy_count(
-        epsilon, pieces.delta_nominal
-    )
-    if s < 2 or s & (s - 1):
-        raise ValueError(f"copy count must be a power of two >= 2, got {s}")
-    if evaluator == "dense":
-        state, info = _dense_run(pieces, s)
-        return ExecutionReport(
-            query_count=_FOUR_QUERY_COUNT,
-            error_2norm=info["error_2norm"],
-            output_pure=state,
-        )
-    report, _ = _structured_run(pieces, s)
+    report, _ = _structured_run(pieces, _copy_count(epsilon, pieces, s_override))
     return report
 
 
@@ -324,10 +281,7 @@ def four_query_diagnostics(
         psi, epsilon, strategy, mode, seed, t_override, plan, oracle
     )
     pieces = _Pieces(plan, oracle, ideal)
-    s = s_override if s_override is not None else default_copy_count(
-        epsilon, pieces.delta_nominal
-    )
-    report, diagnostics = _structured_run(pieces, s)
+    report, diagnostics = _structured_run(pieces, _copy_count(epsilon, pieces, s_override))
     diagnostics["error_2norm"] = report.error_2norm
     diagnostics["delta_nominal"] = pieces.delta_nominal
     return diagnostics
@@ -507,9 +461,7 @@ def run_four_query_dense(
         psi, epsilon, strategy, mode, seed, t_override, plan, oracle
     )
     pieces = _Pieces(plan, oracle, ideal)
-    if s < 2 or s & (s - 1):
-        raise ValueError(f"copy count must be a power of two >= 2, got {s}")
-    return _dense_run(pieces, s)
+    return _dense_run(pieces, _copy_count(epsilon, pieces, s))
 
 
 def expand_structured(

@@ -25,8 +25,8 @@ from ..numerics import (
     partial_trace_keep_first,
     trace_distance_mixed,
 )
-from ..synthesis import OracleSpec, SynthesisPlan, nominal_success_amplitude
-from .common import ExecutionReport, PostselectCircuit, ensure_plan, success_branch
+from ..synthesis import OracleSpec, SynthesisPlan
+from .common import ExecutionReport, PreparedCircuit, ensure_plan
 
 
 def default_copy_count(epsilon: float, success_amplitude: float) -> int:
@@ -46,26 +46,21 @@ def run_one_query(
     t_override: int | None = None,
     plan: SynthesisPlan | None = None,
     oracle: OracleSpec | None = None,
-    max_trials: int = 1000,
 ) -> ExecutionReport:
     """Reduced output of the first-success composition; one merged query."""
     plan, oracle = ensure_plan(
-        psi, epsilon, strategy, mode, seed, t_override, plan, oracle, max_trials
+        psi, epsilon, strategy, mode, seed, t_override, plan, oracle
     )
-    s = s_override if s_override is not None else default_copy_count(
-        epsilon, nominal_success_amplitude(plan)
-    )
+    prep = PreparedCircuit(plan, oracle)
+    s = s_override if s_override is not None else default_copy_count(epsilon, prep.gamma)
     if s < 1:
         raise ValueError(f"need at least one copy, got {s}")
-    circuit = PostselectCircuit(plan, oracle)
-    state = circuit.apply(circuit.zero_state())
-    theta = success_branch(state)
-    amp = float(np.linalg.norm(theta))
+    amp = prep.amp
     q = max(0.0, 1.0 - amp * amp)
     dim = 1 << plan.params.n
     rho = np.zeros((dim, dim), dtype=np.complex128)
     if amp > 0.0:
-        theta_hat = theta / amp
+        theta_hat = prep.theta / amp
         rho += (1.0 - q**s) * np.outer(theta_hat, np.conj(theta_hat))
     rho[0, 0] += q**s
     reduced = DensityMatrix(plan.params.n, rho)
@@ -73,9 +68,10 @@ def run_one_query(
         plan.params.n, np.outer(plan.target.amps, np.conj(plan.target.amps))
     )
     return ExecutionReport(
-        query_count=1,
+        query_count=prep.circuit.query_count,
         error_trace=trace_distance_mixed(reduced, target),
         output_reduced=reduced,
+        copies=s,
     )
 
 
@@ -130,9 +126,9 @@ def run_one_query_dense(
         psi, epsilon, strategy, mode, seed, t_override, plan, oracle
     )
     n = plan.params.n
-    circuit = PostselectCircuit(plan, oracle)
-    copy_state = circuit.apply(circuit.zero_state()).reshape(-1)
-    t_reg = circuit.t_reg
+    prep = PreparedCircuit(plan, oracle)
+    copy_state = prep.state.reshape(-1)
+    t_reg = prep.circuit.t_reg
     total_bits = n + s * (t_reg + n)
     if total_bits > 22:
         raise ValueError(f"dense evaluator refuses {total_bits}-qubit instances")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..numerics import PureState
@@ -10,8 +12,8 @@ from .common import (
     ExecutionReport,
     OracleMismatchError,
     PostselectCircuit,
+    PreparedCircuit,
     _hadamard_target,
-    postselect_metrics,
 )
 
 
@@ -22,18 +24,31 @@ def run_postselect(plan: SynthesisPlan, oracle: OracleSpec) -> ExecutionReport:
     with psi' within the schedule's terminal residual of the target.  Exactly
     one merged oracle query is consumed; the classical description register
     is checked to hold z afterwards.
+
+    The 2-norm error is the distance from the prepared state to the nearest
+    state of the designed form g |0..0>|psi> + sqrt(1 - g^2) |junk> with the
+    junk branch orthogonal to the success flag and g the plan's nominal
+    success amplitude; the trace error is the postselected output's.
     """
-    circuit = PostselectCircuit(plan, oracle)
-    state = circuit.prepare()
+    prep = PreparedCircuit(plan, oracle)
+    circuit = prep.circuit
     if circuit.z_register != plan.z:
         raise OracleMismatchError("description register does not hold z after the run")
-    amp, error_2norm, error_trace = postselect_metrics(plan, state)
+    theta, amp, g = prep.theta, prep.amp, prep.gamma
+    psi = plan.target.amps
+    flag_err_sq = float(np.linalg.norm(theta - g * psi) ** 2)
+    rest = math.sqrt(max(0.0, 1.0 - amp * amp))
+    rest_err = rest - math.sqrt(max(0.0, 1.0 - g * g))
+    if amp > 0.0:
+        overlap = min(1.0, abs(complex(np.vdot(psi, theta))) / amp)
+    else:
+        overlap = 0.0
     return ExecutionReport(
         query_count=circuit.query_count,
         success_amplitude=amp,
-        error_2norm=error_2norm,
-        error_trace=error_trace,
-        output_pure=PureState(circuit.t_reg + plan.params.n, state.reshape(-1)),
+        error_2norm=math.sqrt(flag_err_sq + rest_err * rest_err),
+        error_trace=math.sqrt(max(0.0, 1.0 - overlap * overlap)),
+        output_pure=PureState(circuit.t_reg + plan.params.n, prep.state.reshape(-1)),
     )
 
 

@@ -6,8 +6,9 @@ success flag (9 * pi/18 = pi/2), after which the description register is
 uncomputed.  Query budget: 1 preparation + 4 * 2 reflections + 1 uncompute.
 
 The `ideal` switch replaces the prepared copy by its designed form
-gamma |0..0>|psi> + sqrt(1 - gamma^2) |junk> (keeping the circuit's actual
-junk branch), under which the rotation lands exactly on the target.
+gamma |0..0>|psi> + sqrt(1 - gamma^2) |tau_hat> (PreparedCircuit.designed,
+keeping the circuit's actual junk direction), under which the rotation lands
+exactly on the target.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from ..numerics import PureState
 from ..synthesis import OracleSpec, SynthesisPlan, nominal_success_amplitude
-from .common import ExecutionReport, PostselectCircuit, ensure_plan
+from .common import ExecutionReport, PreparedCircuit, ensure_plan
 
 _TEN_QUERY_COUNT = 10
 
@@ -33,10 +34,9 @@ def run_ten_query(
     t_override: int | None = None,
     plan: SynthesisPlan | None = None,
     oracle: OracleSpec | None = None,
-    max_trials: int = 1000,
 ) -> ExecutionReport:
     plan, oracle = ensure_plan(
-        psi, epsilon, strategy, mode, seed, t_override, plan, oracle, max_trials
+        psi, epsilon, strategy, mode, seed, t_override, plan, oracle
     )
     g = nominal_success_amplitude(plan)
     lift = math.sin(math.pi / 18.0)
@@ -45,19 +45,8 @@ def run_ten_query(
             f"ten-query driver needs success amplitude >= sin(pi/18) ~ {lift:.4f}; "
             f"this plan provides {g:.4f}"
         )
-    circuit = PostselectCircuit(plan, oracle)
-    prepared = circuit.prepare()
-    if ideal:
-        # Designed branch shape with the circuit's own junk direction.
-        junk = prepared.copy()
-        junk[0] = 0.0
-        junk_norm = float(np.linalg.norm(junk))
-        base = np.zeros_like(prepared)
-        base[0] = g * plan.target.amps
-        if junk_norm > 0.0:
-            base += math.sqrt(1.0 - g * g) * junk / junk_norm
-    else:
-        base = prepared
+    prep = PreparedCircuit(plan, oracle)
+    base = prep.designed if ideal else prep.state
     g0 = lift / g
     g1 = math.sqrt(1.0 - g0 * g0)
     theta = np.stack([g0 * base, g1 * base])
@@ -68,7 +57,7 @@ def run_ten_query(
     n = plan.params.n
     target = np.zeros_like(state)
     target[0, 0, :] = plan.target.amps
-    total_qubits = 1 + circuit.t_reg + n
+    total_qubits = 1 + prep.circuit.t_reg + n
     final = PureState(total_qubits, state.reshape(-1))
     # The ten queries XOR z into the description register an even number of
     # times (1 prepare + 2 per reflection + 1 uncompute), leaving it zero.

@@ -80,17 +80,13 @@ class F2Matrix:
 
     def to_bytes(self) -> bytes:
         """Serialize: rows, cols as u16 LE, then row-major bits LSB-first."""
-        out = bytearray()
-        out += self.rows.to_bytes(2, "little")
-        out += self.cols.to_bytes(2, "little")
-        acc = 0
-        for r in range(self.rows):
-            for c in range(self.cols):
-                pos = r * self.cols + c
-                acc |= self.entry(r, c) << pos
-        nbits = self.rows * self.cols
-        out += acc.to_bytes((nbits + 7) // 8, "little")
-        return bytes(out)
+        acc = sum(bits << (r * self.cols) for r, bits in enumerate(self.row_bits))
+        nbytes = (self.rows * self.cols + 7) // 8
+        return (
+            self.rows.to_bytes(2, "little")
+            + self.cols.to_bytes(2, "little")
+            + acc.to_bytes(nbytes, "little")
+        )
 
     @staticmethod
     def from_bytes(data: bytes, offset: int = 0) -> tuple["F2Matrix", int]:
@@ -98,17 +94,11 @@ class F2Matrix:
         rows = int.from_bytes(data[offset : offset + 2], "little")
         cols = int.from_bytes(data[offset + 2 : offset + 4], "little")
         offset += 4
-        nbits = rows * cols
-        nbytes = (nbits + 7) // 8
+        nbytes = (rows * cols + 7) // 8
         acc = int.from_bytes(data[offset : offset + nbytes], "little")
-        offset += nbytes
-        packed = []
-        for r in range(rows):
-            row = 0
-            for c in range(cols):
-                row |= ((acc >> (r * cols + c)) & 1) << c
-            packed.append(row)
-        return F2Matrix(rows, cols, tuple(packed)), offset
+        mask = (1 << cols) - 1
+        packed = tuple((acc >> (r * cols)) & mask for r in range(rows))
+        return F2Matrix(rows, cols, packed), offset + nbytes
 
 
 def mul(a: F2Matrix, b: F2Matrix) -> F2Matrix:

@@ -313,21 +313,25 @@ class SynthesisPlan:
 
     residual_norms[k] is the combined residual norm after k rounds (a round
     is one step per active track), so residual_norms[0] = 1 for normalized
-    targets.  z is the serialized step descriptions zero-padded to a
-    multiple of 64 bytes.  target records the normalized input state the
-    plan approximates.
+    targets.  desc_section is the serialized step descriptions, and z that
+    section zero-padded to a multiple of 64 bytes.  target records the
+    normalized input state the plan approximates.
     """
 
     params: SynthesisParams
     steps: tuple[PlanStep, ...]
     residual_norms: tuple[float, ...]
-    z: bytes
+    desc_section: bytes
     target: PureState
 
     def __post_init__(self) -> None:
         count = len(self.steps)
         if count == 0 or count & (count - 1):
             raise ValueError(f"step count must be a positive power of two, got {count}")
+
+    @property
+    def z(self) -> bytes:
+        return _pad_z(self.desc_section)
 
     @property
     def strategy(self) -> str:
@@ -508,10 +512,10 @@ def build_plan(
         steps, norms = _clifford_steps(psi, params, bound, seed, max_trials)
     else:
         steps, norms = _hash_steps(psi, params, bound, seed, max_trials)
-    desc_section = steps_to_desc_section(steps)
-    pad = -len(desc_section) % Z_PAD_MULTIPLE
-    z = desc_section + b"\x00" * pad
-    return SynthesisPlan(params, tuple(steps), tuple(norms), z, PureState(psi.n, psi.amps))
+    return SynthesisPlan(
+        params, tuple(steps), tuple(norms), steps_to_desc_section(steps),
+        PureState(psi.n, psi.amps),
+    )
 
 
 def step_record_bytes(step: PlanStep) -> bytes:
@@ -534,6 +538,11 @@ def step_record_bytes(step: PlanStep) -> bytes:
 
 def steps_to_desc_section(steps: tuple[PlanStep, ...] | list[PlanStep]) -> bytes:
     return b"".join(step_record_bytes(s) for s in steps)
+
+
+def _pad_z(desc_section: bytes) -> bytes:
+    """z: the desc section zero-padded to a multiple of Z_PAD_MULTIPLE bytes."""
+    return desc_section + bytes(-len(desc_section) % Z_PAD_MULTIPLE)
 
 
 def parse_desc_section(
@@ -599,8 +608,7 @@ class OracleSpec:
 
     @property
     def z(self) -> bytes:
-        pad = -len(self.desc_section) % Z_PAD_MULTIPLE
-        return self.desc_section + b"\x00" * pad
+        return _pad_z(self.desc_section)
 
     def sign_rows(self) -> np.ndarray:
         """Sign bits as a (T, 2^n) array of 0/1."""
@@ -648,7 +656,7 @@ class OracleSpec:
         desc_len = int.from_bytes(data[offset : offset + 8], "little")
         offset += 8
         desc_section = bytes(data[offset : offset + desc_len])
-        return OracleSpec(n, t, T, sign_bits, desc_section, _input_bits(n, T, desc_len))
+        return OracleSpec(n, t, T, sign_bits, desc_section, _input_bits(n, T, desc_section))
 
     def write_file(self, path: str) -> None:
         with open(path, "wb") as handle:
@@ -660,16 +668,14 @@ class OracleSpec:
             return OracleSpec.from_bytes(handle.read())
 
 
-def _input_bits(n: int, T: int, desc_len: int) -> int:
-    z_len = desc_len + (-desc_len % Z_PAD_MULTIPLE)
-    top_address = (T << n) + 8 * z_len - 1
+def _input_bits(n: int, T: int, desc_section: bytes) -> int:
+    top_address = (T << n) + 8 * len(_pad_z(desc_section)) - 1
     return top_address.bit_length()
 
 
 def plan_to_oracle(plan: SynthesisPlan) -> OracleSpec:
     """Flatten a plan into its addressable truth table."""
     sign_bits = np.concatenate([step.signs.bits for step in plan.steps])
-    desc_section = steps_to_desc_section(plan.steps)
     n = plan.params.n
     T = len(plan.steps)
     return OracleSpec(
@@ -677,8 +683,8 @@ def plan_to_oracle(plan: SynthesisPlan) -> OracleSpec:
         plan.t_register,
         T,
         sign_bits,
-        desc_section,
-        _input_bits(n, T, len(desc_section)),
+        plan.desc_section,
+        _input_bits(n, T, plan.desc_section),
     )
 
 

@@ -37,7 +37,13 @@ from statesynth.numerics import (
     haar_random_state,
     trace_distance_mixed,
 )
-from statesynth.synthesis import build_plan, derive_params, plan_to_oracle
+from statesynth.synthesis import (
+    build_plan,
+    derive_hash_params,
+    derive_params,
+    nominal_success_amplitude,
+    plan_to_oracle,
+)
 
 EPS = 0.25
 
@@ -192,6 +198,12 @@ def test_ten_query_needs_large_success_amplitude():
     psi = _ket(2, 0)
     with pytest.raises(ValueError, match="sin"):
         run_ten_query(psi, EPS, strategy="hash")
+    # The floor is checked before any circuit work: a mismatched oracle
+    # would otherwise raise OracleMismatchError.
+    hash_plan = build_plan(psi, derive_hash_params(2, EPS), strategy="hash")
+    _, _, other_oracle = _plan_oracle(2, 2)
+    with pytest.raises(ValueError, match="sin"):
+        run_ten_query(psi, EPS, plan=hash_plan, oracle=other_oracle)
 
 
 def test_four_query_copy_formula():
@@ -298,3 +310,11 @@ def test_report_field_policy():
     for report in (ten, four):
         assert report.success_amplitude is None and report.error_trace is None
         assert report.error_2norm is not None and report.output_reduced is None
+
+    # copies: the count the driver ran, None where no copies are made.
+    gamma = nominal_success_amplitude(plan)
+    assert one.copies == one_query_copies(EPS, gamma)
+    assert four.copies == four_query_copies(EPS, math.sqrt(1.0 - gamma**2))
+    assert post.copies is None and ten.copies is None
+    assert run_one_query(psi, EPS, s_override=3, plan=plan, oracle=oracle).copies == 3
+    assert run_four_query(psi, EPS, s_override=8, plan=plan, oracle=oracle).copies == 8

@@ -198,11 +198,18 @@ def test_index_vector_roundtrip():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 2**32 - 1))
 def test_serialization_roundtrip(rows: int, cols: int, seed: int):
     rng = np.random.default_rng(seed)
-    m = _from_array(rng.integers(0, 2, (rows, cols)).astype(np.uint8))
+    m = F2Matrix(rows, cols, tuple(int(b) for b in rng.integers(0, 1 << cols, rows)))
     blob = m.to_bytes()
+    # Bit-by-bit reference: entry (r, c) is bit r * cols + c of the payload.
+    acc = 0
+    for r, row in enumerate(m.to_entries()):
+        for c, bit in enumerate(row):
+            acc |= bit << (r * cols + c)
+    header = rows.to_bytes(2, "little") + cols.to_bytes(2, "little")
+    assert blob == header + acc.to_bytes((rows * cols + 7) // 8, "little")
     back, consumed = F2Matrix.from_bytes(blob)
     assert consumed == len(blob)
     assert back.rows == rows and back.cols == cols
