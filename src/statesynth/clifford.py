@@ -17,6 +17,14 @@ Sign-pattern states: for a residual vector eta and Clifford C, the state
 C . 2^{-n/2} sum_x sr(<eta|C|x>) |x>, where sr(c) is +1 iff Re(c) >= 0.
 The overlap search samples random Cliffords until this state's real overlap
 with the normalized residual reaches a threshold.
+
+Most searches stop at trial 0, the identity, so that trial costs next to
+nothing: `identity_desc(n)` is one shared immutable object per n, its
+compiled (empty) layer and its serialized bytes are cached per n, and the
+search builds its random substream only when it reaches trial 1.  The draws
+are those of the row-at-a-time samplers, one block call per matrix
+candidate (`f2linalg.random_rows_from`), so equal seeds give equal
+descriptions.
 """
 
 from __future__ import annotations
@@ -39,7 +47,44 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 class SearchExhaustedError(RuntimeError):
-    """Raised when a randomized search uses up its trial budget."""
+    """Raised when a randomized search uses up its trial budget.
+
+    It carries what reproduces the search: the `trials` used and the search
+    `seed`, and for overlap searches the floor `alpha` and the `best`
+    overlap seen.  A planner re-raises it through `at_step`, which adds the
+    plan `step` index and the `residual_norm` the search started from.
+    """
+
+    def __init__(
+        self,
+        message: str,
+        *,
+        trials: int | None = None,
+        seed: int | None = None,
+        alpha: float | None = None,
+        best: float | None = None,
+        step: int | None = None,
+        residual_norm: float | None = None,
+    ) -> None:
+        super().__init__(message)
+        self.trials = trials
+        self.seed = seed
+        self.alpha = alpha
+        self.best = best
+        self.step = step
+        self.residual_norm = residual_norm
+
+    def at_step(self, step: int, residual_norm: float) -> SearchExhaustedError:
+        """The same error with the plan step and its residual norm added."""
+        return SearchExhaustedError(
+            f"step {step} (residual norm {residual_norm:.6g}): {self}",
+            trials=self.trials,
+            seed=self.seed,
+            alpha=self.alpha,
+            best=self.best,
+            step=step,
+            residual_norm=residual_norm,
+        )
 
 
 @dataclass(frozen=True)
@@ -73,6 +118,7 @@ class CliffordDesc:
     rounds: tuple[Round, ...]
 
     def __post_init__(self) -> None:
+        eye = tuple(1 << c for c in range(self.n))
         if len(self.rounds) != len(ROUND_PATTERN):
             raise ValueError(f"expected {len(ROUND_PATTERN)} rounds, got {len(self.rounds)}")
         for pos, (kind, rnd) in enumerate(zip(ROUND_PATTERN, self.rounds)):
@@ -87,9 +133,10 @@ class CliffordDesc:
             else:
                 if not isinstance(rnd, CRound):
                     raise ValueError(f"round {pos} must be a C-round")
-                if rnd.m.rows != self.n or rnd.m.cols != self.n:
-                    raise ValueError(f"round {pos} matrix is not {self.n}x{self.n}")
-                if f2linalg.mul(rnd.m, rnd.m_inv).row_bits != F2Matrix.identity(self.n).row_bits:
+                for m in (rnd.m, rnd.m_inv):
+                    if m.rows != self.n or m.cols != self.n:
+                        raise ValueError(f"round {pos} matrix is not {self.n}x{self.n}")
+                if f2linalg.mul_rows(rnd.m.row_bits, rnd.m_inv.row_bits) != eye:
                     raise ValueError(f"round {pos} carries a wrong inverse")
 
 
@@ -118,8 +165,13 @@ class SignPattern:
         return 1.0 - 2.0 * self.bits.astype(np.float64)
 
 
+@functools.lru_cache(maxsize=None)
 def identity_desc(n: int) -> CliffordDesc:
-    """The canonical description of the identity (all rounds trivial)."""
+    """The canonical description of the identity (all rounds trivial).
+
+    One shared object per n: descriptions are immutable, and `_apply_amps`
+    recognizes this object to reuse its compiled (empty) layer.
+    """
     eye = F2Matrix.identity(n)
     rounds: list[Round] = []
     for kind in ROUND_PATTERN:
@@ -236,9 +288,18 @@ class CliffordLayer:
         return work
 
 
+@functools.lru_cache(maxsize=None)
+def _identity_layer(n: int, invert: bool) -> CliffordLayer:
+    """The compiled layer of `identity_desc(n)`: no ops, it only copies."""
+    return CliffordLayer([identity_desc(n)], invert)
+
+
 def _apply_amps(d: CliffordDesc, amps: np.ndarray, invert: bool) -> np.ndarray:
     """The described unitary (or its inverse) acting on a dense vector."""
-    return CliffordLayer([d], invert)(np.reshape(amps, (1, -1)))[0]
+    layer = (
+        _identity_layer(d.n, invert) if d is identity_desc(d.n) else CliffordLayer([d], invert)
+    )
+    return layer(np.reshape(amps, (1, -1)))[0]
 
 
 def apply(d: CliffordDesc, v: PureState) -> PureState:
@@ -269,9 +330,9 @@ def random_clifford_from(rng: np.random.Generator, n: int) -> CliffordDesc:
     rounds: list[Round] = []
     for kind in ROUND_PATTERN:
         if kind == "H":
-            rounds.append(HRound(tuple(int(b) for b in rng.integers(0, 2, size=n))))
+            rounds.append(HRound(tuple(rng.integers(0, 2, size=n).tolist())))
         elif kind == "P":
-            rounds.append(PRound(tuple(int(p) for p in rng.integers(0, 4, size=n))))
+            rounds.append(PRound(tuple(rng.integers(0, 4, size=n).tolist())))
         else:
             m = f2linalg.random_invertible_from(rng, n)
             rounds.append(CRound(m, f2linalg.inverse(m)))
@@ -316,28 +377,54 @@ def find_overlap_clifford(
 ) -> tuple[CliffordDesc, float]:
     """Search for a Clifford whose sign-pattern state overlaps eta by >= alpha.
 
-    Trial 0 is the identity description (so targets with nonnegative real
-    amplitudes resolve deterministically); subsequent trials are random.
-    Returns the first qualifying description with its achieved overlap.
+    Trial 0 is the shared identity description (so targets with nonnegative
+    real amplitudes resolve deterministically); subsequent trials are random
+    draws from the search's substream, which is only built when trial 1 is
+    reached.  Returns the first qualifying description with its achieved
+    overlap; an exhausted budget raises SearchExhaustedError with the best
+    overlap seen.
     """
     nrm = float(np.linalg.norm(eta.amps))
     if nrm == 0.0:
         raise ValueError("zero residual has no overlap certificate")
     eta_hat = PureState(eta.n, eta.amps / nrm)
-    rng = substream(seed, f"clifford-search-{eta.n}")
+    rng = None
+    best = -np.inf
     for trial in range(max_trials):
-        desc = identity_desc(eta.n) if trial == 0 else random_clifford_from(rng, eta.n)
+        if trial == 0:
+            desc = identity_desc(eta.n)
+        else:
+            if rng is None:
+                rng = substream(seed, f"clifford-search-{eta.n}")
+            desc = random_clifford_from(rng, eta.n)
         achieved = overlap_with_sign_state(eta_hat, desc)
         if achieved >= alpha:
             return desc, achieved
+        best = max(best, achieved)
     raise SearchExhaustedError(
-        f"no Clifford reached overlap {alpha} within {max_trials} trials"
+        f"no Clifford reached overlap {alpha} within {max_trials} trials "
+        f"(best {best:.6g}, seed {seed})",
+        trials=max_trials,
+        seed=seed,
+        alpha=alpha,
+        best=best,
     )
 
 
 def desc_to_bytes(d: CliffordDesc) -> bytes:
     """Serialize: rounds in order; H-round n bits LSB-first, P-round n 2-bit
     digits LSB-first, C-round M then M^-1 in the matrix format."""
+    if d is identity_desc(d.n):
+        return _identity_bytes(d.n)
+    return _rounds_to_bytes(d)
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_bytes(n: int) -> bytes:
+    return _rounds_to_bytes(identity_desc(n))
+
+
+def _rounds_to_bytes(d: CliffordDesc) -> bytes:
     out = bytearray()
     for rnd in d.rounds:
         if isinstance(rnd, HRound):

@@ -101,22 +101,30 @@ class F2Matrix:
         return F2Matrix(rows, cols, packed), offset + nbytes
 
 
+def mul_rows(a_rows: tuple[int, ...], b_rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Packed rows of the GF(2) product of two matrices given by packed rows.
+
+    Row r of the product XORs the rows of b picked by the set bits of a's
+    row r; shapes are not checked (see `mul`).
+    """
+    out = []
+    for bits in a_rows:
+        acc = 0
+        k = 0
+        while bits:
+            if bits & 1:
+                acc ^= b_rows[k]
+            bits >>= 1
+            k += 1
+        out.append(acc)
+    return tuple(out)
+
+
 def mul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
     """Matrix product over GF(2)."""
     if a.cols != b.rows:
         raise ValueError(f"dimension mismatch: {a.rows}x{a.cols} times {b.rows}x{b.cols}")
-    out = []
-    for r in range(a.rows):
-        acc = 0
-        bits = a.row_bits[r]
-        k = 0
-        while bits:
-            if bits & 1:
-                acc ^= b.row_bits[k]
-            bits >>= 1
-            k += 1
-        out.append(acc)
-    return F2Matrix(a.rows, b.cols, tuple(out))
+    return F2Matrix(a.rows, b.cols, mul_rows(a.row_bits, b.row_bits))
 
 
 def rank(m: F2Matrix) -> int:
@@ -155,14 +163,21 @@ def inverse(m: F2Matrix) -> F2Matrix:
     return F2Matrix(n, n, tuple(right))
 
 
+def random_rows_from(rng: np.random.Generator, rows: int, cols: int) -> tuple[int, ...]:
+    """Packed rows of a uniform rows x cols bit block drawn from the stream.
+
+    One `rng.integers(0, 2, size=(rows, cols))` call: it gives the same bits,
+    and leaves the stream in the same state, as `rows` draws of
+    `size=cols` one row at a time.  Entry (r, c) is bit c of row r.
+    """
+    bits = rng.integers(0, 2, size=(rows, cols))
+    return tuple((bits @ (1 << np.arange(cols, dtype=np.int64))).tolist())
+
+
 def random_invertible_from(rng: np.random.Generator, n: int) -> F2Matrix:
     """Uniform element of GL_n(F2) by rejection sampling from the given stream."""
     while True:
-        packed = []
-        for _ in range(n):
-            bits = rng.integers(0, 2, size=n)
-            packed.append(sum(int(b) << c for c, b in enumerate(bits)))
-        candidate = F2Matrix(n, n, tuple(packed))
+        candidate = F2Matrix(n, n, random_rows_from(rng, n, n))
         if rank(candidate) == n:
             return candidate
 

@@ -177,9 +177,7 @@ class HashState:
 
     def state_vector(self) -> np.ndarray:
         amps = np.zeros(1 << self.n, dtype=np.complex128)
-        scale = 2.0 ** (-self.k / 2.0)
-        for idx, sign in zip(self.support, self.signs):
-            amps[idx] = sign * scale
+        amps[list(self.support)] = np.array(self.signs, dtype=np.float64) * 2.0 ** (-self.k / 2.0)
         return amps
 
 
@@ -189,7 +187,8 @@ def find_hash_matrix(
     """Random full-rank k x n matrix whose image of S exceeds 2^(k-1) points.
 
     Candidates are drawn until one passes the (directly evaluated) image-size
-    check; rank-deficient draws count against the trial budget too.
+    check; rank-deficient draws count against the trial budget too.  An
+    exhausted budget raises SearchExhaustedError with the trials and seed.
     """
     if len(S) != 1 << k or len(S) > 1 << n:
         raise ValueError(f"need |S| = 2^{k} <= 2^{n}, got {len(S)}")
@@ -198,18 +197,16 @@ def find_hash_matrix(
     s_array = np.fromiter(sorted(S), dtype=np.int64)
     rng = substream(seed, f"hash-matrix-{k}x{n}")
     for _ in range(max_trials):
-        packed = []
-        for _ in range(k):
-            bits = rng.integers(0, 2, size=n)
-            packed.append(sum(int(b) << c for c, b in enumerate(bits)))
-        candidate = F2Matrix(k, n, tuple(packed))
+        candidate = F2Matrix(k, n, f2linalg.random_rows_from(rng, k, n))
         if f2linalg.rank(candidate) != k:
             continue
         images = f2linalg.apply_to_all(candidate)[s_array]
         if np.unique(images).size > 1 << (k - 1):
             return candidate
     raise SearchExhaustedError(
-        f"no admissible {k}x{n} hash matrix within {max_trials} trials"
+        f"no admissible {k}x{n} hash matrix within {max_trials} trials (seed {seed})",
+        trials=max_trials,
+        seed=seed,
     )
 
 
@@ -242,22 +239,17 @@ def hash_state_for(
     jstar = int(np.argmax(scores)) + 1
     mu = float(scores[jstar - 1])
     k = jstar.bit_length() - 1
-    S = {int(x) for x in order[: 1 << k]}
-    matrix = find_hash_matrix(S, k, n, max_trials=max_trials, seed=seed)
+    s_array = np.sort(order[: 1 << k])
+    matrix = find_hash_matrix(set(s_array.tolist()), k, n, max_trials=max_trials, seed=seed)
     images = f2linalg.apply_to_all(matrix)
-    in_S = np.zeros(dim, dtype=bool)
-    in_S[list(S)] = True
-    first_in_S: dict[int, int] = {}
-    first_any: dict[int, int] = {}
-    for x in range(dim):
-        y = int(images[x])
-        if y not in first_any:
-            first_any[y] = x
-        if in_S[x] and y not in first_in_S:
-            first_in_S[y] = x
-    support = sorted(first_in_S.get(y, first_any[y]) for y in range(1 << k))
-    signs = tuple(1 if reals[x] >= 0.0 else -1 for x in support)
-    return HashState(n, k, matrix, tuple(support), signs), mu
+    # The matrix has full rank k, so every y in [0, 2^k) has a preimage:
+    # np.unique lists them in order with the first (lowest) preimage of each.
+    _, chosen = np.unique(images, return_index=True)
+    hit, first_in_S = np.unique(images[s_array], return_index=True)
+    chosen[hit] = s_array[first_in_S]
+    support = np.sort(chosen)
+    signs = np.where(reals[support] >= 0.0, 1, -1)
+    return HashState(n, k, matrix, tuple(support.tolist()), tuple(signs.tolist())), mu
 
 
 def trivial_hash_state(n: int) -> HashState:
@@ -376,12 +368,15 @@ def _clifford_steps(
         if norms[-1] == 0.0:
             desc = cliff.identity_desc(n)
         else:
-            desc, _ = cliff.find_overlap_clifford(
-                PureState(n, eta),
-                params.alpha,
-                max_trials=max_trials,
-                seed=derive_seed(seed, f"clifford-step-{k}"),
-            )
+            try:
+                desc, _ = cliff.find_overlap_clifford(
+                    PureState(n, eta),
+                    params.alpha,
+                    max_trials=max_trials,
+                    seed=derive_seed(seed, f"clifford-step-{k}"),
+                )
+            except SearchExhaustedError as err:
+                raise err.at_step(k, norms[-1]) from err
         w = cliff.apply_inverse(desc, PureState(n, eta)).amps
         if bound == 0.0:
             bits = (w.real < 0.0).astype(np.uint8)
@@ -418,11 +413,14 @@ def _hash_track_step(
     if nrm == 0.0:
         hs = trivial_hash_state(n)
     else:
-        hs, _mu = hash_state_for(
-            PureState(n, (eta / nrm).astype(np.complex128)),
-            max_trials=max_trials,
-            seed=derive_seed(seed, f"hash-step-{step_index}"),
-        )
+        try:
+            hs, _mu = hash_state_for(
+                PureState(n, (eta / nrm).astype(np.complex128)),
+                max_trials=max_trials,
+                seed=derive_seed(seed, f"hash-step-{step_index}"),
+            )
+        except SearchExhaustedError as err:
+            raise err.at_step(step_index, nrm) from err
     if bound != 0.0:
         perturbed = tuple(
             perturbed_sign(float(eta[x].real), bound, step_index * dim + x, seed)
@@ -430,8 +428,7 @@ def _hash_track_step(
         )
         hs = HashState(hs.n, hs.k, hs.matrix, hs.support, perturbed)
     bits = np.zeros(dim, dtype=np.uint8)
-    for idx, sign in zip(hs.support, hs.signs):
-        bits[idx] = 1 if sign < 0 else 0
+    bits[list(hs.support)] = np.array(hs.signs) < 0
     phi = hs.state_vector().real
     step = PlanStep("hash", coeff, phase, SignPattern(n, bits), hash_state=hs)
     return step, eta - coeff * phi

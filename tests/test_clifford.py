@@ -6,11 +6,15 @@ explicit 2x2 gate constants, then used to check `apply` on larger inputs.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
+from statesynth import f2linalg
 from statesynth.clifford import (
     CliffordDesc,
+    CRound,
     HRound,
     PRound,
     ROUND_PATTERN,
@@ -28,6 +32,7 @@ from statesynth.clifford import (
     sr,
     to_matrix,
 )
+from statesynth.f2linalg import F2Matrix
 from statesynth.numerics import PureState, haar_random_state, norm2
 from statesynth.rng import substream
 
@@ -66,6 +71,39 @@ def test_identity_description_acts_trivially():
         v = haar_random_state(n, n)
         out = apply(identity_desc(n), v)
         assert np.max(np.abs(out.amps - v.amps)) < 1e-12
+
+
+def test_identity_description_is_shared_and_copies():
+    for n in (1, 3):
+        d = identity_desc(n)
+        assert identity_desc(n) is d
+        v = haar_random_state(n, n)
+        before = v.amps.copy()
+        out = apply(d, v)
+        assert out.amps is not v.amps
+        out.amps[:] = 7.0
+        apply_inverse(d, v).amps[:] = 7.0
+        assert np.array_equal(v.amps, before)
+        assert np.array_equal(apply(d, v).amps, before)
+        assert np.array_equal(apply_inverse(d, v).amps, before)
+
+
+def test_description_rejects_bad_cnot_round():
+    eye = F2Matrix.identity(2)
+    m = F2Matrix(2, 2, (0b11, 0b01))  # [[1, 1], [1, 0]], not its own inverse
+    wrong_inverse = CRound(m, m)
+    assert f2linalg.mul(m, m).row_bits != eye.row_bits
+    for pos, kind in enumerate(ROUND_PATTERN):
+        if kind != "C":
+            continue
+        with pytest.raises(ValueError, match="wrong inverse"):
+            _with_round(identity_desc(2), pos, wrong_inverse)
+        for bad in (CRound(F2Matrix.identity(3), eye), CRound(eye, F2Matrix.identity(3)),
+                    CRound(eye, F2Matrix(2, 3, (1, 2)))):
+            with pytest.raises(ValueError, match="not 2x2"):
+                _with_round(identity_desc(2), pos, bad)
+        # The correct pair is accepted at every C position.
+        _with_round(identity_desc(2), pos, CRound(m, f2linalg.inverse(m)))
 
 
 def test_full_h_round_builds_uniform_superposition():
@@ -236,8 +274,20 @@ def test_find_overlap_clifford_certificates_reverified():
 
 def test_find_overlap_clifford_exhaustion():
     eta = haar_random_state(2, 99)
-    with pytest.raises(SearchExhaustedError):
-        find_overlap_clifford(eta, 0.9999, max_trials=5, seed=0)
+    with pytest.raises(SearchExhaustedError) as info:
+        find_overlap_clifford(eta, 0.9999, max_trials=5, seed=17)
+    err = info.value
+    assert (err.alpha, err.trials, err.seed) == (0.9999, 5, 17)
+    assert (err.step, err.residual_norm) == (None, None)
+    # The best overlap is the largest of the five trials, replayed here.
+    eta_hat = PureState(2, eta.amps / np.linalg.norm(eta.amps))
+    rng = substream(17, "clifford-search-2")
+    trials = [identity_desc(2)] + [random_clifford_from(rng, 2) for _ in range(4)]
+    assert err.best == max(overlap_with_sign_state(eta_hat, d) for d in trials)
+    assert err.best < 0.9999
+    # The context survives a pickle round trip (e.g. out of a worker process).
+    back = pickle.loads(pickle.dumps(err))
+    assert (str(back), back.trials, back.best) == (str(err), 5, err.best)
     with pytest.raises(ValueError):
         find_overlap_clifford(PureState(1, np.zeros(2, dtype=complex)), 0.35)
 

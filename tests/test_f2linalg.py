@@ -136,6 +136,24 @@ def test_random_invertible_full_rank_and_deterministic():
         assert m.to_entries() == again.to_entries()
 
 
+def test_random_rows_from_matches_row_draws():
+    # One block draw gives the bits, and leaves the stream in the state, of
+    # row-at-a-time draws.
+    for n in range(1, 13):
+        for rows in range(n + 1):
+            for seed in range(4):
+                block = np.random.default_rng(seed)
+                one_by_one = np.random.default_rng(seed)
+                packed = f2linalg.random_rows_from(block, rows, n)
+                want = []
+                for _ in range(rows):
+                    bits = one_by_one.integers(0, 2, size=n)
+                    want.append(sum(int(b) << c for c, b in enumerate(bits)))
+                assert packed == tuple(want)
+                assert all(type(row) is int for row in packed)
+                assert block.bit_generator.state == one_by_one.bit_generator.state
+
+
 def test_random_invertible_uniform_over_gl2():
     # GL_2(F_2) has (4-1)(4-2) = 6 elements; each should appear ~1/6 of the time.
     counts: dict[tuple[int, ...], int] = {}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 
@@ -9,10 +10,10 @@ import mpmath
 import numpy as np
 import pytest
 
-from statesynth.clifford import desc_to_bytes, identity_desc, sr
+from statesynth.clifford import SearchExhaustedError, desc_to_bytes, identity_desc, sr
 from statesynth.f2linalg import F2Matrix, apply_to_index
 from statesynth.numerics import PureState, haar_random_state
-from statesynth.rng import substream
+from statesynth.rng import derive_seed, substream
 from statesynth.synthesis import (
     ORACLE_MAGIC,
     HashState,
@@ -386,6 +387,37 @@ def test_hash_state_for_overlap_guarantee():
         assert mu >= 1.0 / math.sqrt(harmonic_number(1 << n)) - 1e-12
 
 
+def _first_preimage_support(reals: np.ndarray, S: set[int], images: np.ndarray, k: int):
+    """hash_state_for's support rule, one basis index at a time."""
+    first_in_S: dict[int, int] = {}
+    first_any: dict[int, int] = {}
+    for x, y in enumerate(images.tolist()):
+        first_any.setdefault(y, x)
+        if x in S:
+            first_in_S.setdefault(y, x)
+    support = sorted(first_in_S.get(y, first_any[y]) for y in range(1 << k))
+    return tuple(support), tuple(1 if reals[x] >= 0.0 else -1 for x in support)
+
+
+def test_hash_state_for_first_preimage_rule():
+    rng = substream(0, "test-hash-preimage")
+    for trial in range(60):
+        n = 1 + trial % 7
+        raw = rng.standard_normal(1 << n)
+        if trial % 3 == 0:
+            raw = np.round(raw)  # ties in magnitude and exact zeros
+            raw[0] += 0.5
+        psi = PureState(n, (raw / np.linalg.norm(raw)).astype(complex))
+        hs, _ = hash_state_for(psi, seed=trial)
+        mags = np.abs(psi.amps.real)
+        order = np.lexsort((np.arange(1 << n), -mags))
+        S = {int(x) for x in order[: 1 << hs.k]}
+        images = np.array([apply_to_index(hs.matrix, x) for x in range(1 << n)])
+        assert (hs.support, hs.signs) == _first_preimage_support(
+            psi.amps.real, S, images, hs.k
+        )
+
+
 def test_hash_state_for_input_validation():
     with pytest.raises(ValueError, match="real"):
         hash_state_for(PureState(1, np.array([0.6, 0.8j])))
@@ -432,11 +464,35 @@ def test_find_hash_matrix_cases():
 
     with pytest.raises(ValueError):
         find_hash_matrix({0, 1, 2}, 2, 4)
+    with pytest.raises(SearchExhaustedError) as info:
+        find_hash_matrix({0, 1, 2, 3}, 2, 4, max_trials=0, seed=9)
+    assert (info.value.trials, info.value.seed) == (0, 9)
+
+
+def test_build_plan_search_exhaustion_context():
+    params = dataclasses.replace(derive_params(2, 0.25), alpha=0.9999)
+    with pytest.raises(SearchExhaustedError) as info:
+        build_plan(haar_random_state(2, 4), params, max_trials=5, seed=3)
+    err = info.value
+    assert (err.step, err.trials, err.alpha) == (0, 5, 0.9999)
+    assert err.residual_norm == pytest.approx(1.0, abs=1e-12)
+    assert err.seed == derive_seed(3, "clifford-step-0")
+    assert 0.0 < err.best < 0.9999
+    assert "step 0" in str(err) and "0.9999" in str(err)
+    assert isinstance(err.__cause__, SearchExhaustedError)
+    # The hash planner re-raises its matrix search the same way.
+    with pytest.raises(SearchExhaustedError) as info:
+        build_plan(haar_random_state(3, 4), derive_hash_params(3, 0.25),
+                   strategy="hash", max_trials=0, seed=3)
+    assert (info.value.step, info.value.trials) == (0, 0)
+    assert info.value.residual_norm > 0.0
 
 
 #: sha256 of plan_to_oracle(plan).to_bytes() for the grid of
 #: test_oracle_bytes_pinned, recorded before the batched Clifford kernel
-#: replaced the per-index one.  Equal seeds must keep giving these bytes.
+#: replaced the per-index one (the n = 6 case, the shape of the large-n
+#: benchmark, before the search trials were made cheap).  Equal seeds must
+#: keep giving these bytes.
 _ORACLE_DIGESTS = {
     ("clifford", 1, 0.1, "exact"):
         "492ff4b5bbe490a02465d5bc1c1ac316197bcef2604a7e31664910a6cd90e4d0",
@@ -462,6 +518,8 @@ _ORACLE_DIGESTS = {
         "5d113a736b38b4ce7c8ba3f4893b928c7d0755e428fa1703e2855d71c8cfc474",
     ("clifford", 5, 0.01, "perturbed"):
         "3f3db34f5f4ea7b702a2e786ea178307c6df34f78510cc763bfd5bed8419aa8c",
+    ("clifford", 6, 0.25, "exact"):
+        "53b355bdc5e74f223d6d236fd4211de95ac450c2d79105e38923ef9cec539250",
     ("hash", 1, 0.1, "exact"):
         "ca11615ed5a9e6cadad30a14fb2672d98cbba4c9c68ed9ec2a582cb4d29d2ac6",
     ("hash", 1, 0.1, "perturbed"):
