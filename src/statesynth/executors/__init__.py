@@ -10,6 +10,11 @@ Four entry points, one per query regime:
 * :func:`run_four_query` — the four-query clean synthesizer, evaluated on
   a structured branch decomposition (:func:`run_four_query_dense` simulates
   the full register on tiny instances).
+
+A driver's inputs are the target, epsilon, and the plan and oracle to query
+(``plan=``/``oracle=``); without them it builds the default plan (Clifford,
+exact signs, seed 0, derived register width).  Other plans come from
+:func:`statesynth.synthesis.build_plan`.
 """
 
 from .common import (

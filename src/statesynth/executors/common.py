@@ -253,7 +253,12 @@ def ensure_plan(
     plan: SynthesisPlan | None = None,
     oracle: OracleSpec | None = None,
 ) -> tuple[SynthesisPlan, OracleSpec]:
-    """Build (or pass through) the plan and oracle a driver should query."""
+    """Build (or pass through) the plan and oracle a driver should query.
+
+    The drivers pass only plan and oracle, so without a plan they get the
+    default one: Clifford, exact signs, seed 0, derived t.  The CLI sets the
+    other values from its config.
+    """
     if plan is None:
         if strategy == "hash":
             params = derive_hash_params(psi.n, epsilon, t_override)

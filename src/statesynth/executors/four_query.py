@@ -15,7 +15,10 @@ Two evaluators: :func:`run_four_query` tracks the s + 1 exactly-known
 branches (first success at k, or all fail) as per-register factors, which
 scales to the real copy counts; :func:`run_four_query_dense` simulates the
 full register on tiny instances and is used to cross-check the structured
-bookkeeping, including the classical description-register flow.
+bookkeeping, including the classical description-register flow.  Every
+entry point starts from one ``_setup``: the plan (passed in or the default
+one), the amplification pieces, and the copy count, which must be a power of
+two.
 """
 
 from __future__ import annotations
@@ -222,6 +225,8 @@ def _structured_run(pieces: _Pieces, s: int) -> tuple[ExecutionReport, dict]:
         "copies": s,
         "junk_uncompute_gap": float(np.linalg.norm(br["w_junk"] - e0)),
         "prep_deviation": float(np.linalg.norm(pieces.prepared_eff - pieces.designed)),
+        "error_2norm": error_2norm,
+        "delta_nominal": delta_a,
     }
     payload = PureState(pieces.n, br["theta_hat"])
     report = ExecutionReport(
@@ -233,13 +238,23 @@ def _structured_run(pieces: _Pieces, s: int) -> tuple[ExecutionReport, dict]:
     return report, diagnostics
 
 
-def _copy_count(epsilon: float, pieces: _Pieces, s_override: int | None) -> int:
-    s = s_override if s_override is not None else default_copy_count(
-        epsilon, pieces.delta_nominal
-    )
+def _setup(
+    psi: PureState,
+    epsilon: float,
+    ideal: bool,
+    s: int | None,
+    plan: SynthesisPlan | None,
+    oracle: OracleSpec | None,
+) -> tuple[_Pieces, int]:
+    """The pieces every four-query entry point starts from, and its copy
+    count: s if given, else the default for the nominal junk amplitude."""
+    plan, oracle = ensure_plan(psi, epsilon, plan=plan, oracle=oracle)
+    pieces = _Pieces(plan, oracle, ideal)
+    if s is None:
+        s = default_copy_count(epsilon, pieces.delta_nominal)
     if s < 2 or s & (s - 1):
         raise ValueError(f"copy count must be a power of two >= 2, got {s}")
-    return s
+    return pieces, s
 
 
 def run_four_query(
@@ -247,20 +262,12 @@ def run_four_query(
     epsilon: float,
     ideal: bool = False,
     s_override: int | None = None,
-    strategy: str = "clifford",
-    mode: str = "exact",
-    seed: int = 0,
-    t_override: int | None = None,
     plan: SynthesisPlan | None = None,
     oracle: OracleSpec | None = None,
 ) -> ExecutionReport:
     """Clean synthesis in exactly four queries, on the structured branch
     bookkeeping (any copy count)."""
-    plan, oracle = ensure_plan(
-        psi, epsilon, strategy, mode, seed, t_override, plan, oracle
-    )
-    pieces = _Pieces(plan, oracle, ideal)
-    report, _ = _structured_run(pieces, _copy_count(epsilon, pieces, s_override))
+    report, _ = _structured_run(*_setup(psi, epsilon, ideal, s_override, plan, oracle))
     return report
 
 
@@ -269,21 +276,11 @@ def four_query_diagnostics(
     epsilon: float,
     ideal: bool = False,
     s_override: int | None = None,
-    strategy: str = "clifford",
-    mode: str = "exact",
-    seed: int = 0,
-    t_override: int | None = None,
     plan: SynthesisPlan | None = None,
     oracle: OracleSpec | None = None,
 ) -> dict:
     """Structured-run internals: checkpoint gaps, fail weight, deviations."""
-    plan, oracle = ensure_plan(
-        psi, epsilon, strategy, mode, seed, t_override, plan, oracle
-    )
-    pieces = _Pieces(plan, oracle, ideal)
-    report, diagnostics = _structured_run(pieces, _copy_count(epsilon, pieces, s_override))
-    diagnostics["error_2norm"] = report.error_2norm
-    diagnostics["delta_nominal"] = pieces.delta_nominal
+    _, diagnostics = _structured_run(*_setup(psi, epsilon, ideal, s_override, plan, oracle))
     return diagnostics
 
 
@@ -449,19 +446,11 @@ def run_four_query_dense(
     epsilon: float,
     s: int = 2,
     ideal: bool = False,
-    strategy: str = "clifford",
-    mode: str = "exact",
-    seed: int = 0,
-    t_override: int | None = None,
     plan: SynthesisPlan | None = None,
     oracle: OracleSpec | None = None,
 ) -> tuple[PureState, dict]:
     """Full-register simulation of the four-query driver (tiny instances)."""
-    plan, oracle = ensure_plan(
-        psi, epsilon, strategy, mode, seed, t_override, plan, oracle
-    )
-    pieces = _Pieces(plan, oracle, ideal)
-    return _dense_run(pieces, _copy_count(epsilon, pieces, s))
+    return _dense_run(*_setup(psi, epsilon, ideal, s, plan, oracle))
 
 
 def expand_structured(
@@ -469,10 +458,6 @@ def expand_structured(
     epsilon: float,
     s: int,
     ideal: bool = False,
-    strategy: str = "clifford",
-    mode: str = "exact",
-    seed: int = 0,
-    t_override: int | None = None,
     plan: SynthesisPlan | None = None,
     oracle: OracleSpec | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -481,10 +466,7 @@ def expand_structured(
     Returns (state at the routing checkpoint, final state); used to validate
     the branch bookkeeping against the dense evaluator bit for bit.
     """
-    plan, oracle = ensure_plan(
-        psi, epsilon, strategy, mode, seed, t_override, plan, oracle
-    )
-    pieces = _Pieces(plan, oracle, ideal)
+    pieces, s = _setup(psi, epsilon, ideal, s, plan, oracle)
     rows, dim, n = pieces.rows, pieces.dim, pieces.n
     t_reg = pieces.circuit.t_reg
     sh = _field_shifts(s, t_reg, n)

@@ -40,17 +40,11 @@ def run_one_query(
     psi: PureState,
     epsilon: float,
     s_override: int | None = None,
-    strategy: str = "clifford",
-    mode: str = "exact",
-    seed: int = 0,
-    t_override: int | None = None,
     plan: SynthesisPlan | None = None,
     oracle: OracleSpec | None = None,
 ) -> ExecutionReport:
     """Reduced output of the first-success composition; one merged query."""
-    plan, oracle = ensure_plan(
-        psi, epsilon, strategy, mode, seed, t_override, plan, oracle
-    )
+    plan, oracle = ensure_plan(psi, epsilon, plan=plan, oracle=oracle)
     prep = PreparedCircuit(plan, oracle)
     s = s_override if s_override is not None else default_copy_count(epsilon, prep.gamma)
     if s < 1:
@@ -84,6 +78,10 @@ def _first_success_permutation(
     copy j its index register (t_reg bits) and payload (n bits).  For the
     first copy (in `copy_order` priority) whose index field is all zeros,
     the payload field and the output field are exchanged.
+
+    A plain per-index loop, kept as the readable reference the dense
+    cross-check compares the analytic composition against; only tiny
+    registers reach it.
     """
     copy_bits = t_reg + n
     perm = np.empty(1 << total_bits, dtype=np.int64)
@@ -109,10 +107,6 @@ def run_one_query_dense(
     epsilon: float,
     s: int = 2,
     copy_order: tuple[int, ...] | None = None,
-    strategy: str = "clifford",
-    mode: str = "exact",
-    seed: int = 0,
-    t_override: int | None = None,
     plan: SynthesisPlan | None = None,
     oracle: OracleSpec | None = None,
 ) -> DensityMatrix:
@@ -122,9 +116,7 @@ def run_one_query_dense(
     meant for small cross-check instances.  copy_order permutes the priority
     of the first-success rule; the reduced state must not depend on it.
     """
-    plan, oracle = ensure_plan(
-        psi, epsilon, strategy, mode, seed, t_override, plan, oracle
-    )
+    plan, oracle = ensure_plan(psi, epsilon, plan=plan, oracle=oracle)
     n = plan.params.n
     prep = PreparedCircuit(plan, oracle)
     copy_state = prep.state.reshape(-1)

@@ -13,7 +13,6 @@ from .common import (
     OracleMismatchError,
     PostselectCircuit,
     PreparedCircuit,
-    _hadamard_target,
 )
 
 
@@ -62,10 +61,10 @@ def quantum_z_leakage(plan: SynthesisPlan, oracle: OracleSpec, z_bits: int = 8) 
     magnitude of their reduced density matrix, the basis value they hold);
     honest oracles give exactly zero leakage and the leading bits of z.
     """
-    circuit = PostselectCircuit(plan, oracle)
-    zdim = 1 << z_bits
     if not 1 <= z_bits <= 8 * len(plan.z):
         raise ValueError(f"z_bits must lie in [1, {8 * len(plan.z)}], got {z_bits}")
+    circuit = PostselectCircuit(plan, oracle)
+    zdim = 1 << z_bits
     if circuit.rows * circuit.dim * zdim > (1 << 24):
         raise ValueError("register too large for the quantum-z validation run")
     # Value packing mirrors the description string bytes: address-i bit is
@@ -74,25 +73,10 @@ def quantum_z_leakage(plan: SynthesisPlan, oracle: OracleSpec, z_bits: int = 8) 
     for i in range(z_bits):
         bit = oracle.query(oracle.T * circuit.dim + i)
         zval |= bit << i
-    slices = [circuit.zero_state() if w == 0 else None for w in range(zdim)]
-    slices = [circuit._load(s) if s is not None else None for s in slices]
-    slices = [
-        _hadamard_target(s, circuit.n) if s is not None else None for s in slices
-    ]
-    slices = [circuit._query(s) if s is not None else None for s in slices]
-    # The query's description output XORs a constant into the z register.
-    permuted: list[np.ndarray | None] = [None] * zdim
-    for w, s in enumerate(slices):
-        if s is not None:
-            permuted[w ^ zval] = s
-    slices = [
-        circuit._unload(circuit._steps(s, invert=False)) if s is not None else None
-        for s in permuted
-    ]
-    stacked = np.stack(
-        [s if s is not None else np.zeros((circuit.rows, circuit.dim)) for s in slices]
-    )
-    flat = stacked.reshape(zdim, -1)
+    # The register starts in |0>, and the query's description output XORs
+    # the constant zval into it, so the run is A|0..0> on the |zval> slice.
+    flat = np.zeros((zdim, circuit.rows * circuit.dim), dtype=np.complex128)
+    flat[zval] = circuit.prepare().reshape(-1)
     rho_z = flat @ flat.conj().T
     off = rho_z - np.diag(np.diag(rho_z))
     return float(np.max(np.abs(off))), zval

@@ -28,16 +28,10 @@ def run_ten_query(
     psi: PureState,
     epsilon: float,
     ideal: bool = False,
-    strategy: str = "clifford",
-    mode: str = "exact",
-    seed: int = 0,
-    t_override: int | None = None,
     plan: SynthesisPlan | None = None,
     oracle: OracleSpec | None = None,
 ) -> ExecutionReport:
-    plan, oracle = ensure_plan(
-        psi, epsilon, strategy, mode, seed, t_override, plan, oracle
-    )
+    plan, oracle = ensure_plan(psi, epsilon, plan=plan, oracle=oracle)
     g = nominal_success_amplitude(plan)
     lift = math.sin(math.pi / 18.0)
     if g < lift:

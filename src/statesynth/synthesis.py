@@ -389,11 +389,9 @@ def _clifford_steps(
                 dtype=np.uint8,
                 count=dim,
             )
-        pattern = SignPattern(n, bits)
-        base = pattern.signs().astype(np.complex128) / math.sqrt(dim)
-        phi = cliff.apply(desc, PureState(n, base)).amps
-        eta = eta - coeff * phi
-        steps.append(PlanStep("clifford", coeff, 1 + 0j, pattern, desc=desc))
+        step = PlanStep("clifford", coeff, 1 + 0j, SignPattern(n, bits), desc=desc)
+        eta = eta - coeff * step.step_state()
+        steps.append(step)
         norms.append(float(np.linalg.norm(eta)))
     return steps, norms
 
@@ -429,9 +427,8 @@ def _hash_track_step(
         hs = HashState(hs.n, hs.k, hs.matrix, hs.support, perturbed)
     bits = np.zeros(dim, dtype=np.uint8)
     bits[list(hs.support)] = np.array(hs.signs) < 0
-    phi = hs.state_vector().real
     step = PlanStep("hash", coeff, phase, SignPattern(n, bits), hash_state=hs)
-    return step, eta - coeff * phi
+    return step, eta - coeff * step.step_state().real
 
 
 def _hash_steps(

@@ -126,8 +126,10 @@ def test_criterion_03_one_query_trace_distance():
             worst = max(worst, report.error_trace / eps)
             queries_ok = queries_ok and report.query_count == 1
     psi = haar_random_state(2, 5)
-    analytic = run_one_query(psi, 0.25, s_override=2, t_override=2, seed=5)
-    dense = run_one_query_dense(psi, 0.25, s=2, t_override=2, seed=5)
+    plan = build_plan(psi, derive_params(2, 0.25, t_override=2), seed=5)
+    oracle = plan_to_oracle(plan)
+    analytic = run_one_query(psi, 0.25, s_override=2, plan=plan, oracle=oracle)
+    dense = run_one_query_dense(psi, 0.25, s=2, plan=plan, oracle=oracle)
     gap = float(np.max(np.abs(analytic.output_reduced.entries - dense.entries)))
     ok = worst <= 1.0 and queries_ok and gap < 1e-9
     assert _report(
@@ -184,8 +186,12 @@ def test_criterion_05_four_query_clean_synthesis():
                 and diag["error_2norm"] <= 2.0 * cap
             )
     psi = haar_random_state(1, 7)
-    final, info = run_four_query_dense(psi, 0.25, s=2, t_override=2, seed=7)
-    checkpoint, structured_final = expand_structured(psi, 0.25, 2, t_override=2, seed=7)
+    plan = build_plan(psi, derive_params(1, 0.25, t_override=2), seed=7)
+    oracle = plan_to_oracle(plan)
+    final, info = run_four_query_dense(psi, 0.25, s=2, plan=plan, oracle=oracle)
+    checkpoint, structured_final = expand_structured(
+        psi, 0.25, 2, plan=plan, oracle=oracle
+    )
     dense_gap = max(
         float(np.max(np.abs(info["psi7"] - checkpoint))),
         float(np.max(np.abs(final.amps - structured_final))),

@@ -220,7 +220,8 @@ def test_main_synth_bad_config_exits_2(tmp_path, capsys):
     assert main(["synth", "--config", str(tmp_path / "missing.json")]) == 2
 
 
-def test_main_sweep_expands_grid(tmp_path):
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_main_sweep_expands_grid(tmp_path, jobs):
     doc = {
         "base": _base_doc(),
         "grid": {"n": [1, 2], "algorithm": ["postselect", "one-query"]},
@@ -228,18 +229,25 @@ def test_main_sweep_expands_grid(tmp_path):
     config_path = tmp_path / "sweep.json"
     config_path.write_text(json.dumps(doc), encoding="utf-8")
     code = main(
-        ["sweep", "--config", str(config_path), "--out", str(tmp_path), "--format", "json"]
+        ["sweep", "--config", str(config_path), "--out", str(tmp_path), "--format", "json",
+         "--jobs", str(jobs)]
     )
     assert code == 0
     rows = json.loads((tmp_path / "sweep.json").read_text(encoding="utf-8"))
-    # Sweep output overwrote the config file; 2 x 2 grid means 4 rows.
-    assert len(rows) == 4
-    assert {(r["n"], r["algorithm"]) for r in rows} == {
-        (1, "postselect"),
-        (1, "one-query"),
-        (2, "postselect"),
-        (2, "one-query"),
-    }
+    # Sweep output overwrote the config file.  A 2 x 2 grid gives 4 rows in
+    # grid order, equal (apart from wall_ms) to serial run_config rows.
+    grid = [(1, "postselect"), (1, "one-query"), (2, "postselect"), (2, "one-query")]
+    assert [(r["n"], r["algorithm"]) for r in rows] == grid
+    reference_path = tmp_path / "reference.json"
+    write_report(
+        [run_config(parse_config({**doc["base"], "n": n, "algorithm": a})) for n, a in grid],
+        str(reference_path),
+        "json",
+    )
+    reference = json.loads(reference_path.read_text(encoding="utf-8"))
+    for row in rows + reference:
+        row.pop("wall_ms")
+    assert rows == reference
 
 
 def test_main_sweep_rejects_stray_keys(tmp_path, capsys):

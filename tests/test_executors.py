@@ -7,7 +7,10 @@ full tensor product stays small.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -15,6 +18,7 @@ import pytest
 
 from statesynth import clifford as cliff
 from statesynth.executors import (
+    ExecutionReport,
     OracleMismatchError,
     PostselectCircuit,
     four_query_diagnostics,
@@ -53,6 +57,13 @@ def _plan_oracle(n: int, seed: int):
     psi = haar_random_state(n, seed)
     plan = build_plan(psi, derive_params(n, EPS), seed=seed)
     return psi, plan, plan_to_oracle(plan)
+
+
+def _small_plan_oracle(psi: PureState, seed: int) -> dict:
+    """A t = 2 plan and its oracle, as driver keyword arguments, so the dense
+    cross-checks stay small."""
+    plan = build_plan(psi, derive_params(psi.n, EPS, t_override=2), seed=seed)
+    return {"plan": plan, "oracle": plan_to_oracle(plan)}
 
 
 def _ket(n: int, x: int) -> PureState:
@@ -151,15 +162,17 @@ def test_one_query_reduced_output():
 def test_one_query_analytic_matches_dense():
     # Two copies on a shrunken index register: full simulation fits 10 qubits.
     psi, _, _ = _plan_oracle(2, 2)
-    analytic = run_one_query(psi, EPS, s_override=2, t_override=2, seed=2)
-    dense = run_one_query_dense(psi, EPS, s=2, t_override=2, seed=2)
+    small = _small_plan_oracle(psi, seed=2)
+    analytic = run_one_query(psi, EPS, s_override=2, **small)
+    dense = run_one_query_dense(psi, EPS, s=2, **small)
     assert np.max(np.abs(analytic.output_reduced.entries - dense.entries)) < 1e-9
 
 
 def test_one_query_copy_order_invariance():
     psi, _, _ = _plan_oracle(2, 2)
-    forward = run_one_query_dense(psi, EPS, s=2, t_override=2, seed=2)
-    swapped = run_one_query_dense(psi, EPS, s=2, t_override=2, seed=2, copy_order=(1, 0))
+    small = _small_plan_oracle(psi, seed=2)
+    forward = run_one_query_dense(psi, EPS, s=2, **small)
+    swapped = run_one_query_dense(psi, EPS, s=2, copy_order=(1, 0), **small)
     assert np.max(np.abs(forward.entries - swapped.entries)) < 1e-10
 
 
@@ -196,11 +209,11 @@ def test_ten_query_substitution_bound():
 def test_ten_query_needs_large_success_amplitude():
     # The hash schedule's flag amplitude sits below sin(pi/18).
     psi = _ket(2, 0)
+    hash_plan = build_plan(psi, derive_hash_params(2, EPS), strategy="hash")
     with pytest.raises(ValueError, match="sin"):
-        run_ten_query(psi, EPS, strategy="hash")
+        run_ten_query(psi, EPS, plan=hash_plan)
     # The floor is checked before any circuit work: a mismatched oracle
     # would otherwise raise OracleMismatchError.
-    hash_plan = build_plan(psi, derive_hash_params(2, EPS), strategy="hash")
     _, _, other_oracle = _plan_oracle(2, 2)
     with pytest.raises(ValueError, match="sin"):
         run_ten_query(psi, EPS, plan=hash_plan, oracle=other_oracle)
@@ -255,9 +268,10 @@ def test_four_query_diagnostics_real_mode():
 def test_four_query_structured_matches_dense():
     # s = 2 copies, n = 1, t = 2: ten simulated qubits.
     psi = haar_random_state(1, 7)
-    report = run_four_query(psi, EPS, s_override=2, t_override=2, seed=7)
-    final, info = run_four_query_dense(psi, EPS, s=2, t_override=2, seed=7)
-    checkpoint, structured_final = expand_structured(psi, EPS, 2, t_override=2, seed=7)
+    small = _small_plan_oracle(psi, seed=7)
+    report = run_four_query(psi, EPS, s_override=2, **small)
+    final, info = run_four_query_dense(psi, EPS, s=2, **small)
+    checkpoint, structured_final = expand_structured(psi, EPS, 2, **small)
     assert np.max(np.abs(info["psi7"] - checkpoint)) < 1e-10
     assert np.max(np.abs(final.amps - structured_final)) < 1e-10
     assert info["error_2norm"] == pytest.approx(report.error_2norm, abs=1e-10)
@@ -268,6 +282,8 @@ def test_four_query_rejects_bad_copy_count():
     for bad in (1, 3, 6):
         with pytest.raises(ValueError, match="power of two"):
             run_four_query(psi, EPS, s_override=bad)
+        with pytest.raises(ValueError, match="power of two"):
+            expand_structured(psi, EPS, bad)
 
 
 def test_quantum_z_register_stays_classical():
@@ -318,3 +334,72 @@ def test_report_field_policy():
     assert post.copies is None and ten.copies is None
     assert run_one_query(psi, EPS, s_override=3, plan=plan, oracle=oracle).copies == 3
     assert run_four_query(psi, EPS, s_override=8, plan=plan, oracle=oracle).copies == 8
+
+
+def _digest_feed(h, value) -> None:
+    """Feed a driver output into a hash at full precision, field by field."""
+    if value is None:
+        h.update(b"N")
+    elif isinstance(value, ExecutionReport):
+        for field in dataclasses.fields(value):
+            h.update(field.name.encode())
+            _digest_feed(h, getattr(value, field.name))
+    elif isinstance(value, PureState):
+        _digest_feed(h, value.amps)
+    elif isinstance(value, DensityMatrix):
+        _digest_feed(h, value.entries)
+    elif isinstance(value, dict):
+        for key in sorted(value):
+            h.update(key.encode())
+            _digest_feed(h, value[key])
+    elif isinstance(value, tuple):
+        for item in value:
+            _digest_feed(h, item)
+    elif isinstance(value, np.ndarray):
+        h.update(np.ascontiguousarray(value, dtype=np.complex128).tobytes())
+    else:
+        h.update(repr(value).encode())
+
+
+#: sha256 of every executor entry point's outputs over the grid of
+#: test_executor_outputs_pinned, recorded before the drivers lost their
+#: plan-building keyword arguments.  Equal plans must keep giving these bits.
+_EXECUTOR_OUTPUTS_DIGEST = "edc3c9927b6d696ba79d24374c115b86c156bda66f3d5a5c555aa17269d6f918"
+
+
+def test_executor_outputs_pinned():
+    h = hashlib.sha256()
+    for strategy, mode, n in itertools.product(
+        ("clifford", "hash"), ("exact", "perturbed"), (1, 2)
+    ):
+        psi = haar_random_state(n, 60 + n)
+        derive = derive_hash_params if strategy == "hash" else derive_params
+        plan = build_plan(
+            psi, derive(n, EPS, t_override=2), strategy=strategy, mode=mode, seed=n
+        )
+        oracle = plan_to_oracle(plan)
+        kw = {"plan": plan, "oracle": oracle}
+        outputs = [
+            run_postselect(plan, oracle),
+            run_one_query(psi, EPS, **kw),
+            run_one_query(psi, EPS, s_override=3, **kw),
+            run_four_query(psi, EPS, **kw),
+            run_four_query(psi, EPS, ideal=True, **kw),
+            four_query_diagnostics(psi, EPS, **kw),
+            four_query_diagnostics(psi, EPS, ideal=True, **kw),
+            run_one_query_dense(psi, EPS, s=2, **kw),
+            run_one_query_dense(psi, EPS, s=2, copy_order=(1, 0), **kw),
+            run_four_query_dense(psi, EPS, s=2, **kw),
+            run_four_query_dense(psi, EPS, s=2, ideal=True, **kw),
+            expand_structured(psi, EPS, 2, **kw),
+            expand_structured(psi, EPS, 2, ideal=True, **kw),
+            quantum_z_leakage(plan, oracle, z_bits=8),
+        ]
+        if strategy == "clifford":  # hash plans sit below the ten-query floor
+            outputs += [
+                run_ten_query(psi, EPS, **kw),
+                run_ten_query(psi, EPS, ideal=True, **kw),
+            ]
+        for value in outputs:
+            _digest_feed(h, value)
+    assert h.hexdigest() == _EXECUTOR_OUTPUTS_DIGEST
