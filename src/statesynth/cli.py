@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .executors import run_four_query, run_one_query, run_postselect, run_ten_query
-from .executors.common import ensure_plan
 from .geometry import (
     GeometryQuery,
     cap_fraction,
@@ -35,6 +34,14 @@ from .geometry import (
     sphere_measure_mc,
 )
 from .numerics import PureState, haar_random_state
+from .synthesis import (
+    OracleSpec,
+    SynthesisPlan,
+    build_plan,
+    derive_hash_params,
+    derive_params,
+    plan_to_oracle,
+)
 
 REPORT_COLUMNS = (
     "algorithm",
@@ -244,6 +251,14 @@ def target_state(config: ExperimentConfig) -> tuple[PureState, bool]:
     return PureState(config.n, amps / norm), norm != 1.0
 
 
+def _plan_for(config: ExperimentConfig, psi: PureState) -> tuple[SynthesisPlan, OracleSpec]:
+    """The config's plan for target psi, and its oracle."""
+    derive = derive_hash_params if config.strategy == "hash" else derive_params
+    params = derive(psi.n, config.epsilon, config.overrides.get("t"))
+    plan = build_plan(psi, params, strategy=config.strategy, mode=config.mode, seed=config.seed)
+    return plan, plan_to_oracle(plan)
+
+
 def run_config(config: ExperimentConfig) -> dict:
     """Run one experiment and return its report row."""
     psi, renormalized = target_state(config)
@@ -254,17 +269,9 @@ def run_config(config: ExperimentConfig) -> dict:
             "warning: parameter overrides void the epsilon guarantee",
             file=sys.stderr,
         )
-    t_override = config.overrides.get("t")
     s_override = config.overrides.get("s")
     start = time.perf_counter()
-    plan, oracle = ensure_plan(
-        psi,
-        config.epsilon,
-        strategy=config.strategy,
-        mode=config.mode,
-        seed=config.seed,
-        t_override=t_override,
-    )
+    plan, oracle = _plan_for(config, psi)
     if config.algorithm == "postselect":
         report = run_postselect(plan, oracle)
     elif config.algorithm == "ten-query":
@@ -379,14 +386,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_oracle_export(args) -> int:
     config = load_config(args.config)
     psi, _ = target_state(config)
-    plan, oracle = ensure_plan(
-        psi,
-        config.epsilon,
-        strategy=config.strategy,
-        mode=config.mode,
-        seed=config.seed,
-        t_override=config.overrides.get("t"),
-    )
+    plan, oracle = _plan_for(config, psi)
     path = args.out or config.oracle_path
     if not path:
         raise ConfigError("oracle export needs --out or a config oracle_path")

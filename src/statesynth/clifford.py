@@ -440,7 +440,12 @@ def _rounds_to_bytes(d: CliffordDesc) -> bytes:
 
 
 def desc_from_bytes(data: bytes, offset: int, n: int) -> tuple[CliffordDesc, int]:
-    """Parse one description at `offset`; returns (description, offset past it)."""
+    """Parse one description at `offset`; returns (description, offset past it).
+
+    Each CNOT matrix header must read n x n, so that no header can size an
+    allocation.
+    """
+    square = n.to_bytes(2, "little") * 2
     rounds: list[Round] = []
     for kind in ROUND_PATTERN:
         if kind == "H":
@@ -454,7 +459,11 @@ def desc_from_bytes(data: bytes, offset: int, n: int) -> tuple[CliffordDesc, int
             offset += nbytes
             rounds.append(PRound(tuple((acc >> (2 * i)) & 3 for i in range(n))))
         else:
-            m, offset = F2Matrix.from_bytes(data, offset)
-            m_inv, offset = F2Matrix.from_bytes(data, offset)
-            rounds.append(CRound(m, m_inv))
+            pair = []
+            for _ in range(2):
+                if data[offset : offset + 4] != square:
+                    raise ValueError(f"CNOT matrix at offset {offset} is not {n}x{n}")
+                m, offset = F2Matrix.from_bytes(data, offset)
+                pair.append(m)
+            rounds.append(CRound(*pair))
     return CliffordDesc(n, tuple(rounds)), offset

@@ -7,12 +7,14 @@ classical register), applies the indexed step transforms, and unloads the
 index register.  All drivers are built from forward/inverse applications of
 this circuit, so query and z bookkeeping live here.
 
-:class:`PreparedCircuit` is where every driver starts: it builds the circuit
-once per driver call, runs A|0> once, and holds the pieces all
-constructions share -- the success branch theta (index row 0) and its norm,
-the nominal amplitude gamma, and, on first use, the normalized junk
-direction tau_hat and the ideal-mode designed state
-gamma |0..0>|psi> + sqrt(1 - gamma^2) |tau_hat>.
+:class:`PreparedCircuit` is where every driver starts, and the one owner of
+A and A^dagger, ideal mode included.  It builds the circuit once per driver
+call, runs A|0> once, and holds the pieces all constructions share: the
+actual state, its normalized junk direction tau_hat, the nominal amplitude
+gamma and delta = sqrt(1 - gamma^2).  In ideal mode the prepared state is
+the designed gamma |0..0>|psi> + delta |tau_hat>, and A is composed with a
+planar rotation that sends |0..0> to A^dagger of it, so the drivers see a
+genuine unitary that prepares the designed state.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from ..synthesis import (
     OracleSpec,
     SynthesisPlan,
     build_plan,
-    derive_hash_params,
     derive_params,
     nominal_success_amplitude,
     plan_to_oracle,
@@ -69,20 +70,24 @@ def query_substitution_bound(query_count: int, deviation: float) -> float:
     return math.sqrt(2.0) * query_count * deviation
 
 
-def _weight_factors(weights: np.ndarray, t_reg: int) -> list[np.ndarray]:
-    """Per-qubit (a, b) columns whose tensor product is sqrt(weights / sum)."""
+def _ratio_gate(r: float) -> np.ndarray:
+    """The rotation [[a, -ra], [ra, a]], a = 1 / sqrt(1 + r^2): it sends |0>
+    to a|0> + ra|1>, amplitudes in the ratio 1 : r."""
+    a = 1.0 / math.sqrt(1.0 + r * r)
+    return np.array([[a, -r * a], [r * a, a]])
+
+
+def _weight_gates(weights: np.ndarray, t_reg: int) -> list[np.ndarray]:
+    """Per-qubit ratio gates whose tensor product maps |0..0> to
+    sqrt(weights / sum)."""
     sigma = np.sqrt(weights / weights.sum())
-    factors = []
-    for q in range(t_reg):
-        ratio = sigma[1 << (t_reg - 1 - q)] / sigma[0]
-        a = 1.0 / math.sqrt(1.0 + ratio * ratio)
-        factors.append(np.array([a, ratio * a]))
-    check = factors[0]
-    for f in factors[1:]:
-        check = np.kron(check, f)
+    gates = [_ratio_gate(sigma[1 << (t_reg - 1 - q)] / sigma[0]) for q in range(t_reg)]
+    check = gates[0][:, 0]
+    for gate in gates[1:]:
+        check = np.kron(check, gate[:, 0])
     if not np.allclose(check, sigma, rtol=0.0, atol=1e-12):
         raise ValueError("step weights do not factor over the index register")
-    return factors
+    return gates
 
 
 def _index_qubit_gate(state: np.ndarray, t_reg: int, q: int, mat: np.ndarray) -> np.ndarray:
@@ -104,41 +109,40 @@ def _hadamard_target(state: np.ndarray, n: int) -> np.ndarray:
 
 class _PlanarRotation:
     """The rank-two unitary taking unit vector w to xi: the queried sign state
-    to a hash step's state, or (ideal mode) |0..0> to A^dagger |designed>."""
+    to a hash step's state, or (ideal mode) |0..0> to A^dagger |designed>.
+
+    It stores the frame (w, g) of the plane and its image (xi, xi_perp);
+    the inverse is the same map with the two frames swapped.  When xi = c w
+    (s = 0) the plane degenerates and the map scales the w component by c,
+    or by conj(c) for the inverse.
+    """
 
     def __init__(self, w: np.ndarray, xi: np.ndarray) -> None:
-        self.w = w.astype(np.complex128)
-        self.xi = xi.astype(np.complex128)
-        c = complex(np.vdot(self.w, self.xi))
+        w = w.astype(np.complex128)
+        xi = xi.astype(np.complex128)
+        c = complex(np.vdot(w, xi))
         s = math.sqrt(max(0.0, 1.0 - abs(c) ** 2))
         self.c = c
-        self.s = s
+        self.w = w
+        self.frames = None
         if s > 1e-14:
-            self.g = (self.xi - c * self.w) / s
-            self.xi_perp = s * self.w - np.conj(c) * self.g
-        else:
-            self.g = None
-            self.xi_perp = None
+            g = (xi - c * w) / s
+            self.frames = ((w, g), (xi, s * w - np.conj(c) * g))
+
+    def _map(self, v: np.ndarray, inverse: bool) -> np.ndarray:
+        if self.frames is None:
+            c = np.conj(self.c) if inverse else self.c
+            return v + np.vdot(self.w, v) * (c - 1.0) * self.w
+        (u0, u1), (d0, d1) = self.frames[::-1] if inverse else self.frames
+        a0 = np.vdot(u0, v)
+        a1 = np.vdot(u1, v)
+        return v - a0 * u0 - a1 * u1 + a0 * d0 + a1 * d1
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        aw = np.vdot(self.w, v)
-        if self.g is None:
-            return v + aw * (self.c - 1.0) * self.w
-        ag = np.vdot(self.g, v)
-        return v - aw * self.w - ag * self.g + aw * self.xi + ag * self.xi_perp
+        return self._map(v, inverse=False)
 
     def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        if self.g is None:
-            return v + np.vdot(self.xi, v) * (np.conj(self.c) - 1.0) * self.w
-        axi = np.vdot(self.xi, v)
-        aperp = np.vdot(self.xi_perp, v)
-        return (
-            v
-            - axi * self.xi
-            - aperp * self.xi_perp
-            + axi * self.w
-            + aperp * self.g
-        )
+        return self._map(v, inverse=True)
 
 
 class PostselectCircuit:
@@ -170,10 +174,7 @@ class PostselectCircuit:
         self.t_reg = plan.t_register
         self.rows = 1 << self.t_reg
         weights = np.array([s.coefficient for s in steps])
-        factors = _weight_factors(weights, self.t_reg)
-        self._gates = [
-            np.array([[f[0], -f[1]], [f[1], f[0]]]) for f in factors
-        ]
+        self._gates = _weight_gates(weights, self.t_reg)
         self._sign_matrix = 1.0 - 2.0 * plan_bits.astype(np.float64)
         self._rotations: list[tuple[int, _PlanarRotation]] = []
         scale = 1.0 / math.sqrt(self.dim)
@@ -246,47 +247,56 @@ class PostselectCircuit:
 def ensure_plan(
     psi: PureState,
     epsilon: float,
-    strategy: str = "clifford",
-    mode: str = "exact",
-    seed: int = 0,
-    t_override: int | None = None,
     plan: SynthesisPlan | None = None,
     oracle: OracleSpec | None = None,
 ) -> tuple[SynthesisPlan, OracleSpec]:
-    """Build (or pass through) the plan and oracle a driver should query.
-
-    The drivers pass only plan and oracle, so without a plan they get the
-    default one: Clifford, exact signs, seed 0, derived t.  The CLI sets the
-    other values from its config.
-    """
+    """Pass through the plan and oracle a driver should query, building the
+    default plan (Clifford, exact signs, seed 0, derived t) and its oracle
+    for whichever is missing."""
     if plan is None:
-        if strategy == "hash":
-            params = derive_hash_params(psi.n, epsilon, t_override)
-        else:
-            params = derive_params(psi.n, epsilon, t_override)
-        plan = build_plan(psi, params, strategy=strategy, mode=mode, seed=seed)
+        plan = build_plan(psi, derive_params(psi.n, epsilon))
     if oracle is None:
         oracle = plan_to_oracle(plan)
     return plan, oracle
 
 
 class PreparedCircuit:
-    """A|0..0> as state; theta its success branch (index row 0), amp the
-    branch norm, gamma the nominal amplitude.  Built once per driver call;
-    circuit keeps counting the queries the driver applies next."""
+    """The plan's A and A^dagger, and A|0..0>, for one driver call.
 
-    def __init__(self, plan: SynthesisPlan, oracle: OracleSpec) -> None:
+    actual is A|0..0> on the plan's circuit, tau_hat its normalized junk
+    branch, gamma the nominal amplitude and delta = sqrt(1 - gamma^2).  The
+    driver reads the prepared state, its success amplitude and its
+    normalized success branch as state, amp and theta_hat: the actual
+    state, the norm of its row 0 and that row normalized, or in ideal mode
+    the designed state, gamma and the target psi.  circuit keeps counting
+    the queries the driver applies next, through apply and apply_dagger.
+    """
+
+    def __init__(self, plan: SynthesisPlan, oracle: OracleSpec, ideal: bool = False) -> None:
         self.plan = plan
+        self.ideal = ideal
         self.circuit = PostselectCircuit(plan, oracle)
-        self.state = self.circuit.prepare()
-        self.theta = self.state[0]
-        self.amp = float(np.linalg.norm(self.theta))
+        self.actual = self.circuit.prepare()
         self.gamma = nominal_success_amplitude(plan)
+        self.delta = math.sqrt(1.0 - self.gamma**2)
+        if ideal:
+            self.state = self.designed
+            self.amp = self.gamma
+        else:
+            self.state = self.actual
+            self.amp = float(np.linalg.norm(self.actual[0]))
+
+    @cached_property
+    def theta_hat(self) -> np.ndarray:
+        """The normalized success branch: psi in ideal mode."""
+        if self.ideal:
+            return self.plan.target.amps.copy()
+        return self.actual[0] / self.amp
 
     @cached_property
     def tau_hat(self) -> np.ndarray:
         """The normalized junk branch: A|0..0> with the success row removed."""
-        junk = self.state.copy()
+        junk = self.actual.copy()
         junk[0] = 0.0
         norm = float(np.linalg.norm(junk))
         if norm == 0.0:
@@ -295,8 +305,29 @@ class PreparedCircuit:
 
     @cached_property
     def designed(self) -> np.ndarray:
-        """gamma |0..0>|psi> + sqrt(1 - gamma^2) |tau_hat>: the prepared state
-        the ideal modes run on, with the circuit's own junk direction."""
-        designed = math.sqrt(1.0 - self.gamma**2) * self.tau_hat
+        """gamma |0..0>|psi> + delta |tau_hat>: the prepared state the ideal
+        modes run on, with the circuit's own junk direction."""
+        designed = self.delta * self.tau_hat
         designed[0] += self.gamma * self.plan.target.amps
         return designed
+
+    @cached_property
+    def _ideal_rotation(self) -> _PlanarRotation:
+        """|0..0> -> A^dagger |designed>, so that A after it prepares the
+        designed state.  Its construction applies A^dagger once."""
+        e0 = np.zeros(self.circuit.rows * self.circuit.dim, dtype=np.complex128)
+        e0[0] = 1.0
+        return _PlanarRotation(e0, self.circuit.apply_dagger(self.designed).reshape(-1))
+
+    def apply(self, state: np.ndarray) -> np.ndarray:
+        """A |state>, A composed with the ideal-mode rotation in ideal mode."""
+        if self.ideal:
+            state = self._ideal_rotation.apply(state.reshape(-1)).reshape(state.shape)
+        return self.circuit.apply(state)
+
+    def apply_dagger(self, state: np.ndarray) -> np.ndarray:
+        """A^dagger |state>, the exact inverse of apply."""
+        state = self.circuit.apply_dagger(state)
+        if self.ideal:
+            state = self._ideal_rotation.apply_inverse(state.reshape(-1)).reshape(state.shape)
+        return state

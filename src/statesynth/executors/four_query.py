@@ -15,10 +15,14 @@ Two evaluators: :func:`run_four_query` tracks the s + 1 exactly-known
 branches (first success at k, or all fail) as per-register factors, which
 scales to the real copy counts; :func:`run_four_query_dense` simulates the
 full register on tiny instances and is used to cross-check the structured
-bookkeeping, including the classical description-register flow.  Every
-entry point starts from one ``_setup``: the plan (passed in or the default
-one), the amplification pieces, and the copy count, which must be a power of
-two.
+bookkeeping, including the classical description-register flow.
+
+Every entry point starts from one ``_setup``: the :class:`PreparedCircuit`
+(plan passed in or the default one), the column h of the amplification
+gate, and the copy count, which must be a power of two.  The prepared
+circuit owns A, A^dagger and the ideal mode: with ``ideal=True`` its A
+prepares the designed state, so every oracle-dependent object here takes
+its textbook value while the circuit stays a genuine unitary.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 
 from ..numerics import PureState
 from ..synthesis import OracleSpec, SynthesisPlan
-from .common import ExecutionReport, PreparedCircuit, _PlanarRotation, ensure_plan
+from .common import ExecutionReport, PreparedCircuit, _ratio_gate, ensure_plan
 
 _FOUR_QUERY_COUNT = 4
 _SIN_PI_6 = math.sin(math.pi / 6.0)
@@ -47,80 +51,27 @@ def default_copy_count(epsilon: float, delta: float) -> int:
     return s
 
 
-class _Pieces:
-    """The four-query amplification pieces on top of one prepared circuit.
+def _apply_w_dagger(prep: PreparedCircuit, h: tuple[float, float], v: np.ndarray) -> np.ndarray:
+    """W^dagger = (G (x) A)^dagger on a (2, rows, dim) rotation-qubit stack."""
+    h0, h1 = h
+    tmp0 = h0 * v[0] + h1 * v[1]
+    tmp1 = -h1 * v[0] + h0 * v[1]
+    return np.stack([prep.apply_dagger(tmp0), prep.apply_dagger(tmp1)])
 
-    In ideal mode the circuit A is replaced by A composed with a planar
-    rotation that sends |0..0> to A^dagger of the *designed* prepared state
-    (nominal amplitude on the target, actual junk direction), so every
-    oracle-dependent object takes its textbook value while remaining a
-    genuine unitary.
+
+def _junk_uncompute_image(prep: PreparedCircuit, h: tuple[float, float]) -> np.ndarray:
+    """U^dagger applied to the clean junk state |0>|tau>; ideally |0..0>.
+
+    Temporal order of U^dagger: the reflection about the prepared state
+    theta4 = W|0..0> (W R0 W^dagger), the junk-flag reflection, then
+    W^dagger -- three oracle layers in total.
     """
-
-    def __init__(self, plan: SynthesisPlan, oracle: OracleSpec, ideal: bool) -> None:
-        prep = PreparedCircuit(plan, oracle)
-        self.plan = plan
-        self.circuit = prep.circuit
-        self.rows, self.dim, self.n = self.circuit.rows, self.circuit.dim, plan.params.n
-        self.gamma_nominal = prep.gamma
-        self.delta_nominal = math.sqrt(1.0 - prep.gamma**2)
-        self.tau_hat = prep.tau_hat
-        self.designed = prep.designed
-        self._rotation = None
-        if ideal:
-            e0 = np.zeros(self.rows * self.dim, dtype=np.complex128)
-            e0[0] = 1.0
-            u = self.circuit.apply_dagger(self.designed).reshape(-1)
-            self._rotation = _PlanarRotation(e0, u)
-            self.prepared_eff = self.designed
-            self.gamma_eff, self.delta_eff = self.gamma_nominal, self.delta_nominal
-            self.theta_hat = plan.target.amps.copy()
-        else:
-            self.prepared_eff = prep.state
-            self.gamma_eff = prep.amp
-            self.delta_eff = math.sqrt(max(0.0, 1.0 - prep.amp**2))
-            self.theta_hat = prep.theta / prep.amp
-        h0 = _SIN_PI_6 / self.delta_nominal
-        if h0 > 1.0:
-            raise ValueError(
-                f"junk amplitude {self.delta_nominal:.4f} below sin(pi/6); "
-                "the one-step amplification gate is undefined"
-            )
-        self.h = (h0, math.sqrt(1.0 - h0 * h0))
-
-    def apply_a(self, state: np.ndarray) -> np.ndarray:
-        if self._rotation is not None:
-            state = self._rotation.apply(state.reshape(-1)).reshape(state.shape)
-        return self.circuit.apply(state)
-
-    def apply_a_dagger(self, state: np.ndarray) -> np.ndarray:
-        state = self.circuit.apply_dagger(state)
-        if self._rotation is not None:
-            state = self._rotation.apply_inverse(state.reshape(-1)).reshape(state.shape)
-        return state
-
-    def apply_w_dagger(self, v: np.ndarray) -> np.ndarray:
-        h0, h1 = self.h
-        tmp0 = h0 * v[0] + h1 * v[1]
-        tmp1 = -h1 * v[0] + h0 * v[1]
-        return np.stack([self.apply_a_dagger(tmp0), self.apply_a_dagger(tmp1)])
-
-    def theta4(self) -> np.ndarray:
-        h0, h1 = self.h
-        return np.stack([h0 * self.prepared_eff, h1 * self.prepared_eff])
-
-    def junk_uncompute_image(self) -> np.ndarray:
-        """U^dagger applied to the clean junk state |0>|tau>; ideally |0..0>.
-
-        Temporal order of U^dagger: the reflection about the prepared
-        state theta4 (W R0 W^dagger), the junk-flag reflection, then
-        W^dagger -- three oracle layers in total.
-        """
-        theta4 = self.theta4()
-        v = np.stack([self.tau_hat, np.zeros_like(self.tau_hat)])
-        v = 2.0 * np.vdot(theta4, v) * theta4 - v
-        v[0, 1:, :] *= -1.0
-        return self.apply_w_dagger(v)
+    h0, h1 = h
+    theta4 = np.stack([h0 * prep.state, h1 * prep.state])
+    v = np.stack([prep.tau_hat, np.zeros_like(prep.tau_hat)])
+    v = 2.0 * np.vdot(theta4, v) * theta4 - v
+    v[0, 1:, :] *= -1.0
+    return _apply_w_dagger(prep, h, v)
 
 
 def _stack_g0(factor: np.ndarray) -> np.ndarray:
@@ -146,20 +97,21 @@ def _merged_fail_factor(tau_hat: np.ndarray, dim_out: int) -> np.ndarray:
     return merged
 
 
-def _structured_branches(pieces: _Pieces, s: int) -> dict:
+def _structured_branches(prep: PreparedCircuit, h: tuple[float, float], s: int) -> dict:
     """Factors for the s + 1 branches after the routing swap and after the
     uncomputation layers.  Shared factors are computed once."""
-    w_junk = pieces.junk_uncompute_image()
-    w_back = pieces.apply_a_dagger(pieces.prepared_eff)
-    w_fail_copy = pieces.apply_a_dagger(pieces.tau_hat)
+    w_junk = _junk_uncompute_image(prep, h)
+    w_back = prep.apply_dagger(prep.state)
+    w_fail_copy = prep.apply_dagger(prep.tau_hat)
+    delta_eff = math.sqrt(max(0.0, 1.0 - prep.amp**2))
     return {
-        "weights": [pieces.gamma_eff * pieces.delta_eff**k for k in range(s)],
-        "fail_weight": pieces.delta_eff**s,
+        "weights": [prep.amp * delta_eff**k for k in range(s)],
+        "fail_weight": delta_eff**s,
         "w_junk": w_junk,
         "w_back": _stack_g0(w_back),
         "w_fail_copy": _stack_g0(w_fail_copy),
-        "merged": _merged_fail_factor(pieces.tau_hat, pieces.dim),
-        "theta_hat": pieces.theta_hat,
+        "merged": _merged_fail_factor(prep.tau_hat, prep.circuit.dim),
+        "theta_hat": prep.theta_hat,
     }
 
 
@@ -168,16 +120,17 @@ def _k_column_overlap(gamma: float, delta: float, s: int, k: int) -> float:
     return gamma * delta**k / math.sqrt(1.0 - delta ** (2 * s))
 
 
-def _structured_run(pieces: _Pieces, s: int) -> tuple[ExecutionReport, dict]:
-    br = _structured_branches(pieces, s)
-    psi = pieces.plan.target.amps
-    rows, dim = pieces.rows, pieces.dim
-    e0 = _copy_e0(rows, dim)
+def _structured_run(
+    prep: PreparedCircuit, h: tuple[float, float], s: int
+) -> tuple[ExecutionReport, dict]:
+    br = _structured_branches(prep, h, s)
+    psi = prep.plan.target.amps
+    e0 = _copy_e0(prep.circuit.rows, prep.circuit.dim)
     a_junk = complex(np.vdot(e0, br["w_junk"]))
     a_back = complex(np.vdot(e0, br["w_back"]))
     a_fail = complex(np.vdot(e0, br["w_fail_copy"]))
     o_psi = complex(np.vdot(psi, br["theta_hat"]))
-    gamma_a, delta_a = pieces.gamma_nominal, pieces.delta_nominal
+    gamma_a, delta_a = prep.gamma, prep.delta
 
     # <0..0, psi_on_output | branch>: the counting-register column overlap
     # times the per-register factor overlaps.
@@ -224,11 +177,11 @@ def _structured_run(pieces: _Pieces, s: int) -> tuple[ExecutionReport, dict]:
         "norm_sq": norm_sq,
         "copies": s,
         "junk_uncompute_gap": float(np.linalg.norm(br["w_junk"] - e0)),
-        "prep_deviation": float(np.linalg.norm(pieces.prepared_eff - pieces.designed)),
+        "prep_deviation": float(np.linalg.norm(prep.state - prep.designed)),
         "error_2norm": error_2norm,
         "delta_nominal": delta_a,
     }
-    payload = PureState(pieces.n, br["theta_hat"])
+    payload = PureState(prep.circuit.n, br["theta_hat"])
     report = ExecutionReport(
         query_count=_FOUR_QUERY_COUNT,
         error_2norm=error_2norm,
@@ -245,16 +198,24 @@ def _setup(
     s: int | None,
     plan: SynthesisPlan | None,
     oracle: OracleSpec | None,
-) -> tuple[_Pieces, int]:
-    """The pieces every four-query entry point starts from, and its copy
-    count: s if given, else the default for the nominal junk amplitude."""
+) -> tuple[PreparedCircuit, tuple[float, float], int]:
+    """What every four-query entry point starts from: the prepared circuit,
+    the column (h0, h1) of the one-step amplification gate G, which scales
+    the nominal junk amplitude delta to sin(pi/6), and the copy count: s if
+    given, else the default for delta."""
     plan, oracle = ensure_plan(psi, epsilon, plan=plan, oracle=oracle)
-    pieces = _Pieces(plan, oracle, ideal)
+    prep = PreparedCircuit(plan, oracle, ideal)
+    h0 = _SIN_PI_6 / prep.delta
+    if h0 > 1.0:
+        raise ValueError(
+            f"junk amplitude {prep.delta:.4f} below sin(pi/6); "
+            "the one-step amplification gate is undefined"
+        )
     if s is None:
-        s = default_copy_count(epsilon, pieces.delta_nominal)
+        s = default_copy_count(epsilon, prep.delta)
     if s < 2 or s & (s - 1):
         raise ValueError(f"copy count must be a power of two >= 2, got {s}")
-    return pieces, s
+    return prep, (h0, math.sqrt(1.0 - h0 * h0)), s
 
 
 def run_four_query(
@@ -313,9 +274,11 @@ def _apply_field_matrix(
     return np.einsum("ab,pbq->paq", mat, view).reshape(-1)
 
 
-def _dense_run(pieces: _Pieces, s: int) -> tuple[PureState, dict]:
-    rows, dim, n = pieces.rows, pieces.dim, pieces.n
-    t_reg = pieces.circuit.t_reg
+def _dense_run(
+    prep: PreparedCircuit, h: tuple[float, float], s: int
+) -> tuple[PureState, dict]:
+    rows, dim, n = prep.circuit.rows, prep.circuit.dim, prep.circuit.n
+    t_reg = prep.circuit.t_reg
     sh = _field_shifts(s, t_reg, n)
     total = sh["total"]
     if total > 22:
@@ -327,8 +290,8 @@ def _dense_run(pieces: _Pieces, s: int) -> tuple[PureState, dict]:
     for col in range(f_dim):
         basis = np.zeros((rows, dim), dtype=np.complex128)
         basis[col // dim, col % dim] = 1.0
-        a_mat[:, col] = pieces.apply_a(basis).reshape(-1)
-    h0, h1 = pieces.h
+        a_mat[:, col] = prep.apply(basis).reshape(-1)
+    h0, h1 = h
     g_mat = np.array([[h0, -h1], [h1, h0]], dtype=np.complex128)
     w_mat = np.kron(g_mat, a_mat)
     w_dag = w_mat.conj().T
@@ -419,18 +382,15 @@ def _dense_run(pieces: _Pieces, s: int) -> tuple[PureState, dict]:
             c_table[j, kval] ^= 1
 
     # Line 17: fold the geometric weights on K back onto |0>.
-    delta = pieces.delta_nominal
     for q in range(k_bits):
-        ratio = delta ** (1 << (k_bits - 1 - q))
-        a = 1.0 / math.sqrt(1.0 + ratio * ratio)
-        gate = np.array([[a, -ratio * a], [ratio * a, a]])
+        gate = _ratio_gate(prep.delta ** (1 << (k_bits - 1 - q)))
         state = _apply_field_matrix(state, total, sh["k"] + k_bits - 1 - q, 1, gate.T)
 
     if np.any(c_table != 0):
         raise RuntimeError("description registers not cleaned by the layer schedule")
 
     target = np.zeros_like(state)
-    psi_amps = pieces.plan.target.amps
+    psi_amps = prep.plan.target.amps
     for o_val in range(dim):
         target[o_val << sh["o"]] = psi_amps[o_val]
     info = {
@@ -466,21 +426,17 @@ def expand_structured(
     Returns (state at the routing checkpoint, final state); used to validate
     the branch bookkeeping against the dense evaluator bit for bit.
     """
-    pieces, s = _setup(psi, epsilon, ideal, s, plan, oracle)
-    rows, dim, n = pieces.rows, pieces.dim, pieces.n
-    t_reg = pieces.circuit.t_reg
-    sh = _field_shifts(s, t_reg, n)
+    prep, h, s = _setup(psi, epsilon, ideal, s, plan, oracle)
+    rows, dim, n = prep.circuit.rows, prep.circuit.dim, prep.circuit.n
+    sh = _field_shifts(s, prep.circuit.t_reg, n)
     if sh["total"] > 22:
         raise ValueError(f"refusing {sh['total']}-qubit expansion")
     k_bits = (s - 1).bit_length()
-    br = _structured_branches(pieces, s)
+    br = _structured_branches(prep, h, s)
 
     l_mat = np.ones((1, 1))
     for q in range(k_bits):
-        ratio = pieces.delta_nominal ** (1 << (k_bits - 1 - q))
-        a = 1.0 / math.sqrt(1.0 + ratio * ratio)
-        gate = np.array([[a, -ratio * a], [ratio * a, a]])
-        l_mat = np.kron(l_mat, gate)
+        l_mat = np.kron(l_mat, _ratio_gate(prep.delta ** (1 << (k_bits - 1 - q))))
 
     def kron_all(parts: list[np.ndarray]) -> np.ndarray:
         out = parts[0]
@@ -496,8 +452,8 @@ def expand_structured(
         return kron_all([kvec, merged_t] + copy_vecs)
 
     e_copy = _copy_e0(rows, dim).reshape(-1)
-    tau_stack = _stack_g0(pieces.tau_hat).reshape(-1)
-    psi_eff_stack = _stack_g0(pieces.prepared_eff).reshape(-1)
+    tau_stack = _stack_g0(prep.tau_hat).reshape(-1)
+    psi_eff_stack = _stack_g0(prep.state).reshape(-1)
 
     checkpoint = np.zeros(1 << sh["total"], dtype=np.complex128)
     final = np.zeros_like(checkpoint)

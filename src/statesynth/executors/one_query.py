@@ -54,8 +54,7 @@ def run_one_query(
     dim = 1 << plan.params.n
     rho = np.zeros((dim, dim), dtype=np.complex128)
     if amp > 0.0:
-        theta_hat = prep.theta / amp
-        rho += (1.0 - q**s) * np.outer(theta_hat, np.conj(theta_hat))
+        rho += (1.0 - q**s) * np.outer(prep.theta_hat, np.conj(prep.theta_hat))
     rho[0, 0] += q**s
     reduced = DensityMatrix(plan.params.n, rho)
     target = DensityMatrix(

@@ -33,7 +33,7 @@ def run_postselect(plan: SynthesisPlan, oracle: OracleSpec) -> ExecutionReport:
     circuit = prep.circuit
     if circuit.z_register != plan.z:
         raise OracleMismatchError("description register does not hold z after the run")
-    theta, amp, g = prep.theta, prep.amp, prep.gamma
+    theta, amp, g = prep.actual[0], prep.amp, prep.gamma
     psi = plan.target.amps
     flag_err_sq = float(np.linalg.norm(theta - g * psi) ** 2)
     rest = math.sqrt(max(0.0, 1.0 - amp * amp))
@@ -47,7 +47,7 @@ def run_postselect(plan: SynthesisPlan, oracle: OracleSpec) -> ExecutionReport:
         success_amplitude=amp,
         error_2norm=math.sqrt(flag_err_sq + rest_err * rest_err),
         error_trace=math.sqrt(max(0.0, 1.0 - overlap * overlap)),
-        output_pure=PureState(circuit.t_reg + plan.params.n, prep.state.reshape(-1)),
+        output_pure=PureState(circuit.t_reg + plan.params.n, prep.actual.reshape(-1)),
     )
 
 

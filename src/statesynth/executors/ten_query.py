@@ -5,9 +5,9 @@ four rounds of amplitude amplification then rotate the state onto the
 success flag (9 * pi/18 = pi/2), after which the description register is
 uncomputed.  Query budget: 1 preparation + 4 * 2 reflections + 1 uncompute.
 
-The `ideal` switch replaces the prepared copy by its designed form
-gamma |0..0>|psi> + sqrt(1 - gamma^2) |tau_hat> (PreparedCircuit.designed,
-keeping the circuit's actual junk direction), under which the rotation lands
+The `ideal` switch is PreparedCircuit's ideal mode: the prepared copy is
+its designed form gamma |0..0>|psi> + sqrt(1 - gamma^2) |tau_hat> (keeping
+the circuit's actual junk direction), under which the rotation lands
 exactly on the target.
 """
 
@@ -39,11 +39,10 @@ def run_ten_query(
             f"ten-query driver needs success amplitude >= sin(pi/18) ~ {lift:.4f}; "
             f"this plan provides {g:.4f}"
         )
-    prep = PreparedCircuit(plan, oracle)
-    base = prep.designed if ideal else prep.state
+    prep = PreparedCircuit(plan, oracle, ideal)
     g0 = lift / g
     g1 = math.sqrt(1.0 - g0 * g0)
-    theta = np.stack([g0 * base, g1 * base])
+    theta = np.stack([g0 * prep.state, g1 * prep.state])
     state = theta.copy()
     for _ in range(4):
         state[0, 0, :] *= -1.0

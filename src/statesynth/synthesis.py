@@ -539,35 +539,69 @@ def _pad_z(desc_section: bytes) -> bytes:
     return desc_section + bytes(-len(desc_section) % Z_PAD_MULTIPLE)
 
 
+def _hash_record(record: bytes, n: int, k: int) -> HashState:
+    """A hash step record (tag, k, k x n matrix, support, signs) whose length
+    and matrix header were checked."""
+    matrix, offset = F2Matrix.from_bytes(record, 3)
+    support = tuple(
+        int.from_bytes(record[offset + 8 * i : offset + 8 * (i + 1)], "little")
+        for i in range(1 << k)
+    )
+    packed = np.frombuffer(record[offset + 8 * (1 << k) :], dtype=np.uint8)
+    bits = np.unpackbits(packed, count=1 << k, bitorder="little")
+    signs = tuple(-1 if b else 1 for b in bits)
+    return HashState(n, k, matrix, support, signs)
+
+
+class OracleFormatError(ValueError):
+    """Malformed oracle bytes; offset is where in the input the fault lies."""
+
+    def __init__(self, message: str, offset: int) -> None:
+        super().__init__(f"{message} (at byte offset {offset})")
+        self.offset = offset
+
+
 def parse_desc_section(
     data: bytes, n: int, count: int
 ) -> list[CliffordDesc | HashState]:
-    """Parse `count` step records back into their payloads."""
+    """Parse `count` step records back into their payloads.
+
+    The section must hold exactly `count` well-formed records for n qubits
+    and nothing after them.  Every record's length follows from n and its
+    header, and is checked against the bytes left before its payload is
+    built; any fault raises OracleFormatError at the record's offset.
+    """
+    clifford_size = 1 + len(cliff.desc_to_bytes(cliff.identity_desc(n)))
     out: list[CliffordDesc | HashState] = []
     offset = 0
     for _ in range(count):
-        tag = data[offset]
-        offset += 1
+        start = offset
+        tag = data[start] if start < len(data) else None
         if tag == 0x01:
-            desc, offset = cliff.desc_from_bytes(data, offset, n)
-            out.append(desc)
+            size = clifford_size
         elif tag == 0x02:
-            k = int.from_bytes(data[offset : offset + 2], "little")
-            offset += 2
-            matrix, offset = F2Matrix.from_bytes(data, offset)
-            support = tuple(
-                int.from_bytes(data[offset + 8 * i : offset + 8 * (i + 1)], "little")
-                for i in range(1 << k)
-            )
-            offset += 8 * (1 << k)
-            nbytes = ((1 << k) + 7) // 8
-            packed = np.frombuffer(data[offset : offset + nbytes], dtype=np.uint8)
-            bits = np.unpackbits(packed, count=1 << k, bitorder="little")
-            offset += nbytes
-            signs = tuple(-1 if b else 1 for b in bits)
-            out.append(HashState(n, k, matrix, support, signs))
+            k = int.from_bytes(data[start + 1 : start + 3], "little")
+            shape = k.to_bytes(2, "little") + n.to_bytes(2, "little")
+            if k > n or data[start + 3 : start + 7] != shape:
+                raise OracleFormatError(f"hash record is not a k x {n} matrix, k <= {n}", start)
+            size = 7 + (k * n + 7) // 8 + 8 * (1 << k) + ((1 << k) + 7) // 8
+        elif tag is None:
+            raise OracleFormatError(f"section ends after {len(out)} of {count} records", start)
         else:
-            raise ValueError(f"unknown step tag {tag:#x} at offset {offset - 1}")
+            raise OracleFormatError(f"unknown step tag {tag:#x}", start)
+        if start + size > len(data):
+            raise OracleFormatError(f"record needs {size} bytes, {len(data) - start} left", start)
+        offset = start + size
+        record = data[start:offset]
+        try:
+            if tag == 0x01:
+                out.append(cliff.desc_from_bytes(record, 1, n)[0])
+            else:
+                out.append(_hash_record(record, n, k))
+        except ValueError as err:
+            raise OracleFormatError(f"bad step record: {err}", start) from err
+    if offset != len(data):
+        raise OracleFormatError(f"{len(data) - offset} bytes after the last record", offset)
     return out
 
 
@@ -635,21 +669,39 @@ class OracleSpec:
 
     @staticmethod
     def from_bytes(data: bytes) -> "OracleSpec":
+        """Parse the binary format, rejecting malformed input before any
+        allocation it sizes: a bad magic, n > 64 or t > 31 (the widths of
+        the support indices and of T), T != 2^t, a length other than the
+        one the header and the section length imply, or nonzero padding
+        bits after the sign table, so that to_bytes gives the input back."""
+        head = len(ORACLE_MAGIC) + 12
         if data[: len(ORACLE_MAGIC)] != ORACLE_MAGIC:
-            raise ValueError("bad oracle file magic")
-        offset = len(ORACLE_MAGIC)
-        n = int.from_bytes(data[offset : offset + 4], "little")
-        t = int.from_bytes(data[offset + 4 : offset + 8], "little")
-        T = int.from_bytes(data[offset + 8 : offset + 12], "little")
-        offset += 12
+            raise OracleFormatError("bad oracle file magic", 0)
+        if len(data) < head:
+            raise OracleFormatError("file ends inside the header", len(data))
+        n, t, T = (int.from_bytes(data[i : i + 4], "little") for i in range(5, head, 4))
+        if n > 64 or t > 31:
+            raise OracleFormatError(f"n={n}, t={t} outside n <= 64, t <= 31", 5)
+        if T != 1 << t:
+            raise OracleFormatError(f"T={T} is not 2^t for t={t}", 13)
         nbits = T << n
-        nbytes = (nbits + 7) // 8
-        packed = np.frombuffer(data[offset : offset + nbytes], dtype=np.uint8)
-        sign_bits = np.unpackbits(packed, count=nbits, bitorder="little")
-        offset += nbytes
+        offset = head + (nbits + 7) // 8
+        if len(data) < offset + 8:
+            raise OracleFormatError(
+                f"file ends inside the {nbits}-bit sign table or the section length",
+                len(data),
+            )
         desc_len = int.from_bytes(data[offset : offset + 8], "little")
-        offset += 8
-        desc_section = bytes(data[offset : offset + desc_len])
+        if len(data) != offset + 8 + desc_len:
+            raise OracleFormatError(
+                f"section length {desc_len} but {len(data) - offset - 8} bytes follow",
+                offset,
+            )
+        if nbits % 8 and data[offset - 1] >> (nbits % 8):
+            raise OracleFormatError("nonzero padding after the sign bits", offset - 1)
+        packed = np.frombuffer(data[head:offset], dtype=np.uint8)
+        sign_bits = np.unpackbits(packed, count=nbits, bitorder="little")
+        desc_section = bytes(data[offset + 8 :])
         return OracleSpec(n, t, T, sign_bits, desc_section, _input_bits(n, T, desc_section))
 
     def write_file(self, path: str) -> None:

@@ -51,7 +51,6 @@ from .synthesis import (
     build_plan,
     derive_hash_params,
     derive_params,
-    nominal_success_amplitude,
     plan_to_oracle,
 )
 

@@ -31,7 +31,7 @@ from statesynth.executors import (
     run_postselect,
     run_ten_query,
 )
-from statesynth.executors.common import _hadamard_target
+from statesynth.executors.common import _hadamard_target, _PlanarRotation
 from statesynth.executors.four_query import default_copy_count as four_query_copies
 from statesynth.executors.four_query import expand_structured
 from statesynth.executors.one_query import default_copy_count as one_query_copies
@@ -266,15 +266,81 @@ def test_four_query_diagnostics_real_mode():
 
 
 def test_four_query_structured_matches_dense():
-    # s = 2 copies, n = 1, t = 2: ten simulated qubits.
+    # s = 2 copies, n = 1, t = 2: ten simulated qubits.  The hash plan holds
+    # degenerate hash steps (the step state is the sign state up to a
+    # phase), so its uncomputation runs the degenerate rotation's inverse.
     psi = haar_random_state(1, 7)
-    small = _small_plan_oracle(psi, seed=7)
-    report = run_four_query(psi, EPS, s_override=2, **small)
-    final, info = run_four_query_dense(psi, EPS, s=2, **small)
-    checkpoint, structured_final = expand_structured(psi, EPS, 2, **small)
-    assert np.max(np.abs(info["psi7"] - checkpoint)) < 1e-10
-    assert np.max(np.abs(final.amps - structured_final)) < 1e-10
-    assert info["error_2norm"] == pytest.approx(report.error_2norm, abs=1e-10)
+    hash_psi = haar_random_state(1, 61)
+    hash_plan = build_plan(
+        hash_psi, derive_hash_params(1, EPS, t_override=2), strategy="hash", seed=1
+    )
+    cases = (
+        (psi, _small_plan_oracle(psi, seed=7)),
+        (hash_psi, {"plan": hash_plan, "oracle": plan_to_oracle(hash_plan)}),
+    )
+    for target, small in cases:
+        report = run_four_query(target, EPS, s_override=2, **small)
+        final, info = run_four_query_dense(target, EPS, s=2, **small)
+        checkpoint, structured_final = expand_structured(target, EPS, 2, **small)
+        assert np.max(np.abs(info["psi7"] - checkpoint)) < 1e-10
+        assert np.max(np.abs(final.amps - structured_final)) < 1e-10
+        assert info["error_2norm"] == pytest.approx(report.error_2norm, abs=1e-10)
+
+
+def test_four_query_meets_epsilon_on_hash_plans():
+    # The hash plans of the CLI's pinned report rows (target and plan seed 3).
+    for mode, n in itertools.product(("exact", "perturbed"), (1, 2)):
+        psi = haar_random_state(n, 3)
+        plan = build_plan(psi, derive_hash_params(n, EPS), strategy="hash", mode=mode, seed=3)
+        assert run_four_query(psi, EPS, plan=plan).error_2norm <= EPS
+    # Complex n = 5 targets whose plans each hold one degenerate hash step:
+    # four-query uncomputes it in every one of its 4096 copies.
+    eps = 0.01
+    for seed in (2, 8):
+        rng = np.random.default_rng([seed])
+        amps = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+        psi = PureState(5, amps / np.linalg.norm(amps))
+        plan = build_plan(psi, derive_hash_params(5, eps), strategy="hash", seed=seed)
+        assert run_four_query(psi, eps, plan=plan).error_2norm <= eps
+
+
+def test_planar_rotation_inverse_undoes_apply():
+    rng = np.random.default_rng(17)
+    for dim in (4, 16, 64):
+        # w a sign state, as in a hash step: its norm is exactly 1, so
+        # xi = c w with |c| = 1 takes the degenerate branch.
+        w = (1.0 - 2.0 * rng.integers(0, 2, dim)) / math.sqrt(dim)
+        for c in (None, 1.0, -1.0, 1j, -1j):
+            if c is None:
+                xi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                xi /= np.linalg.norm(xi)
+            else:
+                xi = c * w
+            rot = _PlanarRotation(w, xi)
+            assert (rot.frames is None) == (c is not None)
+            assert np.max(np.abs(rot.apply(w) - xi)) <= 1e-12
+            x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            assert np.max(np.abs(rot.apply_inverse(rot.apply(x)) - x)) <= 1e-12
+            assert np.max(np.abs(rot.apply(rot.apply_inverse(x)) - x)) <= 1e-12
+
+
+def test_circuit_dagger_undoes_apply():
+    degenerate = 0
+    for n in range(1, 6):
+        psi = haar_random_state(n, n)
+        real = PureState(n, psi.amps.real / np.linalg.norm(psi.amps.real))
+        plans = (
+            build_plan(psi, derive_params(n, EPS), seed=n),
+            build_plan(real, derive_hash_params(n, EPS), strategy="hash", seed=n),
+            build_plan(psi, derive_hash_params(n, EPS), strategy="hash", seed=n),
+        )
+        assert [plan.track_count for plan in plans[1:]] == [1, 2]
+        for plan in plans:
+            circuit = PostselectCircuit(plan, plan_to_oracle(plan))
+            zero = circuit.zero_state()
+            assert np.linalg.norm(circuit.apply_dagger(circuit.apply(zero)) - zero) <= 1e-12
+            degenerate += sum(rot.frames is None for _, rot in circuit._rotations)
+    assert degenerate > 0
 
 
 def test_four_query_rejects_bad_copy_count():
@@ -362,9 +428,11 @@ def _digest_feed(h, value) -> None:
 
 
 #: sha256 of every executor entry point's outputs over the grid of
-#: test_executor_outputs_pinned, recorded before the drivers lost their
-#: plan-building keyword arguments.  Equal plans must keep giving these bits.
-_EXECUTOR_OUTPUTS_DIGEST = "edc3c9927b6d696ba79d24374c115b86c156bda66f3d5a5c555aa17269d6f918"
+#: test_executor_outputs_pinned.  Equal plans must keep giving these bits.
+#: Re-recorded once when the degenerate hash-step inverse was corrected:
+#: only the four-query outputs on hash plans moved, the ones that run A^dagger
+#: through a hash step (the dense evaluator's own A^dagger is a_mat.conj().T).
+_EXECUTOR_OUTPUTS_DIGEST = "f73b429d3b5a877324033314ade501e7cc15a59c13125bec968ccb742c1c830a"
 
 
 def test_executor_outputs_pinned():

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import mpmath
-import numpy as np
 import pytest
 
 from statesynth.geometry import (

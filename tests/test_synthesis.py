@@ -5,10 +5,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statesynth.clifford import SearchExhaustedError, desc_to_bytes, identity_desc, sr
 from statesynth.f2linalg import F2Matrix, apply_to_index
@@ -17,6 +20,7 @@ from statesynth.rng import derive_seed, substream
 from statesynth.synthesis import (
     ORACLE_MAGIC,
     HashState,
+    OracleFormatError,
     OracleSpec,
     Z_PAD_MULTIPLE,
     build_plan,
@@ -327,6 +331,116 @@ def test_oracle_file_roundtrip(tmp_path):
     assert (back.n, back.t, back.T) == (oracle.n, oracle.t, oracle.T)
     with pytest.raises(ValueError, match="magic"):
         OracleSpec.from_bytes(b"NOPE" + oracle.to_bytes())
+
+
+def _header(n: int, t: int, T: int) -> bytes:
+    return ORACLE_MAGIC + b"".join(v.to_bytes(4, "little") for v in (n, t, T))
+
+
+def _oracle_image(n: int, t: int, seed: int, desc: bytes) -> bytes:
+    """A well-formed oracle file image with random sign bits."""
+    bits = np.random.default_rng(seed).integers(0, 2, (1 << t) << n, dtype=np.uint8)
+    return (
+        _header(n, t, 1 << t)
+        + np.packbits(bits, bitorder="little").tobytes()
+        + len(desc).to_bytes(8, "little")
+        + desc
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 3), st.integers(0, 2**32 - 1), st.binary(max_size=80))
+def test_oracle_bytes_roundtrip_and_strict_length(n: int, t: int, seed: int, desc: bytes):
+    data = _oracle_image(n, t, seed, desc)
+    oracle = OracleSpec.from_bytes(data)
+    assert (oracle.n, oracle.t, oracle.T, oracle.desc_section) == (n, t, 1 << t, desc)
+    assert oracle.to_bytes() == data
+    for cut in range(len(data)):
+        with pytest.raises(OracleFormatError):
+            OracleSpec.from_bytes(data[:cut])
+    for extra in (b"\x00", b"\x01" * 9):
+        with pytest.raises(OracleFormatError):
+            OracleSpec.from_bytes(data + extra)
+
+
+def test_oracle_header_rejected_before_allocation():
+    # n = 40 once asked numpy for a 1 TiB sign table; a u32 n wider than
+    # the format allows is refused before it sizes anything.
+    with pytest.raises(OracleFormatError, match="sign table"):
+        OracleSpec.from_bytes(_header(40, 2, 4) + bytes(16))
+    with pytest.raises(OracleFormatError, match="n=4294967295"):
+        OracleSpec.from_bytes(_header(2**32 - 1, 2, 4) + bytes(16))
+    with pytest.raises(OracleFormatError, match="not 2\\^t"):
+        OracleSpec.from_bytes(_header(1, 2, 5) + bytes(16))
+    # n = 1, T = 2: four sign bits, and the upper four bits of their byte
+    # must be zero, so that every accepted file re-serializes to itself.
+    with pytest.raises(OracleFormatError, match="padding") as info:
+        OracleSpec.from_bytes(_header(1, 1, 2) + b"\xf5" + bytes(8))
+    assert info.value.offset == 17
+    clean = OracleSpec.from_bytes(_header(1, 1, 2) + b"\x05" + bytes(8))
+    assert clean.sign_bits.tolist() == [1, 0, 1, 0]
+    # n = 1, T = 4 and three more bytes: the section length is missing.
+    with pytest.raises(OracleFormatError) as info:
+        OracleSpec.from_bytes(_header(1, 2, 4) + bytes(3))
+    assert info.value.offset == 20
+
+
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes traced while fn(*args) runs; OracleFormatError is allowed."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+    except OracleFormatError:
+        pass
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+_HEADER_FIELD = st.one_of(st.integers(0, 70), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_HEADER_FIELD, _HEADER_FIELD, _HEADER_FIELD, st.booleans(), st.binary(max_size=300))
+def test_random_oracle_bytes_allocate_little(n, t, T, power, tail):
+    if power and t < 32:
+        T = 1 << t
+    data = _header(n, t, T) + tail
+    for blob in (data, data[: 5 + len(tail) % 12], tail):
+        assert _traced_peak(OracleSpec.from_bytes, blob) <= 65536 + 16 * len(blob)
+    try:
+        oracle = OracleSpec.from_bytes(data)
+    except OracleFormatError:
+        return
+    assert oracle.to_bytes() == data
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.binary(max_size=300))
+def test_random_desc_sections_allocate_little(n, count, data):
+    for blob in (data, b"\x01" + data, b"\x02" + bytes([n % 3, 0]) + data):
+        assert _traced_peak(parse_desc_section, blob, n, count) <= 65536 + 16 * len(blob)
+
+
+def test_desc_section_truncation_and_extension_rejected():
+    psi = haar_random_state(2, 12)
+    plans = (
+        build_plan(psi, derive_params(2, 0.25, t_override=1), seed=12),
+        build_plan(psi, derive_hash_params(2, 0.25, t_override=1), strategy="hash", seed=12),
+    )
+    for plan in plans:
+        section, count = plan.desc_section, len(plan.steps)
+        assert len(parse_desc_section(section, 2, count)) == count
+        for cut in range(len(section)):
+            with pytest.raises(OracleFormatError):
+                parse_desc_section(section[:cut], 2, count)
+        with pytest.raises(OracleFormatError, match="after the last record") as info:
+            parse_desc_section(section + b"\x01", 2, count)
+        assert info.value.offset == len(section)
+    with pytest.raises(OracleFormatError, match="unknown step tag") as info:
+        parse_desc_section(b"\x07", 2, 1)
+    assert info.value.offset == 0
 
 
 def test_merge_phase_oracles_trivial_cases():
