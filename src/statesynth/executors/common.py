@@ -150,8 +150,10 @@ class PostselectCircuit:
 
     States are (2^t_reg, 2^n) complex arrays: axis 0 is the step-index
     register (all-zeros row flags success), axis 1 the target register.
-    Forward and inverse applications each consume one merged oracle query
-    and XOR the oracle's z string into the classical register.
+    Forward and inverse applications each consume one merged oracle query,
+    which XORs the oracle's z string into the classical description
+    register; that register is therefore the query parity times z, and
+    z_register derives it from query_count.
     """
 
     def __init__(self, plan: SynthesisPlan, oracle: OracleSpec) -> None:
@@ -188,7 +190,14 @@ class PostselectCircuit:
         # on first use.
         self._layers: dict[bool, cliff.CliffordLayer] = {}
         self.query_count = 0
-        self.z_register = bytes(len(plan.z))
+
+    @property
+    def z_register(self) -> bytes:
+        """The classical description register: every query XORs z into it,
+        so it holds z after an odd number of queries and zeros after an
+        even number."""
+        z = self.oracle.z
+        return z if self.query_count % 2 else bytes(len(z))
 
     def zero_state(self) -> np.ndarray:
         state = np.zeros((self.rows, self.dim), dtype=np.complex128)
@@ -207,9 +216,6 @@ class PostselectCircuit:
 
     def _query(self, state: np.ndarray) -> np.ndarray:
         self.query_count += 1
-        z = self.oracle.z
-        merged = int.from_bytes(self.z_register, "little") ^ int.from_bytes(z, "little")
-        self.z_register = merged.to_bytes(len(z), "little")
         return state * self._sign_matrix
 
     def _steps(self, state: np.ndarray, invert: bool) -> np.ndarray:

@@ -15,7 +15,11 @@ Two evaluators: :func:`run_four_query` tracks the s + 1 exactly-known
 branches (first success at k, or all fail) as per-register factors, which
 scales to the real copy counts; :func:`run_four_query_dense` simulates the
 full register on tiny instances and is used to cross-check the structured
-bookkeeping, including the classical description-register flow.
+bookkeeping, including the classical description-register flow.  In the
+all-fail branch the routing swap entangles the first copy with the output;
+the structured evaluator reads only that branch's overlaps with |0..0> on
+the copy, whose output payload is tau_hat[0], and only the dense reference
+:func:`expand_structured` builds the branch's joint vector.
 
 Every entry point starts from one ``_setup``: the :class:`PreparedCircuit`
 (plan passed in or the default one), the column h of the amplification
@@ -85,34 +89,18 @@ def _copy_e0(rows: int, dim: int) -> np.ndarray:
     return v
 
 
-def _merged_fail_factor(tau_hat: np.ndarray, dim_out: int) -> np.ndarray:
-    """The fail branch's joint (rotation, index, payload, output) factor.
-
-    The routing swap moves the output's |0..0> into the payload slot and the
-    junk payload into the output, entangling the first copy with the output.
-    """
-    rows, dim = tau_hat.shape
-    merged = np.zeros((2, rows, dim, dim_out), dtype=np.complex128)
-    merged[0, :, 0, :] = tau_hat
-    return merged
-
-
-def _structured_branches(prep: PreparedCircuit, h: tuple[float, float], s: int) -> dict:
-    """Factors for the s + 1 branches after the routing swap and after the
-    uncomputation layers.  Shared factors are computed once."""
+def _structured_branches(
+    prep: PreparedCircuit, h: tuple[float, float], s: int
+) -> tuple[list[float], float, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-register factors for the s + 1 branches after the uncomputation
+    layers, each computed once: the branch weights, the fail weight,
+    U^dagger |0>|tau>, and A^dagger on a prepared copy and on a junk copy."""
     w_junk = _junk_uncompute_image(prep, h)
     w_back = prep.apply_dagger(prep.state)
     w_fail_copy = prep.apply_dagger(prep.tau_hat)
     delta_eff = math.sqrt(max(0.0, 1.0 - prep.amp**2))
-    return {
-        "weights": [prep.amp * delta_eff**k for k in range(s)],
-        "fail_weight": delta_eff**s,
-        "w_junk": w_junk,
-        "w_back": _stack_g0(w_back),
-        "w_fail_copy": _stack_g0(w_fail_copy),
-        "merged": _merged_fail_factor(prep.tau_hat, prep.circuit.dim),
-        "theta_hat": prep.theta_hat,
-    }
+    weights = [prep.amp * delta_eff**k for k in range(s)]
+    return weights, delta_eff**s, w_junk, _stack_g0(w_back), _stack_g0(w_fail_copy)
 
 
 def _k_column_overlap(gamma: float, delta: float, s: int, k: int) -> float:
@@ -123,19 +111,24 @@ def _k_column_overlap(gamma: float, delta: float, s: int, k: int) -> float:
 def _structured_run(
     prep: PreparedCircuit, h: tuple[float, float], s: int
 ) -> tuple[ExecutionReport, dict]:
-    br = _structured_branches(prep, h, s)
+    weights, fail_weight, w_junk, w_back, w_fail_copy = _structured_branches(prep, h, s)
     psi = prep.plan.target.amps
+    theta_hat = prep.theta_hat
+    # The all-fail branch routes the first junk copy's payload to the
+    # output: projected onto |0..0> of that copy, the output holds
+    # tau_hat[0], the junk state's success row.
+    fail_output = prep.tau_hat[0]
     e0 = _copy_e0(prep.circuit.rows, prep.circuit.dim)
-    a_junk = complex(np.vdot(e0, br["w_junk"]))
-    a_back = complex(np.vdot(e0, br["w_back"]))
-    a_fail = complex(np.vdot(e0, br["w_fail_copy"]))
-    o_psi = complex(np.vdot(psi, br["theta_hat"]))
+    a_junk = complex(np.vdot(e0, w_junk))
+    a_back = complex(np.vdot(e0, w_back))
+    a_fail = complex(np.vdot(e0, w_fail_copy))
+    o_psi = complex(np.vdot(psi, theta_hat))
     gamma_a, delta_a = prep.gamma, prep.delta
 
     # <0..0, psi_on_output | branch>: the counting-register column overlap
     # times the per-register factor overlaps.
     target_overlap = 0.0 + 0.0j
-    for k, weight in enumerate(br["weights"]):
+    for k, weight in enumerate(weights):
         target_overlap += (
             weight
             * _k_column_overlap(gamma_a, delta_a, s, k)
@@ -143,45 +136,42 @@ def _structured_run(
             * a_junk**k
             * a_back ** (s - 1 - k)
         )
-    merged = br["merged"]
-    merged_target = complex(np.tensordot(np.conj(psi), merged[0, 0, 0, :], axes=1))
+    fail_target = complex(np.tensordot(np.conj(psi), fail_output, axes=1))
     target_overlap += (
-        br["fail_weight"]
+        fail_weight
         * _k_column_overlap(gamma_a, delta_a, s, 0)
-        * merged_target
+        * fail_target
         * a_fail ** (s - 1)
     )
 
     # Branches are orthogonal through the counting register except the
     # all-fail branch against branch 0; their cross term vanishes because the
-    # junk state has no support on the success flag, but it is computed
-    # honestly here.
-    theta_on_merged = complex(
-        np.tensordot(np.conj(br["theta_hat"]), merged[0, 0, 0, :], axes=1)
-    )
-    back_fail = complex(np.vdot(br["w_back"], br["w_fail_copy"]))
-    cross = br["weights"][0] * br["fail_weight"] * theta_on_merged * back_fail ** (s - 1)
-    norm_sq = sum(w * w for w in br["weights"]) + br["fail_weight"] ** 2 + 2.0 * cross.real
+    # junk state has no support on the success flag (tau_hat[0] = 0), but it
+    # is computed honestly here.
+    theta_on_fail = complex(np.tensordot(np.conj(theta_hat), fail_output, axes=1))
+    back_fail = complex(np.vdot(w_back, w_fail_copy))
+    cross = weights[0] * fail_weight * theta_on_fail * back_fail ** (s - 1)
+    norm_sq = sum(w * w for w in weights) + fail_weight**2 + 2.0 * cross.real
     gap_sq = norm_sq + 1.0 - 2.0 * target_overlap.real
     error_2norm = math.sqrt(max(0.0, gap_sq))
 
     # Checkpoint gap against the displayed branch form with nominal weights:
     # identical factors, so only the weights and the fail branch differ.
-    psi7_sq = br["fail_weight"] ** 2
-    for k, weight in enumerate(br["weights"]):
+    psi7_sq = fail_weight**2
+    for k, weight in enumerate(weights):
         psi7_sq += (weight - gamma_a * delta_a**k) ** 2
     diagnostics = {
         "success_overlap": abs(target_overlap),
-        "fail_weight": br["fail_weight"],
+        "fail_weight": fail_weight,
         "psi7_gap": math.sqrt(max(0.0, psi7_sq)),
         "norm_sq": norm_sq,
         "copies": s,
-        "junk_uncompute_gap": float(np.linalg.norm(br["w_junk"] - e0)),
+        "junk_uncompute_gap": float(np.linalg.norm(w_junk - e0)),
         "prep_deviation": float(np.linalg.norm(prep.state - prep.designed)),
         "error_2norm": error_2norm,
         "delta_nominal": delta_a,
     }
-    payload = PureState(prep.circuit.n, br["theta_hat"])
+    payload = PureState(prep.circuit.n, theta_hat)
     report = ExecutionReport(
         query_count=_FOUR_QUERY_COUNT,
         error_2norm=error_2norm,
@@ -432,51 +422,42 @@ def expand_structured(
     if sh["total"] > 22:
         raise ValueError(f"refusing {sh['total']}-qubit expansion")
     k_bits = (s - 1).bit_length()
-    br = _structured_branches(prep, h, s)
+    weights, fail_weight, w_junk, w_back, w_fail_copy = _structured_branches(prep, h, s)
 
     l_mat = np.ones((1, 1))
     for q in range(k_bits):
         l_mat = np.kron(l_mat, _ratio_gate(prep.delta ** (1 << (k_bits - 1 - q))))
 
-    def kron_all(parts: list[np.ndarray]) -> np.ndarray:
-        out = parts[0]
-        for part in parts[1:]:
+    def branch_vector(kvec: np.ndarray, parts: list[np.ndarray]) -> np.ndarray:
+        out = kvec
+        for part in parts:
             out = np.kron(out, part)
         return out
-
-    def branch_vector(kvec, o_vec, copy_vecs, merged=None):
-        if merged is None:
-            return kron_all([kvec, o_vec] + copy_vecs)
-        # merged covers (copy 0, output); reorder its axes to (output, copy 0).
-        merged_t = np.transpose(merged, (3, 0, 1, 2)).reshape(-1)
-        return kron_all([kvec, merged_t] + copy_vecs)
 
     e_copy = _copy_e0(rows, dim).reshape(-1)
     tau_stack = _stack_g0(prep.tau_hat).reshape(-1)
     psi_eff_stack = _stack_g0(prep.state).reshape(-1)
+    theta_hat = prep.theta_hat
+    # The fail branch's joint (output, rotation, index, payload) factor for
+    # copy 0: the routing swap moved the output's |0..0> into the payload
+    # slot and the junk payload into the output.
+    fail_joint = np.zeros((dim, 2, rows, dim), dtype=np.complex128)
+    fail_joint[:, 0, :, 0] = prep.tau_hat.T
+    fail_joint = fail_joint.reshape(-1)
 
     checkpoint = np.zeros(1 << sh["total"], dtype=np.complex128)
     final = np.zeros_like(checkpoint)
-    for k, weight in enumerate(br["weights"]):
+    for k, weight in enumerate(weights):
         kvec = np.zeros(s, dtype=np.complex128)
         kvec[k] = 1.0
         copies_ck = [tau_stack] * k + [e_copy] + [psi_eff_stack] * (s - 1 - k)
-        checkpoint += weight * branch_vector(kvec, br["theta_hat"], copies_ck)
-        copies_fin = (
-            [br["w_junk"].reshape(-1)] * k
-            + [e_copy]
-            + [br["w_back"].reshape(-1)] * (s - 1 - k)
-        )
-        final += weight * branch_vector(
-            l_mat.T @ kvec, br["theta_hat"], copies_fin
-        )
+        checkpoint += weight * branch_vector(kvec, [theta_hat] + copies_ck)
+        copies_fin = [w_junk.reshape(-1)] * k + [e_copy] + [w_back.reshape(-1)] * (s - 1 - k)
+        final += weight * branch_vector(l_mat.T @ kvec, [theta_hat] + copies_fin)
     kvec0 = np.zeros(s, dtype=np.complex128)
     kvec0[0] = 1.0
-    fail_copies = [tau_stack] * (s - 1)
-    checkpoint += br["fail_weight"] * branch_vector(
-        kvec0, None, fail_copies, merged=br["merged"]
-    )
-    final += br["fail_weight"] * branch_vector(
-        l_mat.T @ kvec0, None, [br["w_fail_copy"].reshape(-1)] * (s - 1), merged=br["merged"]
+    checkpoint += fail_weight * branch_vector(kvec0, [fail_joint] + [tau_stack] * (s - 1))
+    final += fail_weight * branch_vector(
+        l_mat.T @ kvec0, [fail_joint] + [w_fail_copy.reshape(-1)] * (s - 1)
     )
     return checkpoint, final

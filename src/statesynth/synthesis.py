@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -321,7 +322,7 @@ class SynthesisPlan:
         if count == 0 or count & (count - 1):
             raise ValueError(f"step count must be a positive power of two, got {count}")
 
-    @property
+    @cached_property
     def z(self) -> bytes:
         return _pad_z(self.desc_section)
 
@@ -523,10 +524,8 @@ def step_record_bytes(step: PlanStep) -> bytes:
     out = bytearray(b"\x02")
     out += hs.k.to_bytes(2, "little")
     out += hs.matrix.to_bytes()
-    for idx in hs.support:
-        out += idx.to_bytes(8, "little")
-    sign_bits = np.fromiter((1 if s < 0 else 0 for s in hs.signs), dtype=np.uint8)
-    out += np.packbits(sign_bits, bitorder="little").tobytes()
+    out += np.array(hs.support, dtype="<u8").tobytes()
+    out += np.packbits(np.array(hs.signs) < 0, bitorder="little").tobytes()
     return bytes(out)
 
 
@@ -543,13 +542,10 @@ def _hash_record(record: bytes, n: int, k: int) -> HashState:
     """A hash step record (tag, k, k x n matrix, support, signs) whose length
     and matrix header were checked."""
     matrix, offset = F2Matrix.from_bytes(record, 3)
-    support = tuple(
-        int.from_bytes(record[offset + 8 * i : offset + 8 * (i + 1)], "little")
-        for i in range(1 << k)
-    )
+    support = tuple(np.frombuffer(record, "<u8", 1 << k, offset).tolist())
     packed = np.frombuffer(record[offset + 8 * (1 << k) :], dtype=np.uint8)
     bits = np.unpackbits(packed, count=1 << k, bitorder="little")
-    signs = tuple(-1 if b else 1 for b in bits)
+    signs = tuple((1 - 2 * bits.astype(np.int64)).tolist())
     return HashState(n, k, matrix, support, signs)
 
 
@@ -634,7 +630,7 @@ class OracleSpec:
             raise ValueError("sign bits must be 0 or 1")
         object.__setattr__(self, "sign_bits", bits)
 
-    @property
+    @cached_property
     def z(self) -> bytes:
         return _pad_z(self.desc_section)
 

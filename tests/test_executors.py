@@ -12,6 +12,7 @@ import functools
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -471,3 +472,20 @@ def test_executor_outputs_pinned():
         for value in outputs:
             _digest_feed(h, value)
     assert h.hexdigest() == _EXECUTOR_OUTPUTS_DIGEST
+
+
+def test_four_query_memory_stays_per_register():
+    """The structured evaluator keeps per-register factors only: at 256 rows
+    x 64 amplitudes and s = 256 copies, a dense (2, rows, dim, dim) branch
+    tensor alone would take 32 MiB."""
+    psi = haar_random_state(6, 11)
+    plan = build_plan(psi, derive_params(6, 0.25), seed=1)
+    oracle = plan_to_oracle(plan)
+    tracemalloc.start()
+    try:
+        report = run_four_query(psi, 0.25, plan=plan, oracle=oracle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.copies == 256
+    assert peak <= 16 << 20

@@ -34,6 +34,7 @@ from statesynth.synthesis import (
     parse_desc_section,
     perturbed_sign,
     plan_to_oracle,
+    step_record_bytes,
     trivial_hash_state,
 )
 
@@ -294,6 +295,23 @@ def test_oracle_desc_section_roundtrip():
     payloads = parse_desc_section(hash_oracle.desc_section, 2, len(hash_plan.steps))
     for step, payload in zip(hash_plan.steps, payloads):
         assert payload == step.hash_state
+
+
+def test_hash_record_matches_per_index_reference():
+    # The record layout written out one support index and one sign at a time.
+    plan = build_plan(
+        haar_random_state(4, 13), derive_hash_params(4, 0.25), strategy="hash", seed=13
+    )
+    for step in plan.steps:
+        hs = step.hash_state
+        reference = b"\x02" + hs.k.to_bytes(2, "little") + hs.matrix.to_bytes()
+        reference += b"".join(idx.to_bytes(8, "little") for idx in hs.support)
+        sign_bits = sum(1 << i for i, sign in enumerate(hs.signs) if sign < 0)
+        reference += sign_bits.to_bytes(((1 << hs.k) + 7) // 8, "little")
+        assert step_record_bytes(step) == reference
+        (parsed,) = parse_desc_section(reference, 4, 1)
+        assert parsed == hs
+        assert all(type(v) is int for v in parsed.support + parsed.signs)
 
 
 def test_oracle_z_region_addressing():
