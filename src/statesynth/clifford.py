@@ -16,7 +16,10 @@ query circuit applies all of its step descriptions as one layer.
 Sign-pattern states: for a residual vector eta and Clifford C, the state
 C . 2^{-n/2} sum_x sr(<eta|C|x>) |x>, where sr(c) is +1 iff Re(c) >= 0.
 The overlap search samples random Cliffords until this state's real overlap
-with the normalized residual reaches a threshold.
+with the normalized residual reaches a threshold.  Each trial applies C^dagger
+once, to the residual as given, and the search hands back the winning
+w = C^dagger eta with the description: the sign table is read off w
+(<eta|C|x> is conj(w[x])), so a planner never applies C^dagger again.
 
 Most searches stop at trial 0, the identity, so that trial costs next to
 nothing: `identity_desc(n)` is one shared immutable object per n, its
@@ -374,20 +377,22 @@ def overlap_with_sign_state(eta_hat: PureState, d: CliffordDesc) -> float:
 
 def find_overlap_clifford(
     eta: PureState, alpha: float, max_trials: int = 1000, seed: int = 0
-) -> tuple[CliffordDesc, float]:
+) -> tuple[CliffordDesc, float, np.ndarray]:
     """Search for a Clifford whose sign-pattern state overlaps eta by >= alpha.
 
     Trial 0 is the shared identity description (so targets with nonnegative
     real amplitudes resolve deterministically); subsequent trials are random
     draws from the search's substream, which is only built when trial 1 is
-    reached.  Returns the first qualifying description with its achieved
-    overlap; an exhausted budget raises SearchExhaustedError with the best
-    overlap seen.
+    reached.  Each trial computes w = C^dagger eta on the residual as given
+    (through `apply_inverse`) and scores the real overlap with the normalized
+    residual, sum |Re w| / (2^{n/2} ||eta||).  Returns the first qualifying
+    description, its achieved overlap and its w; an exhausted budget raises
+    SearchExhaustedError with the best overlap seen.
     """
     nrm = float(np.linalg.norm(eta.amps))
     if nrm == 0.0:
         raise ValueError("zero residual has no overlap certificate")
-    eta_hat = PureState(eta.n, eta.amps / nrm)
+    scale = np.sqrt(1 << eta.n) * nrm
     rng = None
     best = -np.inf
     for trial in range(max_trials):
@@ -397,9 +402,10 @@ def find_overlap_clifford(
             if rng is None:
                 rng = substream(seed, f"clifford-search-{eta.n}")
             desc = random_clifford_from(rng, eta.n)
-        achieved = overlap_with_sign_state(eta_hat, desc)
+        w = apply_inverse(desc, eta).amps
+        achieved = float(np.sum(np.abs(w.real)) / scale)
         if achieved >= alpha:
-            return desc, achieved
+            return desc, achieved, w
         best = max(best, achieved)
     raise SearchExhaustedError(
         f"no Clifford reached overlap {alpha} within {max_trials} trials "

@@ -258,9 +258,12 @@ def ensure_plan(
 ) -> tuple[SynthesisPlan, OracleSpec]:
     """Pass through the plan and oracle a driver should query, building the
     default plan (Clifford, exact signs, seed 0, derived t) and its oracle
-    for whichever is missing."""
+    for whichever is missing.  A given plan must have been built for psi:
+    drivers report on plan.target, so any other psi is refused."""
     if plan is None:
         plan = build_plan(psi, derive_params(psi.n, epsilon))
+    elif psi.n != plan.target.n or not np.array_equal(psi.amps, plan.target.amps):
+        raise ValueError("psi is not the target the plan was built for")
     if oracle is None:
         oracle = plan_to_oracle(plan)
     return plan, oracle

@@ -52,27 +52,41 @@ _SQRT8 = 2.0 * math.sqrt(2.0)
 class SynthesisParams:
     """Schedule constants: contraction rate, step count, register width.
 
-    alpha is the per-step overlap floor, beta = sqrt(1 - alpha^2) the
-    residual contraction rate, gamma = (1 - beta) / alpha the nominal
-    success amplitude of the postselected circuit.  T = 2^t steps drive
-    beta^T below 0.01 * epsilon.  delta_fp = 0.01 * beta^(2T) is the
-    perturbation tolerance used by the perturbed sign mode.
+    Only the inputs are fields: n, epsilon, the per-step overlap floor
+    alpha, and the register width t.  The rest is derived from them: beta =
+    sqrt(1 - alpha^2) the residual contraction rate, gamma = (1 - beta) /
+    alpha the nominal success amplitude of the postselected circuit, T = 2^t
+    the step count (chosen so that beta^T falls below 0.01 * epsilon), and
+    delta_fp = 0.01 * beta^(2T) the perturbation tolerance used by the
+    perturbed sign mode.
     """
 
     n: int
     epsilon: float
     alpha: float
-    beta: float
-    gamma: float
     t: int
-    T: int
-    delta_fp: float
 
     def __post_init__(self) -> None:
-        if self.T != 1 << self.t:
-            raise ValueError(f"T={self.T} is not 2^t for t={self.t}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.t < 0:
+            raise ValueError(f"t must be nonnegative, got {self.t}")
+
+    @cached_property
+    def beta(self) -> float:
+        return math.sqrt(1.0 - self.alpha * self.alpha)
+
+    @cached_property
+    def gamma(self) -> float:
+        return (1.0 - self.beta) / self.alpha
+
+    @cached_property
+    def T(self) -> int:
+        return 1 << self.t
+
+    @cached_property
+    def delta_fp(self) -> float:
+        return 0.01 * self.beta ** (2 * self.T)
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -91,14 +105,8 @@ def derive_params(n: int, epsilon: float, t_override: int | None = None) -> Synt
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     _check_epsilon(epsilon)
-    alpha = 0.35
-    beta = math.sqrt(1.0 - alpha * alpha)
-    gamma = (1.0 - beta) / alpha
     t = math.ceil(math.log2(math.log2(1.0 / epsilon))) + 7
-    if t_override is not None:
-        t = t_override
-    T = 1 << t
-    return SynthesisParams(n, epsilon, alpha, beta, gamma, t, T, 0.01 * beta ** (2 * T))
+    return SynthesisParams(n, epsilon, 0.35, t if t_override is None else t_override)
 
 
 def harmonic_number(m: int) -> float:
@@ -122,11 +130,7 @@ def derive_hash_params(n: int, epsilon: float, t_override: int | None = None) ->
     t = 0
     while beta ** (1 << t) > 0.01 * epsilon:
         t += 1
-    if t_override is not None:
-        t = t_override
-    T = 1 << t
-    gamma = (1.0 - beta) / alpha
-    return SynthesisParams(n, epsilon, alpha, beta, gamma, t, T, 0.01 * beta ** (2 * T))
+    return SynthesisParams(n, epsilon, alpha, t if t_override is None else t_override)
 
 
 def perturbed_sign(value: complex, bound: float, address: int, seed: int) -> int:
@@ -184,26 +188,28 @@ class HashState:
 
 def find_hash_matrix(
     S: set[int], k: int, n: int, max_trials: int = 200, seed: int = 0
-) -> F2Matrix:
+) -> tuple[F2Matrix, np.ndarray]:
     """Random full-rank k x n matrix whose image of S exceeds 2^(k-1) points.
 
     Candidates are drawn until one passes the (directly evaluated) image-size
-    check; rank-deficient draws count against the trial budget too.  An
-    exhausted budget raises SearchExhaustedError with the trials and seed.
+    check; rank-deficient draws count against the trial budget too.  Returns
+    the matrix with its image table (`f2linalg.apply_to_all`, the image of
+    every index).  An exhausted budget raises SearchExhaustedError with the
+    trials and seed.
     """
     if len(S) != 1 << k or len(S) > 1 << n:
         raise ValueError(f"need |S| = 2^{k} <= 2^{n}, got {len(S)}")
     if k == 0:
-        return F2Matrix(0, n, ())
+        return F2Matrix(0, n, ()), np.zeros(1 << n, dtype=np.int64)
     s_array = np.fromiter(sorted(S), dtype=np.int64)
     rng = substream(seed, f"hash-matrix-{k}x{n}")
     for _ in range(max_trials):
         candidate = F2Matrix(k, n, f2linalg.random_rows_from(rng, k, n))
         if f2linalg.rank(candidate) != k:
             continue
-        images = f2linalg.apply_to_all(candidate)[s_array]
-        if np.unique(images).size > 1 << (k - 1):
-            return candidate
+        images = f2linalg.apply_to_all(candidate)
+        if np.unique(images[s_array]).size > 1 << (k - 1):
+            return candidate, images
     raise SearchExhaustedError(
         f"no admissible {k}x{n} hash matrix within {max_trials} trials (seed {seed})",
         trials=max_trials,
@@ -241,8 +247,9 @@ def hash_state_for(
     mu = float(scores[jstar - 1])
     k = jstar.bit_length() - 1
     s_array = np.sort(order[: 1 << k])
-    matrix = find_hash_matrix(set(s_array.tolist()), k, n, max_trials=max_trials, seed=seed)
-    images = f2linalg.apply_to_all(matrix)
+    matrix, images = find_hash_matrix(
+        set(s_array.tolist()), k, n, max_trials=max_trials, seed=seed
+    )
     # The matrix has full rank k, so every y in [0, 2^k) has a preimage:
     # np.unique lists them in order with the first (lowest) preimage of each.
     _, chosen = np.unique(images, return_index=True)
@@ -306,21 +313,24 @@ class SynthesisPlan:
 
     residual_norms[k] is the combined residual norm after k rounds (a round
     is one step per active track), so residual_norms[0] = 1 for normalized
-    targets.  desc_section is the serialized step descriptions, and z that
-    section zero-padded to a multiple of 64 bytes.  target records the
-    normalized input state the plan approximates.
+    targets.  target records the normalized input state the plan
+    approximates.  Derived from the steps: desc_section, the serialized step
+    descriptions, and z, that section zero-padded to a multiple of 64 bytes.
     """
 
     params: SynthesisParams
     steps: tuple[PlanStep, ...]
     residual_norms: tuple[float, ...]
-    desc_section: bytes
     target: PureState
 
     def __post_init__(self) -> None:
         count = len(self.steps)
         if count == 0 or count & (count - 1):
             raise ValueError(f"step count must be a positive power of two, got {count}")
+
+    @cached_property
+    def desc_section(self) -> bytes:
+        return steps_to_desc_section(self.steps)
 
     @cached_property
     def z(self) -> bytes:
@@ -367,10 +377,11 @@ def _clifford_steps(
     for k in range(params.T):
         coeff = params.alpha * params.beta**k
         if norms[-1] == 0.0:
-            desc = cliff.identity_desc(n)
+            # C^dagger of the identity leaves the (zero) residual as it is.
+            desc, w = cliff.identity_desc(n), eta.copy()
         else:
             try:
-                desc, _ = cliff.find_overlap_clifford(
+                desc, _, w = cliff.find_overlap_clifford(
                     PureState(n, eta),
                     params.alpha,
                     max_trials=max_trials,
@@ -378,7 +389,6 @@ def _clifford_steps(
                 )
             except SearchExhaustedError as err:
                 raise err.at_step(k, norms[-1]) from err
-        w = cliff.apply_inverse(desc, PureState(n, eta)).amps
         if bound == 0.0:
             bits = (w.real < 0.0).astype(np.uint8)
         else:
@@ -507,10 +517,7 @@ def build_plan(
         steps, norms = _clifford_steps(psi, params, bound, seed, max_trials)
     else:
         steps, norms = _hash_steps(psi, params, bound, seed, max_trials)
-    return SynthesisPlan(
-        params, tuple(steps), tuple(norms), steps_to_desc_section(steps),
-        PureState(psi.n, psi.amps),
-    )
+    return SynthesisPlan(params, tuple(steps), tuple(norms), PureState(psi.n, psi.amps))
 
 
 def step_record_bytes(step: PlanStep) -> bytes:
@@ -608,19 +615,17 @@ class OracleSpec:
     Addresses [0, T * 2^n) return sign bits (bit j * 2^n + x is step j's sign
     at basis string x; 0 means +1).  Addresses beyond that return the bits of
     z (descriptions plus zero padding), LSB-first within each byte, and then
-    zeros up to 2^total_input_bits.
+    zeros up to 2^total_input_bits.  The fields are n, t, the sign bits and
+    the desc section; T = 2^t, z and total_input_bits (the width of the
+    highest address holding a bit of z) are derived from them.
     """
 
     n: int
     t: int
-    T: int
     sign_bits: np.ndarray
     desc_section: bytes
-    total_input_bits: int
 
     def __post_init__(self) -> None:
-        if self.T != 1 << self.t:
-            raise ValueError(f"T={self.T} is not 2^t for t={self.t}")
         bits = np.asarray(self.sign_bits, dtype=np.uint8)
         if bits.shape != (self.T << self.n,):
             raise ValueError(
@@ -630,9 +635,17 @@ class OracleSpec:
             raise ValueError("sign bits must be 0 or 1")
         object.__setattr__(self, "sign_bits", bits)
 
+    @property
+    def T(self) -> int:
+        return 1 << self.t
+
     @cached_property
     def z(self) -> bytes:
         return _pad_z(self.desc_section)
+
+    @cached_property
+    def total_input_bits(self) -> int:
+        return ((self.T << self.n) + 8 * len(self.z) - 1).bit_length()
 
     def sign_rows(self) -> np.ndarray:
         """Sign bits as a (T, 2^n) array of 0/1."""
@@ -698,7 +711,7 @@ class OracleSpec:
         packed = np.frombuffer(data[head:offset], dtype=np.uint8)
         sign_bits = np.unpackbits(packed, count=nbits, bitorder="little")
         desc_section = bytes(data[offset + 8 :])
-        return OracleSpec(n, t, T, sign_bits, desc_section, _input_bits(n, T, desc_section))
+        return OracleSpec(n, t, sign_bits, desc_section)
 
     def write_file(self, path: str) -> None:
         with open(path, "wb") as handle:
@@ -710,24 +723,10 @@ class OracleSpec:
             return OracleSpec.from_bytes(handle.read())
 
 
-def _input_bits(n: int, T: int, desc_section: bytes) -> int:
-    top_address = (T << n) + 8 * len(_pad_z(desc_section)) - 1
-    return top_address.bit_length()
-
-
 def plan_to_oracle(plan: SynthesisPlan) -> OracleSpec:
     """Flatten a plan into its addressable truth table."""
     sign_bits = np.concatenate([step.signs.bits for step in plan.steps])
-    n = plan.params.n
-    T = len(plan.steps)
-    return OracleSpec(
-        n,
-        plan.t_register,
-        T,
-        sign_bits,
-        plan.desc_section,
-        _input_bits(n, T, plan.desc_section),
-    )
+    return OracleSpec(plan.params.n, plan.t_register, sign_bits, plan.desc_section)
 
 
 def merge_phase_oracles(fs, arities):

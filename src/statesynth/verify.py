@@ -159,11 +159,6 @@ def _suite_numerics(instances: int, seed: int) -> list[CheckResult]:
     return rec.results()
 
 
-def _random_f2(rng: np.random.Generator, rows: int, cols: int) -> f2.F2Matrix:
-    bits = tuple(int(rng.integers(0, 1 << cols)) for _ in range(rows))
-    return f2.F2Matrix(rows, cols, bits)
-
-
 #: Uniform n x n matrices the invertible-fraction check draws, n cycling
 #: through 2..10.  Its 5 sigma band (25.5-35.8 % invertible) lies inside
 #: "more than 20 %", so the check fails on a biased sampler or rank, not on
@@ -195,7 +190,7 @@ def _suite_f2linalg(instances: int, seed: int) -> list[CheckResult]:
     for i in range(instances):
         rng = substream(seed, f"f2-{i}")
         n = 2 + (i % 9)
-        m = _random_f2(rng, n, n)
+        m = f2.F2Matrix(n, n, f2.random_rows_from(rng, n, n))
         perm = rng.permutation(n)
         shuffled = f2.F2Matrix(n, n, tuple(m.row_bits[p] for p in perm))
         rec.record(
@@ -203,8 +198,8 @@ def _suite_f2linalg(instances: int, seed: int) -> list[CheckResult]:
             f2.rank(m) == f2.rank(shuffled),
         )
 
-        a = _random_f2(rng, n, n)
-        b = _random_f2(rng, n, n)
+        a = f2.F2Matrix(n, n, f2.random_rows_from(rng, n, n))
+        b = f2.F2Matrix(n, n, f2.random_rows_from(rng, n, n))
         x = int(rng.integers(0, 1 << n))
         composed = f2.apply_to_index(f2.mul(a, b), x)
         chained = f2.apply_to_index(a, f2.apply_to_index(b, x))
@@ -451,6 +446,27 @@ def _suite_executors(instances: int, seed: int) -> list[CheckResult]:
     return rec.results()
 
 
+def _check_sphere_measure(rec: _Recorder, instances: int, seed: int) -> None:
+    """sphere_measure_mc(d) within 1 % of sphere_measure(d) for d = 0..5.
+
+    The estimator counts cube samples inside the unit ball, a fraction
+    p = mu_d / ((d + 1) 2^(d + 1)), so its relative deviation is
+    sqrt((1 - p) / (p N)) at N samples.  Each d draws enough samples that
+    1 % is at least 5 of those: about 1.27 M at d = 4 and 2.85 M at d = 5,
+    so the check fails on a wrong measure, not on an unlucky seed.
+    """
+    for d in range(6):
+        exact = sphere_measure(d)
+        p = exact / ((d + 1) * 2.0 ** (d + 1))
+        trials = max(instances * 2000, math.ceil(250_000 * (1.0 - p) / p))
+        estimate = sphere_measure_mc(d, trials, derive_seed(seed, f"geo-measure-{d}"))
+        rec.record(
+            "sphere-measure-matches-monte-carlo",
+            abs(estimate - exact) <= 0.01 * exact,
+            f"d={d}: {estimate} vs {exact} from {trials} samples",
+        )
+
+
 def _suite_geometry(instances: int, seed: int) -> list[CheckResult]:
     rec = _Recorder("geometry")
     trials = min(1_000_000, max(20_000, instances * 1000))
@@ -465,15 +481,7 @@ def _suite_geometry(instances: int, seed: int) -> list[CheckResult]:
                 abs(estimate - exact) <= 4.0 * sigma,
                 f"n={n} eps={eps}: |{estimate} - {exact}| > 4 sigma {4 * sigma}",
             )
-    mc_trials = max(400_000, instances * 2000)
-    for d in range(6):
-        exact = sphere_measure(d)
-        estimate = sphere_measure_mc(d, mc_trials, derive_seed(seed, f"geo-measure-{d}"))
-        rec.record(
-            "sphere-measure-matches-monte-carlo",
-            abs(estimate - exact) <= 0.01 * exact,
-            f"d={d}: {estimate} vs {exact}",
-        )
+    _check_sphere_measure(rec, instances, seed)
     for i in range(instances):
         rng = substream(seed, f"geo-deficit-{i}")
         n = 1 + int(rng.integers(0, 10))

@@ -255,7 +255,7 @@ def test_criterion_07_hash_state_guarantees():
         k = 1 + i % 8
         n = min(12, k + 1 + int(draw.integers(0, 5)))
         S = {int(x) for x in draw.choice(1 << n, size=1 << k, replace=False)}
-        matrix = find_hash_matrix(S, k, n, max_trials=200, seed=i)
+        matrix, _ = find_hash_matrix(S, k, n, max_trials=200, seed=i)
         image = {_f2_image(matrix, x) for x in S}
         matrix_ok = matrix_ok and len(image) > 1 << (k - 1)
     ok = worst_margin >= -1e-12 and mu_ok and matrix_ok
@@ -318,7 +318,7 @@ def test_criterion_08_overlap_clifford_frequency():
         min_freq = min(min_freq, float(hits.min()) / trials)
         for j in range(20):
             eta = PureState(n, etas[:, j])
-            desc, achieved = find_overlap_clifford(eta, 0.35, seed=j)
+            desc, achieved, _ = find_overlap_clifford(eta, 0.35, seed=j)
             recomputed = float(
                 np.sum(np.abs(_inverse_on_bundle(desc, etas[:, j : j + 1]).real))
             ) / math.sqrt(dim)

@@ -251,14 +251,14 @@ def test_sign_pattern_matches_definition():
 
 def test_find_overlap_clifford_uniform_target():
     plus = PureState(2, np.full(4, 0.5, dtype=complex))
-    d, achieved = find_overlap_clifford(plus, 0.35, seed=5)
+    d, achieved, _ = find_overlap_clifford(plus, 0.35, seed=5)
     assert achieved == pytest.approx(1.0, abs=1e-12)
     # The identity qualifies immediately for nonnegative real amplitudes.
     assert desc_to_bytes(d) == desc_to_bytes(identity_desc(2))
 
 
 def test_find_overlap_clifford_basis_target():
-    d, achieved = find_overlap_clifford(_ket(1, 0), 0.35, seed=5)
+    d, achieved, _ = find_overlap_clifford(_ket(1, 0), 0.35, seed=5)
     assert achieved == pytest.approx(1 / np.sqrt(2), abs=1e-12)
     assert desc_to_bytes(d) == desc_to_bytes(identity_desc(1))
 
@@ -266,7 +266,7 @@ def test_find_overlap_clifford_basis_target():
 def test_find_overlap_clifford_certificates_reverified():
     for seed in range(100):
         eta = haar_random_state(3, seed)
-        d, achieved = find_overlap_clifford(eta, 0.35, seed=seed)
+        d, achieved, _ = find_overlap_clifford(eta, 0.35, seed=seed)
         recomputed = overlap_with_sign_state(eta, d)
         assert achieved >= 0.35
         assert recomputed == pytest.approx(achieved, abs=1e-12)

@@ -134,6 +134,21 @@ def test_postselect_oracle_mismatch_detected():
         run_postselect(plan_a, oracle_b)
 
 
+def test_drivers_refuse_a_psi_the_plan_was_not_built_for():
+    psi = haar_random_state(1, 4)
+    kw = _small_plan_oracle(psi, 4)
+    drivers = (run_one_query, run_one_query_dense, run_ten_query, run_four_query,
+               four_query_diagnostics, run_four_query_dense,
+               functools.partial(expand_structured, s=2))
+    for other in (haar_random_state(1, 5), haar_random_state(2, 4)):
+        for driver in drivers:
+            with pytest.raises(ValueError, match="not the target"):
+                driver(other, EPS, **kw)
+    # The plan's own target, as an equal copy, is accepted.
+    same = PureState(1, psi.amps.copy())
+    assert run_one_query(same, EPS, **kw).error_trace == run_one_query(psi, EPS, **kw).error_trace
+
+
 def test_one_query_copy_formula():
     gamma = derive_params(1, 0.1).gamma
     # ceil(2 ln(2/eps) / gamma^2)

@@ -7,6 +7,7 @@ import math
 import mpmath
 import pytest
 
+from statesynth import verify
 from statesynth.geometry import (
     GeometryQuery,
     cap_fraction,
@@ -78,6 +79,36 @@ def test_sphere_measure_mc_within_one_percent():
         exact = sphere_measure(d)
         estimate = sphere_measure_mc(d, trials=400_000, seed=3)
         assert abs(estimate - exact) / exact < 0.01
+
+
+def _sphere_check(seed: int):
+    results = verify.run_suite("geometry", instances=1, seed=seed)
+    return next(r for r in results if r.name == "sphere-measure-matches-monte-carlo")
+
+
+def test_verify_sphere_measure_is_seed_robust():
+    # Seeds on which 400 000 samples per d missed 1 %: d = 5 at seed 11,
+    # d = 4 at seeds 115 and 240.
+    for seed in (11, 115, 240):
+        assert _sphere_check(seed).passed
+
+
+def test_verify_sphere_measure_catches_a_wrong_measure(monkeypatch):
+    drawn = {}
+
+    def off_by_two_percent(d, trials, seed):
+        drawn[d] = trials
+        return 1.02 * sphere_measure(d)
+
+    monkeypatch.setattr(verify, "sphere_measure_mc", off_by_two_percent)
+    check = _sphere_check(0)
+    assert (check.instances, check.failures) == (6, 6)
+    assert check.detail.startswith("d=0: ")
+    # 1 % is at least 5 sigma: N >= 25 (1 - p) / (p 0.01^2), p the ball fraction.
+    for d, trials in drawn.items():
+        p = sphere_measure(d) / ((d + 1) * 2.0 ** (d + 1))
+        assert 0.01 >= 5.0 * math.sqrt((1.0 - p) / (p * trials))
+    assert drawn[5] > 2_840_000 and drawn[4] > 1_260_000
 
 
 def _deficit_oracle(n: int, eps: float, s: int, g: int, a: int, c: float = 3.0) -> float:

@@ -68,3 +68,5 @@ def test_tracer_reaches_every_wrapped_layer():
         assert metrics[key] > 0, key
     # One query each for postselect and one-query, ten and four.
     assert metrics["executors.queries"] == 16
+    # One C^dagger per search trial and one C per step of the T = 4 plan.
+    assert metrics["clifford.apply.calls"] == metrics["clifford.search.trials"] + 4

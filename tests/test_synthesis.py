@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statesynth import clifford as cliff
 from statesynth.clifford import SearchExhaustedError, desc_to_bytes, identity_desc, sr
 from statesynth.f2linalg import F2Matrix, apply_to_index
 from statesynth.numerics import PureState, haar_random_state
@@ -60,6 +61,16 @@ def test_derive_params_examples():
     assert abs(p.beta**2 + p.alpha**2 - 1.0) < 1e-15
     assert 0.18 < p.gamma < 0.1808
     assert p.delta_fp == pytest.approx(0.01 * p.beta ** (2 * p.T))
+
+
+def test_params_derive_what_follows_from_t():
+    # T and delta_fp follow t, so a replaced t needs no other field changed.
+    p = dataclasses.replace(derive_params(2, 0.25), t=3)
+    assert p.T == 8
+    assert p.delta_fp == 0.01 * p.beta**16
+    assert p.gamma == (1.0 - p.beta) / p.alpha
+    with pytest.raises(ValueError):
+        dataclasses.replace(p, t=-1)
 
 
 def test_derive_params_epsilon_range():
@@ -123,6 +134,32 @@ def test_build_plan_uniform_target_first_step():
     assert plan.residual_norms[1] == pytest.approx(0.65, abs=1e-12)
     assert plan.steps[0].coefficient == pytest.approx(0.35, abs=1e-15)
     assert desc_to_bytes(plan.steps[0].desc) == desc_to_bytes(identity_desc(2))
+
+
+def test_build_plan_applies_each_clifford_once(monkeypatch):
+    # The search's C^dagger per trial is the only one: the planner takes the
+    # step's signs from the w it returns, and applies C once per step.
+    counts = {"apply": 0, "trials": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("apply", "apply_inverse", "overlap_with_sign_state"):
+        monkeypatch.setattr(cliff, name, counted(getattr(cliff, name), "apply"))
+    # Trial 0 is the identity, every later trial one draw.
+    monkeypatch.setattr(
+        cliff, "find_overlap_clifford", counted(cliff.find_overlap_clifford, "trials")
+    )
+    monkeypatch.setattr(
+        cliff, "random_clifford_from", counted(cliff.random_clifford_from, "trials")
+    )
+    params = derive_params(3, 0.25, t_override=4)
+    build_plan(haar_random_state(3, 8), params, seed=8)
+    assert counts["trials"] > params.T
+    assert counts["apply"] == counts["trials"] + params.T
 
 
 def test_build_plan_residual_envelope_and_recursion():
@@ -579,17 +616,17 @@ def test_trivial_hash_state():
 
 def test_find_hash_matrix_cases():
     # k = 0: the 0 x n matrix exists vacuously for any singleton support.
-    empty = find_hash_matrix({5}, 0, 4)
+    empty, _ = find_hash_matrix({5}, 0, 4)
     assert (empty.rows, empty.cols) == (0, 4)
 
-    full = find_hash_matrix(set(range(8)), 3, 3)
+    full, _ = find_hash_matrix(set(range(8)), 3, 3)
     images = {apply_to_index(full, x) for x in range(8)}
     assert len(images) == 8
 
     rng = substream(0, "test-hash-matrix")
     for trial in range(10):
         S = {int(x) for x in rng.choice(256, size=16, replace=False)}
-        m = find_hash_matrix(S, 4, 8, seed=trial)
+        m, _ = find_hash_matrix(S, 4, 8, seed=trial)
         assert (m.rows, m.cols) == (4, 8)
         images = {apply_to_index(m, x) for x in S}
         assert len(images) > 8
