@@ -24,10 +24,14 @@ w = C^dagger eta with the description: the sign table is read off w
 Most searches stop at trial 0, the identity, so that trial costs next to
 nothing: `identity_desc(n)` is one shared immutable object per n, its
 compiled (empty) layer and its serialized bytes are cached per n, and the
-search builds its random substream only when it reaches trial 1.  The draws
-are those of the row-at-a-time samplers, one block call per matrix
-candidate (`f2linalg.random_rows_from`), so equal seeds give equal
-descriptions.
+search builds its random substream only when it reaches trial 1.  A random
+trial costs about what its draws cost: `random_clifford_from` takes one
+block of digits per description, plus one per rejected GL_n(F2) candidate,
+with the values and the stream state of a sampler drawing round by round,
+so equal seeds give equal descriptions.  Up to n = 3 a candidate's
+invertibility and inverse come from a bounded cache keyed by its packed
+rows.  A round that every row of a layer shares (so every round of a
+one-description layer) compiles once, with no per-row bookkeeping.
 """
 
 from __future__ import annotations
@@ -202,6 +206,23 @@ def _qubit_bits(n: int, negate: bool) -> np.ndarray:
     return table
 
 
+#: Largest n at which a layer's S-power tables and the sampler's GL_n(F2)
+#: candidates are memoized.  Up to n = 3 the memos hold every key, 2 (4 + 16
+#: + 64) tables and 2 + 16 + 512 candidates, and most keys recur; from n = 4
+#: on (2^16 candidates and more) they would fill with keys seldom seen again.
+#: Larger n calls the functions through `__wrapped__`, past the cache.
+_MEMO_MAX_N = 3
+
+
+@functools.lru_cache(maxsize=2 * (4 + 16 + 64))
+def _phase_table(digits: tuple[int, ...], negate: bool) -> np.ndarray:
+    """(2^n,) int8 S-power table of one P round: entry x is the digit sum over
+    the set qubits of x, negated when asked, mod 4."""
+    table = np.array(digits, dtype=np.int8) @ _qubit_bits(len(digits), negate) & 3
+    table.flags.writeable = False
+    return table
+
+
 def _butterfly(amps: np.ndarray, n: int, i: int, rows: np.ndarray | None) -> None:
     """H on qubit i of the given rows (all rows when None) of a (k, 2^n) array."""
     view = amps.reshape(amps.shape[0], 1 << i, 2, 1 << (n - 1 - i))
@@ -240,38 +261,58 @@ class CliffordLayer:
         self.k = k
         eye = tuple(1 << c for c in range(n))
         no_phase = (0,) * n
+        # Flat indices into the (k, 2^n) array: row r starts at r 2^n.
+        offsets = (np.arange(k) << n)[:, None] if k > 1 else 0
         # Index maps by matrix rows, so a repeated matrix is mapped once.
         images: dict[tuple[int, ...], np.ndarray] = {}
+
+        def index_map(m: F2Matrix) -> np.ndarray:
+            if m.row_bits not in images:
+                images[m.row_bits] = f2linalg.apply_to_all(m)
+            return images[m.row_bits]
+
         last = len(ROUND_PATTERN) - 1
         ops: list[tuple[str, object]] = []
         for pos in range(last + 1) if invert else range(last, -1, -1):
             rounds = [d.rounds[pos] for d in descs]
             kind = ROUND_PATTERN[pos]
+            # A round that every row shares (always, for one description)
+            # compiles once and broadcasts over the rows.
+            first = rounds[0]
+            shared = all(r is first for r in rounds)
             # Rounds that leave every row as it is compile to nothing.
             if kind == "H":
-                qubits = []
-                for i, column in enumerate(zip(*[r.bits for r in rounds])):
-                    hits = k - column.count(0)
-                    if hits:
-                        qubits.append((i, None if hits == k else np.flatnonzero(column)))
+                if shared:
+                    qubits = [(i, None) for i, bit in enumerate(first.bits) if bit]
+                else:
+                    qubits = []
+                    for i, column in enumerate(zip(*[r.bits for r in rounds])):
+                        hits = k - column.count(0)
+                        if hits:
+                            qubits.append((i, None if hits == k else np.flatnonzero(column)))
                 if qubits:
                     ops.append(("H", qubits))
             elif kind == "P":
-                digits = [r.digits for r in rounds]
-                if digits.count(no_phase) < k:
-                    table = np.array(digits, dtype=np.int8) @ _qubit_bits(n, invert)
-                    ops.append(("P", table & 3))
+                if shared:
+                    if any(first.digits):
+                        phase_table = (
+                            _phase_table if n <= _MEMO_MAX_N else _phase_table.__wrapped__
+                        )
+                        ops.append(("P", phase_table(first.digits, invert)))
+                else:
+                    digits = [r.digits for r in rounds]
+                    if digits.count(no_phase) < k:
+                        table = np.array(digits, dtype=np.int8) @ _qubit_bits(n, invert)
+                        ops.append(("P", table & 3))
+            elif shared:
+                m = first.m if invert else first.m_inv
+                if m.row_bits != eye:
+                    index = index_map(m)
+                    ops.append(("C", index if k == 1 else (index + offsets).reshape(-1)))
             else:
                 mats = [r.m if invert else r.m_inv for r in rounds]
-                keys = [m.row_bits for m in mats]
-                if keys.count(eye) < k:
-                    for key, m in zip(keys, mats):
-                        if key not in images:
-                            images[key] = f2linalg.apply_to_all(m)
-                    # Flat indices into the (k, 2^n) array: row r starts at r 2^n.
-                    index = np.array([images[key] for key in keys])
-                    if k > 1:
-                        index += (np.arange(k) << n)[:, None]
+                if [m.row_bits for m in mats].count(eye) < k:
+                    index = np.array([index_map(m) for m in mats]) + offsets
                     ops.append(("C", index.reshape(-1)))
         self._ops = ops
 
@@ -328,17 +369,65 @@ def to_matrix(d: CliffordDesc) -> np.ndarray:
     return CliffordLayer([d] * dim)(np.eye(dim)).T.copy()
 
 
+@functools.lru_cache(maxsize=2 + 16 + 512)
+def _gl_pair(rows: tuple[int, ...]) -> tuple[F2Matrix, F2Matrix] | None:
+    """(M, M^-1) for the n x n candidate with these packed rows, None if singular.
+
+    Memoized up to n = _MEMO_MAX_N and filled lazily; the matrices are
+    immutable, so descriptions can share them.
+    """
+    n = len(rows)
+    m = F2Matrix(n, n, rows)
+    if f2linalg.rank(m) != n:
+        return None
+    return m, f2linalg.inverse(m)
+
+
 def random_clifford_from(rng: np.random.Generator, n: int) -> CliffordDesc:
-    """One description with every round sampled uniformly from the given stream."""
+    """One description with every round sampled uniformly from the given stream.
+
+    Rounds are sampled in written order: n H bits, n S-power digits, or for
+    a C round n x n candidate entries until one is invertible (rejection
+    sampling, so M is uniform over GL_n(F2)).  Every value is one
+    `rng.integers(0, 4)` digit and an H bit or matrix entry is `digit >> 1`:
+    at a power-of-two range each value takes one 32-bit draw and the bit is
+    that draw's top bit, as `rng.integers(0, 2)` would give.  So the whole
+    description is one block of 6n + 5n^2 digits plus n^2 per rejected
+    candidate, with the values and the stream state of a sampler drawing
+    each round (and each candidate) on its own.
+    """
+    nn = n * n
+    # Every round is a whole number of n-digit chunks, so a round starts at
+    # a chunk; each chunk is read as digits, bits or a packed matrix row.
+    # A 0/1 row times the weights 2^c is its packed int.
+    weights = 1 << np.arange(n, dtype=np.int64)
+    gl_pair = _gl_pair if n <= _MEMO_MAX_N else _gl_pair.__wrapped__
+    chunks = rng.integers(0, 4, size=6 * n + 5 * nn).reshape(-1, n)
+    bits = chunks >> 1
+    digit_rows = chunks.tolist()
+    bit_rows = bits.tolist()
+    packed = (bits @ weights).tolist()
     rounds: list[Round] = []
+    i = 0
     for kind in ROUND_PATTERN:
         if kind == "H":
-            rounds.append(HRound(tuple(rng.integers(0, 2, size=n).tolist())))
+            rounds.append(HRound(tuple(bit_rows[i])))
+            i += 1
         elif kind == "P":
-            rounds.append(PRound(tuple(rng.integers(0, 4, size=n).tolist())))
+            rounds.append(PRound(tuple(digit_rows[i])))
+            i += 1
         else:
-            m = f2linalg.random_invertible_from(rng, n)
-            rounds.append(CRound(m, f2linalg.inverse(m)))
+            while (pair := gl_pair(tuple(packed[i : i + n]))) is None:
+                # A rejected candidate: the next n^2 values of the stream
+                # follow the block.
+                i += n
+                extra = rng.integers(0, 4, size=nn).reshape(n, n)
+                extra_bits = extra >> 1
+                digit_rows += extra.tolist()
+                bit_rows += extra_bits.tolist()
+                packed += (extra_bits @ weights).tolist()
+            rounds.append(CRound(*pair))
+            i += n
     return CliffordDesc(n, tuple(rounds))
 
 

@@ -20,8 +20,23 @@ def derive_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest, "little") >> 1
 
 
-def substream(seed: int, label: str) -> np.random.Generator:
-    """Return a generator keyed by (seed, label); same inputs, same stream."""
+def _seed_sequence(seed: int, label: str) -> np.random.SeedSequence:
     digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
     label_key = int.from_bytes(digest, "little")
-    return np.random.default_rng(np.random.SeedSequence([int(seed), label_key]))
+    return np.random.SeedSequence([int(seed), label_key])
+
+
+def substream(seed: int, label: str) -> np.random.Generator:
+    """Return a generator keyed by (seed, label); same inputs, same stream."""
+    return np.random.default_rng(_seed_sequence(seed, label))
+
+
+def first_uniforms(seed: int, label: str, count: int) -> list[float]:
+    """The first `count` values of `substream(seed, label).uniform()`.
+
+    A Generator's uniform double is its PCG64 bit generator's next 64-bit
+    output shifted right by 11 and scaled by 2^-53, so reading the raw
+    outputs gives the same doubles without building the Generator.
+    """
+    raw = np.random.PCG64(_seed_sequence(seed, label)).random_raw(count)
+    return [(r >> 11) * 2.0**-53 for r in raw.tolist()]

@@ -38,7 +38,7 @@ from . import f2linalg
 from .clifford import CliffordDesc, SearchExhaustedError, SignPattern, sr
 from .f2linalg import F2Matrix
 from .numerics import PureState
-from .rng import derive_seed, substream
+from .rng import derive_seed, first_uniforms, substream
 
 #: Oracle file magic bytes.
 ORACLE_MAGIC = b"OSYN1"
@@ -144,9 +144,10 @@ def perturbed_sign(value: complex, bound: float, address: int, seed: int) -> int
         raise ValueError(f"bound must be nonnegative, got {bound}")
     if bound == 0.0:
         return sr(value)
-    rng = substream(seed, f"sign-perturbation-{address}")
-    radius = bound * math.sqrt(rng.uniform())
-    angle = rng.uniform(0.0, 2.0 * math.pi)
+    # The two draws of substream(seed, label).uniform() and .uniform(0, 2 pi).
+    u, v = first_uniforms(seed, f"sign-perturbation-{address}", 2)
+    radius = bound * math.sqrt(u)
+    angle = 0.0 + 2.0 * math.pi * v
     return sr(complex(value) + radius * complex(math.cos(angle), math.sin(angle)))
 
 

@@ -11,7 +11,7 @@ import pickle
 import numpy as np
 import pytest
 
-from statesynth import f2linalg
+from statesynth import clifford, f2linalg
 from statesynth.clifford import (
     CliffordDesc,
     CRound,
@@ -167,6 +167,65 @@ def test_random_clifford_deterministic():
     b = random_clifford(3, 42)
     assert desc_to_bytes(a) == desc_to_bytes(b)
     assert desc_to_bytes(a) != desc_to_bytes(random_clifford(3, 43))
+
+
+def _round_at_a_time(rng: np.random.Generator, n: int) -> CliffordDesc:
+    """Reference sampler: one draw call per round and per GL candidate."""
+    rounds = []
+    for kind in ROUND_PATTERN:
+        if kind == "H":
+            rounds.append(HRound(tuple(rng.integers(0, 2, size=n).tolist())))
+        elif kind == "P":
+            rounds.append(PRound(tuple(rng.integers(0, 4, size=n).tolist())))
+        else:
+            m = f2linalg.random_invertible_from(rng, n)
+            rounds.append(CRound(m, f2linalg.inverse(m)))
+    return CliffordDesc(n, tuple(rounds))
+
+
+def test_random_clifford_from_matches_round_at_a_time_draws():
+    # The block sampler gives the descriptions, and leaves the stream in the
+    # state, of the reference, also between other draws on the same stream.
+    for n in range(1, 9):
+        for seed in range(40):
+            block = np.random.default_rng([seed, n])
+            reference = np.random.default_rng([seed, n])
+            for call in range(3):
+                assert random_clifford_from(block, n) == _round_at_a_time(reference, n)
+                assert block.bit_generator.state == reference.bit_generator.state
+                # Other draws in between: a 64-bit double, a rejecting range
+                # and an odd number of 32-bit values.
+                for rng in (block, reference):
+                    rng.random()
+                    rng.integers(0, 7, size=call + 1)
+                    rng.integers(0, 2, size=2 * call + 1)
+                assert block.bit_generator.state == reference.bit_generator.state
+
+
+def test_top_bit_of_a_four_way_draw_is_a_two_way_draw():
+    # The sampler reads an H bit or matrix entry as integers(0, 4) >> 1.
+    for seed in range(20):
+        four = np.random.default_rng(seed)
+        two = np.random.default_rng(seed)
+        for size in (1, 2, 7, 64):
+            assert np.array_equal(four.integers(0, 4, size=size) >> 1, two.integers(0, 2, size=size))
+            assert four.bit_generator.state == two.bit_generator.state
+
+
+def test_memoized_gl_pairs_match_rank_and_inverse():
+    for n in (1, 2, 3):
+        for entries in range(1 << (n * n)):
+            rows = tuple((entries >> (r * n)) & ((1 << n) - 1) for r in range(n))
+            m = F2Matrix(n, n, rows)
+            pair = clifford._gl_pair(rows)
+            if f2linalg.rank(m) < n:
+                assert pair is None
+            else:
+                assert pair == (m, f2linalg.inverse(m))
+    # Past n = 3 the sampler does not fill the memo.
+    held = clifford._gl_pair.cache_info().currsize
+    random_clifford_from(np.random.default_rng(0), 4)
+    assert clifford._gl_pair.cache_info().currsize == held
 
 
 def test_single_qubit_coset_frequencies():

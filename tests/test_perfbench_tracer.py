@@ -24,7 +24,7 @@ import numpy as np
 
 import tracer
 from statesynth import executors, synthesis
-from statesynth.numerics import PureState
+from statesynth.numerics import PureState, haar_random_state
 
 trace = tracer.Tracer()
 tracer.install(trace)
@@ -36,6 +36,9 @@ executors.run_postselect(plan, oracle)
 executors.run_one_query(psi, 0.1, **kw)
 executors.run_ten_query(psi, 0.1, **kw)
 executors.run_four_query(psi, 0.1, **kw)
+# A plan whose searches reach random trials (T = 4).
+synthesis.build_plan(haar_random_state(2, 3), synthesis.derive_params(2, 0.25, t_override=2),
+                     seed=3)
 print(json.dumps(trace.layer_metrics()))
 """
 
@@ -68,5 +71,8 @@ def test_tracer_reaches_every_wrapped_layer():
         assert metrics[key] > 0, key
     # One query each for postselect and one-query, ten and four.
     assert metrics["executors.queries"] == 16
-    # One C^dagger per search trial and one C per step of the T = 4 plan.
-    assert metrics["clifford.apply.calls"] == metrics["clifford.search.trials"] + 4
+    # One C^dagger per search trial and one C per step of the two T = 4 plans.
+    assert metrics["clifford.apply.calls"] == metrics["clifford.search.trials"] + 8
+    # Trials past the identity are counted at `random_clifford_from`, so a
+    # search that drew its Cliffords some other way would count none.
+    assert metrics["clifford.search.trials"] > metrics["clifford.search.calls"]

@@ -17,7 +17,7 @@ from statesynth import clifford as cliff
 from statesynth.clifford import SearchExhaustedError, desc_to_bytes, identity_desc, sr
 from statesynth.f2linalg import F2Matrix, apply_to_index
 from statesynth.numerics import PureState, haar_random_state
-from statesynth.rng import derive_seed, substream
+from statesynth.rng import derive_seed, first_uniforms, substream
 from statesynth.synthesis import (
     ORACLE_MAGIC,
     HashState,
@@ -124,6 +124,34 @@ def test_perturbed_sign_tie_depends_on_seed_only():
         assert perturbed_sign(0j, 0.5, 11, seed) == first
     with pytest.raises(ValueError):
         perturbed_sign(1 + 0j, -0.1, 0, 0)
+
+
+def test_first_uniforms_are_the_generator_draws():
+    # perturbed_sign reads the raw PCG64 outputs of its substream instead of
+    # building a Generator; the doubles must be the Generator's, bit for bit.
+    for seed in range(20):
+        for address in range(200):
+            label = f"sign-perturbation-{address}"
+            rng = substream(seed, label)
+            want = [rng.uniform(), rng.uniform(0.0, 2.0 * math.pi)]
+            u, v = first_uniforms(seed, label, 2)
+            got = [u, 0.0 + 2.0 * math.pi * v]
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+def test_perturbed_sign_matches_generator_reference():
+    def reference(value, bound, address, seed):
+        rng = substream(seed, f"sign-perturbation-{address}")
+        radius = bound * math.sqrt(rng.uniform())
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        return sr(complex(value) + radius * complex(math.cos(angle), math.sin(angle)))
+
+    values = (0j, 0.01 + 0.3j, -0.02 - 0.1j, 0.05j, -1e-3 + 0j)
+    for seed in range(4):
+        for address in range(50):
+            for value in values:
+                got = perturbed_sign(value, 0.05, address, seed)
+                assert got == reference(value, 0.05, address, seed)
 
 
 def test_build_plan_uniform_target_first_step():
