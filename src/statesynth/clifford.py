@@ -28,10 +28,11 @@ search builds its random substream only when it reaches trial 1.  A random
 trial costs about what its draws cost: `random_clifford_from` takes one
 block of digits per description, plus one per rejected GL_n(F2) candidate,
 with the values and the stream state of a sampler drawing round by round,
-so equal seeds give equal descriptions.  Up to n = 3 a candidate's
-invertibility and inverse come from a bounded cache keyed by its packed
-rows.  A round that every row of a layer shares (so every round of a
-one-description layer) compiles once, with no per-row bookkeeping.
+so equal seeds give equal descriptions; `f2linalg.invertible_pair` accepts
+or rejects each candidate, from a memo up to n = 3.  A layer whose rows all
+hold one description (so every one-description layer) compiles that one
+row, whose ops broadcast over the others, and up to n = 3 a P row's S-power
+table comes from a memo.
 """
 
 from __future__ import annotations
@@ -206,21 +207,17 @@ def _qubit_bits(n: int, negate: bool) -> np.ndarray:
     return table
 
 
-#: Largest n at which a layer's S-power tables and the sampler's GL_n(F2)
-#: candidates are memoized.  Up to n = 3 the memos hold every key, 2 (4 + 16
-#: + 64) tables and 2 + 16 + 512 candidates, and most keys recur; from n = 4
-#: on (2^16 candidates and more) they would fill with keys seldom seen again.
-#: Larger n calls the functions through `__wrapped__`, past the cache.
-_MEMO_MAX_N = 3
+def _phase_row(digits: tuple[int, ...], negate: bool) -> np.ndarray:
+    """(2^n,) int8 S-power table of one row of a P round: entry x is the digit
+    sum over the set qubits of x, negated when asked, mod 4."""
+    return np.array(digits, dtype=np.int8) @ _qubit_bits(len(digits), negate) & 3
 
 
-@functools.lru_cache(maxsize=2 * (4 + 16 + 64))
-def _phase_table(digits: tuple[int, ...], negate: bool) -> np.ndarray:
-    """(2^n,) int8 S-power table of one P round: entry x is the digit sum over
-    the set qubits of x, negated when asked, mod 4."""
-    table = np.array(digits, dtype=np.int8) @ _qubit_bits(len(digits), negate) & 3
-    table.flags.writeable = False
-    return table
+#: Up to n = 3 the memo holds every row, 2 (4 + 16 + 64), and the searches'
+#: one-description layers compile the same rows again and again; from n = 4
+#: on the rows seldom recur, so larger n skips it.
+_PHASE_MEMO_MAX_N = 3
+_memo_phase_row = functools.lru_cache(maxsize=2 * (4 + 16 + 64))(_phase_row)
 
 
 def _butterfly(amps: np.ndarray, n: int, i: int, rows: np.ndarray | None) -> None:
@@ -261,58 +258,44 @@ class CliffordLayer:
         self.k = k
         eye = tuple(1 << c for c in range(n))
         no_phase = (0,) * n
-        # Flat indices into the (k, 2^n) array: row r starts at r 2^n.
-        offsets = (np.arange(k) << n)[:, None] if k > 1 else 0
         # Index maps by matrix rows, so a repeated matrix is mapped once.
         images: dict[tuple[int, ...], np.ndarray] = {}
-
-        def index_map(m: F2Matrix) -> np.ndarray:
-            if m.row_bits not in images:
-                images[m.row_bits] = f2linalg.apply_to_all(m)
-            return images[m.row_bits]
-
         last = len(ROUND_PATTERN) - 1
         ops: list[tuple[str, object]] = []
+        # A layer whose rows all hold one description (always when k = 1)
+        # compiles that one row, and its ops broadcast over the others.
+        if all(d is descs[0] for d in descs):
+            descs = descs[:1]
+        rows = len(descs)
         for pos in range(last + 1) if invert else range(last, -1, -1):
             rounds = [d.rounds[pos] for d in descs]
             kind = ROUND_PATTERN[pos]
-            # A round that every row shares (always, for one description)
-            # compiles once and broadcasts over the rows.
-            first = rounds[0]
-            shared = all(r is first for r in rounds)
             # Rounds that leave every row as it is compile to nothing.
             if kind == "H":
-                if shared:
-                    qubits = [(i, None) for i, bit in enumerate(first.bits) if bit]
-                else:
-                    qubits = []
-                    for i, column in enumerate(zip(*[r.bits for r in rounds])):
-                        hits = k - column.count(0)
-                        if hits:
-                            qubits.append((i, None if hits == k else np.flatnonzero(column)))
+                qubits = []
+                for i, column in enumerate(zip(*[r.bits for r in rounds])):
+                    hits = rows - column.count(0)
+                    if hits:
+                        qubits.append((i, None if hits == rows else np.flatnonzero(column)))
                 if qubits:
                     ops.append(("H", qubits))
             elif kind == "P":
-                if shared:
-                    if any(first.digits):
-                        phase_table = (
-                            _phase_table if n <= _MEMO_MAX_N else _phase_table.__wrapped__
-                        )
-                        ops.append(("P", phase_table(first.digits, invert)))
-                else:
-                    digits = [r.digits for r in rounds]
-                    if digits.count(no_phase) < k:
-                        table = np.array(digits, dtype=np.int8) @ _qubit_bits(n, invert)
-                        ops.append(("P", table & 3))
-            elif shared:
-                m = first.m if invert else first.m_inv
-                if m.row_bits != eye:
-                    index = index_map(m)
-                    ops.append(("C", index if k == 1 else (index + offsets).reshape(-1)))
+                digits = [r.digits for r in rounds]
+                if digits.count(no_phase) < rows:
+                    phase_row = _memo_phase_row if n <= _PHASE_MEMO_MAX_N else _phase_row
+                    ops.append(("P", np.array([phase_row(d, invert) for d in digits])))
             else:
                 mats = [r.m if invert else r.m_inv for r in rounds]
-                if [m.row_bits for m in mats].count(eye) < k:
-                    index = np.array([index_map(m) for m in mats]) + offsets
+                keys = [m.row_bits for m in mats]
+                if keys.count(eye) < rows:
+                    for key, m in zip(keys, mats):
+                        if key not in images:
+                            images[key] = f2linalg.apply_to_all(m)
+                    index = np.array([images[key] for key in keys])
+                    if k > 1:
+                        # Flat indices into the (k, 2^n) array: row r starts
+                        # at r 2^n.
+                        index = index + (np.arange(k) << n)[:, None]
                     ops.append(("C", index.reshape(-1)))
         self._ops = ops
 
@@ -369,20 +352,6 @@ def to_matrix(d: CliffordDesc) -> np.ndarray:
     return CliffordLayer([d] * dim)(np.eye(dim)).T.copy()
 
 
-@functools.lru_cache(maxsize=2 + 16 + 512)
-def _gl_pair(rows: tuple[int, ...]) -> tuple[F2Matrix, F2Matrix] | None:
-    """(M, M^-1) for the n x n candidate with these packed rows, None if singular.
-
-    Memoized up to n = _MEMO_MAX_N and filled lazily; the matrices are
-    immutable, so descriptions can share them.
-    """
-    n = len(rows)
-    m = F2Matrix(n, n, rows)
-    if f2linalg.rank(m) != n:
-        return None
-    return m, f2linalg.inverse(m)
-
-
 def random_clifford_from(rng: np.random.Generator, n: int) -> CliffordDesc:
     """One description with every round sampled uniformly from the given stream.
 
@@ -401,7 +370,6 @@ def random_clifford_from(rng: np.random.Generator, n: int) -> CliffordDesc:
     # a chunk; each chunk is read as digits, bits or a packed matrix row.
     # A 0/1 row times the weights 2^c is its packed int.
     weights = 1 << np.arange(n, dtype=np.int64)
-    gl_pair = _gl_pair if n <= _MEMO_MAX_N else _gl_pair.__wrapped__
     chunks = rng.integers(0, 4, size=6 * n + 5 * nn).reshape(-1, n)
     bits = chunks >> 1
     digit_rows = chunks.tolist()
@@ -417,7 +385,7 @@ def random_clifford_from(rng: np.random.Generator, n: int) -> CliffordDesc:
             rounds.append(PRound(tuple(digit_rows[i])))
             i += 1
         else:
-            while (pair := gl_pair(tuple(packed[i : i + n]))) is None:
+            while (pair := f2linalg.invertible_pair(tuple(packed[i : i + n]))) is None:
                 # A rejected candidate: the next n^2 values of the stream
                 # follow the block.
                 i += n

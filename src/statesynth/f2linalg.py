@@ -13,6 +13,7 @@ is the most significant bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,24 +144,33 @@ def rank(m: F2Matrix) -> int:
     return r
 
 
-def inverse(m: F2Matrix) -> F2Matrix:
-    """Inverse of a square full-rank matrix over GF(2)."""
-    if m.rows != m.cols:
-        raise ValueError(f"not square: {m.rows}x{m.cols}")
-    n = m.rows
-    left = list(m.row_bits)
+def _inverse_rows(rows: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Packed rows of the inverse of the square matrix with these rows, by
+    Gauss-Jordan elimination; None when it is singular."""
+    n = len(rows)
+    left = list(rows)
     right = [1 << c for c in range(n)]
     for c in range(n):
         pivot = next((i for i in range(c, n) if (left[i] >> c) & 1), None)
         if pivot is None:
-            raise ValueError("singular matrix has no inverse")
+            return None
         left[c], left[pivot] = left[pivot], left[c]
         right[c], right[pivot] = right[pivot], right[c]
         for i in range(n):
             if i != c and (left[i] >> c) & 1:
                 left[i] ^= left[c]
                 right[i] ^= right[c]
-    return F2Matrix(n, n, tuple(right))
+    return tuple(right)
+
+
+def inverse(m: F2Matrix) -> F2Matrix:
+    """Inverse of a square full-rank matrix over GF(2)."""
+    if m.rows != m.cols:
+        raise ValueError(f"not square: {m.rows}x{m.cols}")
+    inv = _inverse_rows(m.row_bits)
+    if inv is None:
+        raise ValueError("singular matrix has no inverse")
+    return F2Matrix(m.rows, m.cols, inv)
 
 
 def random_rows_from(rng: np.random.Generator, rows: int, cols: int) -> tuple[int, ...]:
@@ -174,12 +184,36 @@ def random_rows_from(rng: np.random.Generator, rows: int, cols: int) -> tuple[in
     return tuple((bits @ (1 << np.arange(cols, dtype=np.int64))).tolist())
 
 
+def _invertible_pair(rows: tuple[int, ...]) -> tuple[F2Matrix, F2Matrix] | None:
+    inv = _inverse_rows(rows)
+    if inv is None:
+        return None
+    n = len(rows)
+    return F2Matrix(n, n, rows), F2Matrix(n, n, inv)
+
+
+#: Up to n = 3 the memo holds every candidate, 2 + 16 + 512, and samplers
+#: draw most of them again and again; from n = 4 on (2^16 candidates and
+#: more) it would fill with candidates seldom seen twice, so those skip it.
+_PAIR_MEMO_MAX_N = 3
+_memo_pair = functools.lru_cache(maxsize=2 + 16 + 512)(_invertible_pair)
+
+
+def invertible_pair(rows: tuple[int, ...]) -> tuple[F2Matrix, F2Matrix] | None:
+    """(M, M^-1) for the n x n candidate with these n packed rows, None if singular.
+
+    The acceptance test of every GL_n(F2) rejection sampler.  Memoized up to
+    n = 3 and filled lazily; the matrices are immutable, so callers can share
+    them.
+    """
+    return (_memo_pair if len(rows) <= _PAIR_MEMO_MAX_N else _invertible_pair)(rows)
+
+
 def random_invertible_from(rng: np.random.Generator, n: int) -> F2Matrix:
     """Uniform element of GL_n(F2) by rejection sampling from the given stream."""
-    while True:
-        candidate = F2Matrix(n, n, random_rows_from(rng, n, n))
-        if rank(candidate) == n:
-            return candidate
+    while (pair := invertible_pair(random_rows_from(rng, n, n))) is None:
+        pass
+    return pair[0]
 
 
 def random_invertible(n: int, seed: int) -> F2Matrix:

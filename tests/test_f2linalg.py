@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statesynth import f2linalg, verify
+from statesynth.clifford import random_clifford_from
 from statesynth.f2linalg import (
     F2Matrix,
     apply_to_all,
@@ -164,6 +165,37 @@ def test_random_invertible_uniform_over_gl2():
     assert len(counts) == 6
     for value in counts.values():
         assert abs(value / samples - 1 / 6) < 0.02
+
+
+def test_invertible_pairs_match_rank_and_inverse():
+    for n in (1, 2, 3):
+        for entries in range(1 << (n * n)):
+            rows = tuple((entries >> (r * n)) & ((1 << n) - 1) for r in range(n))
+            m = F2Matrix(n, n, rows)
+            pair = f2linalg.invertible_pair(rows)
+            if rank(m) < n:
+                assert pair is None
+            else:
+                assert pair == (m, inverse(m))
+
+
+def _memo_lookups() -> int:
+    info = f2linalg._memo_pair.cache_info()
+    return info.hits + info.misses
+
+
+def test_invertible_pair_memo_stops_at_n3():
+    # Draws at n <= 3 look candidates up in the memo; from n = 4 on no
+    # caller touches it, so it never fills with candidates seen once.
+    before = _memo_lookups()
+    random_clifford_from(np.random.default_rng(0), 3)
+    random_invertible(3, 0)
+    assert _memo_lookups() >= before + 6
+    before = _memo_lookups()
+    random_clifford_from(np.random.default_rng(0), 4)
+    random_invertible(4, 0)
+    assert f2linalg.invertible_pair(tuple(F2Matrix.identity(4).row_bits)) is not None
+    assert _memo_lookups() == before
 
 
 def test_apply_to_index_examples():
