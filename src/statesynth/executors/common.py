@@ -90,14 +90,24 @@ def _weight_gates(weights: np.ndarray, t_reg: int) -> list[np.ndarray]:
     return gates
 
 
-def _index_qubit_gate(state: np.ndarray, t_reg: int, q: int, mat: np.ndarray) -> np.ndarray:
-    """Apply a 2x2 gate to index-register qubit q of a (2^t_reg, 2^n) state."""
-    tail = state.shape[1]
-    view = state.reshape(1 << q, 2, 1 << (t_reg - 1 - q), tail)
-    out = np.empty_like(view)
-    out[:, 0] = mat[0, 0] * view[:, 0] + mat[0, 1] * view[:, 1]
-    out[:, 1] = mat[1, 0] * view[:, 0] + mat[1, 1] * view[:, 1]
-    return out.reshape(state.shape)
+def _index_qubit_gate(view: np.ndarray, mat: np.ndarray, scratch: np.ndarray) -> None:
+    """Apply the 2x2 gate mat in place to the qubit that axis 1 of view
+    splits out, view being a (2^q, 2, 2^(t_reg-1-q), cols) reshape of an
+    index-register state.  scratch has view's shape with the size-2 axis
+    first.  Row 0 gets mat[0,0] v0 + mat[0,1] v1 and row 1 mat[1,0] v0 +
+    mat[1,1] v1, each product with the real coefficient as its left operand,
+    so the result is bit-identical to evaluating those sums into fresh
+    arrays."""
+    mul, add = np.multiply, np.add
+    v0, v1 = view[:, 0], view[:, 1]
+    s0, s1 = scratch
+    mul(mat[0, 0], v0, s0)
+    mul(mat[0, 1], v1, s1)
+    add(s0, s1, s0)
+    mul(mat[1, 0], v0, s1)
+    mul(mat[1, 1], v1, v1)
+    add(s1, v1, v1)
+    np.copyto(v0, s0)
 
 
 def _hadamard_target(state: np.ndarray, n: int) -> np.ndarray:
@@ -204,15 +214,27 @@ class PostselectCircuit:
         state[0, 0] = 1.0
         return state
 
-    def _load(self, state: np.ndarray) -> np.ndarray:
-        for q, gate in enumerate(self._gates):
-            state = _index_qubit_gate(state, self.t_reg, q, gate)
+    def _gate_index(self, state: np.ndarray, gates: list[np.ndarray], cols: int) -> np.ndarray:
+        """Apply gates[q] to index qubit q of state, in place, on its
+        first cols columns, through one scratch buffer."""
+        scratch = np.empty(self.rows * cols, dtype=np.complex128)
+        for q, gate in enumerate(gates):
+            split = (1 << q, 1 << (self.t_reg - 1 - q))
+            view = state.reshape(split[0], 2, split[1], self.dim)[..., :cols]
+            _index_qubit_gate(view, gate, scratch.reshape(2, *split, cols))
         return state
 
+    def _load(self, state: np.ndarray) -> np.ndarray:
+        # Only the leading columns holding a nonzero bit pattern are gated
+        # (-0.0 counts as occupied).  Columns act independently, and every
+        # weight gate row has a positive entry, so it would map a column of
+        # +0.0 to +0.0 anyway: the zero state loads one column, not 2^n.
+        occupied = np.flatnonzero(state.view(np.uint64).any(axis=0))
+        cols = int(occupied[-1]) // 2 + 1 if occupied.size else 0
+        return self._gate_index(state, self._gates, cols)
+
     def _unload(self, state: np.ndarray) -> np.ndarray:
-        for q, gate in enumerate(self._gates):
-            state = _index_qubit_gate(state, self.t_reg, q, gate.T)
-        return state
+        return self._gate_index(state, [gate.T for gate in self._gates], self.dim)
 
     def _query(self, state: np.ndarray) -> np.ndarray:
         self.query_count += 1

@@ -32,7 +32,7 @@ from statesynth.executors import (
     run_postselect,
     run_ten_query,
 )
-from statesynth.executors.common import _hadamard_target, _PlanarRotation
+from statesynth.executors.common import PreparedCircuit, _hadamard_target, _PlanarRotation
 from statesynth.executors.four_query import default_copy_count as four_query_copies
 from statesynth.executors.four_query import expand_structured
 from statesynth.executors.one_query import default_copy_count as one_query_copies
@@ -357,6 +357,63 @@ def test_circuit_dagger_undoes_apply():
             assert np.linalg.norm(circuit.apply_dagger(circuit.apply(zero)) - zero) <= 1e-12
             degenerate += sum(rot.frames is None for _, rot in circuit._rotations)
     assert degenerate > 0
+
+
+def _index_gate_reference(state: np.ndarray, t_reg: int, q: int, mat: np.ndarray) -> np.ndarray:
+    """The allocate-per-gate index-qubit gate: the bit-for-bit reference for
+    the in-place gates of PostselectCircuit._load and _unload."""
+    tail = state.shape[1]
+    view = state.reshape(1 << q, 2, 1 << (t_reg - 1 - q), tail)
+    out = np.empty_like(view)
+    out[:, 0] = mat[0, 0] * view[:, 0] + mat[0, 1] * view[:, 1]
+    out[:, 1] = mat[1, 0] * view[:, 0] + mat[1, 1] * view[:, 1]
+    return out.reshape(state.shape)
+
+
+def _gates_reference(circuit: PostselectCircuit, state: np.ndarray, transpose: bool) -> np.ndarray:
+    for q, gate in enumerate(circuit._gates):
+        state = _index_gate_reference(state, circuit.t_reg, q, gate.T if transpose else gate)
+    return state
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def test_index_register_gates_match_reference_bit_for_bit():
+    psi = haar_random_state(3, 8)
+    hash_plan = build_plan(psi, derive_hash_params(3, EPS), strategy="hash", seed=2)
+    assert hash_plan.track_count == 2
+    rng = np.random.default_rng(29)
+    for plan in (build_plan(psi, derive_params(3, EPS), seed=2), hash_plan):
+        circuit = PostselectCircuit(plan, plan_to_oracle(plan))
+        zero = circuit.zero_state()
+        dense = rng.standard_normal(zero.shape) + 1j * rng.standard_normal(zero.shape)
+        signed = dense.copy()
+        signed[::3] = -0.0
+        signed[1::5, 2] = complex(-0.0, -0.0)
+        leading = dense.copy()
+        leading[:, 3:] = 0.0
+        stray = zero.copy()
+        stray[5, 6] = -0.0  # all else +0.0: the -0.0 column still gets gated
+        for state in (zero, dense, signed, leading, stray, np.zeros_like(zero)):
+            assert _same_bits(circuit._load(state.copy()), _gates_reference(circuit, state, False))
+            assert _same_bits(circuit._unload(state.copy()), _gates_reference(circuit, state, True))
+
+        reference = PostselectCircuit(plan, plan_to_oracle(plan))
+        want = _hadamard_target(_gates_reference(reference, reference.zero_state(), False), 3)
+        want = reference._steps(reference._query(want), invert=False)
+        want = _gates_reference(reference, want, True)
+        assert _same_bits(circuit.prepare(), want)
+        assert circuit.query_count == reference.query_count == 1
+
+        before = signed.copy()
+        circuit.apply(signed)
+        circuit.apply_dagger(signed)
+        ideal = PreparedCircuit(plan, plan_to_oracle(plan), ideal=True)
+        ideal.apply(signed)
+        ideal.apply_dagger(signed)
+        assert _same_bits(signed, before)
 
 
 def test_four_query_rejects_bad_copy_count():

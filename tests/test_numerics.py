@@ -10,8 +10,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from statesynth import numerics
+from statesynth.executors import run_one_query
 from statesynth.numerics import (
     DensityMatrix,
+    EigensolverError,
     PureState,
     haar_random_state,
     hermitian_eigenvalues,
@@ -21,6 +24,7 @@ from statesynth.numerics import (
     trace_distance_mixed,
     trace_distance_pure,
 )
+from statesynth.synthesis import build_plan, derive_hash_params, derive_params
 
 
 def _ket(n: int, x: int) -> PureState:
@@ -89,6 +93,100 @@ def test_hermitian_eigenvalues_against_numpy():
 def test_hermitian_eigenvalues_rejects_non_square():
     with pytest.raises(ValueError):
         hermitian_eigenvalues(np.zeros((2, 3)))
+
+
+def _jacobi_reference(mat: np.ndarray) -> np.ndarray:
+    """The allocate-per-rotation Jacobi loop, verbatim: the bit-for-bit
+    reference for numerics._jacobi_eigvalsh."""
+    a = np.array(mat, dtype=np.complex128)
+    dim = a.shape[0]
+    if dim == 1:
+        return a.diagonal().real.copy()
+    scale = max(float(np.linalg.norm(a)), 1.0)
+    for _ in range(numerics.JACOBI_MAX_SWEEPS):
+        off = a.copy()
+        np.fill_diagonal(off, 0.0)
+        if float(np.linalg.norm(off)) <= numerics.JACOBI_TOL * scale:
+            return np.sort(a.diagonal().real)
+        for p in range(dim - 1):
+            for q in range(p + 1, dim):
+                apq = a[p, q]
+                if abs(apq) == 0.0:
+                    continue
+                app = a[p, p].real
+                aqq = a[q, q].real
+                phase = apq / abs(apq)
+                tau = (aqq - app) / (2.0 * abs(apq))
+                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0.0 else 1.0
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                col_p = a[:, p].copy()
+                col_q = a[:, q].copy()
+                a[:, p] = c * col_p - s * np.conj(phase) * col_q
+                a[:, q] = s * col_p + c * np.conj(phase) * col_q
+                row_p = a[p, :].copy()
+                row_q = a[q, :].copy()
+                a[p, :] = c * row_p - s * phase * row_q
+                a[q, :] = s * row_p + c * phase * row_q
+    raise EigensolverError("reference did not converge")
+
+
+def _random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
+    raw = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (raw + raw.conj().T) / 2
+
+
+def _one_query_difference(psi: PureState, plan) -> np.ndarray:
+    """rho - |psi><psi| of the plan's one-query output, with the operands in
+    the order trace_distance_mixed subtracts them."""
+    rho = run_one_query(psi, 0.25, plan=plan).output_reduced.entries
+    target = np.outer(psi.amps, np.conj(psi.amps))
+    first, second = sorted((rho, target), key=lambda m: m.tobytes())
+    return first - second
+
+
+def _assert_same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_jacobi_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(47)
+    mats = [_random_hermitian(dim, rng) for dim in (1, 2, 3, 4, 8, 16, 33, 64)]
+    clifford_psi = haar_random_state(6, 3)
+    hash_psi = haar_random_state(5, 4)
+    mats.append(_one_query_difference(
+        clifford_psi, build_plan(clifford_psi, derive_params(6, 0.25), seed=3)))
+    hash_plan = build_plan(hash_psi, derive_hash_params(5, 0.25), strategy="hash", seed=4)
+    assert hash_plan.track_count == 2
+    mats.append(_one_query_difference(hash_psi, hash_plan))
+    # Two dense blocks with zero coupling: every cross pair takes the
+    # abs(apq) == 0.0 skip.
+    block = np.zeros((12, 12), dtype=complex)
+    block[:5, :5] = _random_hermitian(5, rng)
+    block[5:, 5:] = _random_hermitian(7, rng)
+    mats.append(block)
+    for mat in mats:
+        _assert_same_bits(hermitian_eigenvalues(mat), _jacobi_reference(mat))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_hermitian_eigenvalues_rejects_non_finite(bad):
+    # Before the check, inf returned the diagonal (sixteen 1.0s) and NaN ran
+    # every sweep before EigensolverError.
+    mat = np.eye(16, dtype=complex)
+    mat[3, 5] = mat[5, 3] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        hermitian_eigenvalues(mat)
+    with pytest.raises(ValueError, match="non-finite"):
+        trace_distance_mixed(DensityMatrix(4, mat), DensityMatrix(4, np.eye(16) / 16))
+
+
+def test_jacobi_sweep_cap_raises(monkeypatch):
+    monkeypatch.setattr(numerics, "JACOBI_MAX_SWEEPS", 1)
+    mat = _random_hermitian(8, np.random.default_rng(5))
+    with pytest.raises(EigensolverError, match="within 1 sweeps"):
+        hermitian_eigenvalues(mat)
 
 
 def test_trace_distance_mixed_examples():
