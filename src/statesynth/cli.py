@@ -6,10 +6,12 @@ plan's oracle to its binary format; `verify` runs every module's randomized
 invariant suite; `geometry` evaluates cap fractions, sphere measures, and
 the circuit-count coverage deficit.
 
-Configs are single JSON documents with a fixed key set (unknown keys are an
-error, catching typos that would silently change an experiment).  All
-randomness flows from the config seed through named substreams.  Exit codes:
-0 success, 2 config error, 3 guarantee violation found by `verify`.
+Configs are single JSON documents whose keys and defaults are the fields of
+`ExperimentConfig` (unknown keys are an error, catching typos that would
+silently change an experiment).  `parse_config` checks every value before
+anything runs, and a sweep checks all its rows first.  All randomness flows
+from the config seed through named substreams.  Exit codes: 0 success, 2
+config error, 3 guarantee violation found by `verify`.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -64,21 +66,11 @@ REPORT_COLUMNS = (
 ALGORITHMS = ("postselect", "one-query", "four-query", "ten-query")
 STRATEGIES = ("clifford", "hash")
 MODES = ("exact", "perturbed")
-_TARGET_KINDS = ("haar", "explicit", "named")
+_CHOICES = {"algorithm": ALGORITHMS, "strategy": STRATEGIES, "mode": MODES}
+#: The keys each target kind takes besides "kind".
+_TARGET_KEYS = {"haar": {"seed"}, "explicit": {"amplitudes"}, "named": {"name"}}
+_TARGET_KINDS = tuple(_TARGET_KEYS)
 _NAMED_TARGETS = ("ghz", "w", "uniform")
-
-_CONFIG_KEYS = {
-    "n",
-    "epsilon",
-    "algorithm",
-    "strategy",
-    "mode",
-    "target",
-    "seed",
-    "overrides",
-    "report_path",
-    "oracle_path",
-}
 
 
 class ConfigError(Exception):
@@ -87,6 +79,9 @@ class ConfigError(Exception):
 
 @dataclass
 class ExperimentConfig:
+    """One experiment.  The fields are the config keys, and their defaults
+    fill in the keys a config leaves out."""
+
     n: int
     epsilon: float
     algorithm: str
@@ -99,110 +94,133 @@ class ExperimentConfig:
     oracle_path: str | None = None
 
     def to_doc(self) -> dict:
-        doc = {
-            "n": self.n,
-            "epsilon": self.epsilon,
-            "algorithm": self.algorithm,
-            "strategy": self.strategy,
-            "mode": self.mode,
-            "target": dict(self.target),
-            "seed": self.seed,
-            "overrides": dict(self.overrides),
-        }
-        if self.report_path is not None:
-            doc["report_path"] = self.report_path
-        if self.oracle_path is not None:
-            doc["oracle_path"] = self.oracle_path
-        return doc
+        """The config document; parse_config(to_doc()) gives the config back."""
+        return {key: value for key, value in asdict(self).items() if value is not None}
+
+
+_FIELD_NAMES = frozenset(f.name for f in fields(ExperimentConfig))
+_REQUIRED_KEYS = tuple(
+    f.name
+    for f in fields(ExperimentConfig)
+    if f.default is MISSING and f.default_factory is MISSING
+)
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: true and false do not count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A JSON number within float range: not NaN, Infinity, true or false."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
+    """Check a config document against the schema and every value rule.
+
+    Each rejection is a ConfigError raised here, so nothing runs on a
+    config that would fail part way.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - _CONFIG_KEYS
+    unknown = set(doc) - _FIELD_NAMES
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for key in ("n", "epsilon", "algorithm"):
+    for key in _REQUIRED_KEYS:
         if key not in doc:
             raise ConfigError(f"config is missing required key {key!r}")
-    n = doc["n"]
-    if not isinstance(n, int) or n < 1:
-        raise ConfigError(f"n must be a positive integer, got {n!r}")
-    epsilon = doc["epsilon"]
+    config = ExperimentConfig(**doc)
+    if not _is_int(config.n) or config.n < 1:
+        raise ConfigError(f"n must be a positive integer, got {config.n!r}")
+    epsilon = config.epsilon
     if not isinstance(epsilon, (int, float)) or not 0.0 < epsilon < 0.5:
         raise ConfigError(
             f"epsilon must lie in the open interval (0, 1/2), got {epsilon!r}"
         )
-    algorithm = doc["algorithm"]
-    if algorithm not in ALGORITHMS:
-        raise ConfigError(f"algorithm must be one of {ALGORITHMS}, got {algorithm!r}")
-    strategy = doc.get("strategy", "clifford")
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"strategy must be one of {STRATEGIES}, got {strategy!r}")
-    mode = doc.get("mode", "exact")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    target = doc.get("target", {"kind": "haar"})
-    _check_target(target)
-    overrides = doc.get("overrides", {})
-    if not isinstance(overrides, dict):
+    config.epsilon = float(epsilon)
+    for key, choices in _CHOICES.items():
+        value = getattr(config, key)
+        if value not in choices:
+            raise ConfigError(f"{key} must be one of {choices}, got {value!r}")
+    if not _is_int(config.seed):
+        raise ConfigError(f"seed must be an integer, got {config.seed!r}")
+    _check_target(config.target, config.n)
+    if not isinstance(config.overrides, dict):
         raise ConfigError("overrides must be an object")
-    bad = set(overrides) - {"s", "t"}
+    bad = set(config.overrides) - {"s", "t"}
     if bad:
         raise ConfigError(f"unknown override keys: {sorted(bad)}")
-    for key, value in overrides.items():
-        if not isinstance(value, int) or value < 1:
+    for key, value in config.overrides.items():
+        if not _is_int(value) or value < 1:
             raise ConfigError(f"override {key!r} must be a positive integer")
-    return ExperimentConfig(
-        n=n,
-        epsilon=float(epsilon),
-        algorithm=algorithm,
-        strategy=strategy,
-        mode=mode,
-        target=target,
-        seed=seed,
-        overrides=overrides,
-        report_path=doc.get("report_path"),
-        oracle_path=doc.get("oracle_path"),
-    )
+    for key in ("report_path", "oracle_path"):
+        value = getattr(config, key)
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string, got {value!r}")
+    return config
 
 
-def _check_target(target: dict) -> None:
+def _check_target(target, n: int) -> None:
     if not isinstance(target, dict) or "kind" not in target:
         raise ConfigError("target must be an object with a 'kind' key")
     kind = target["kind"]
     if kind not in _TARGET_KINDS:
         raise ConfigError(f"target kind must be one of {_TARGET_KINDS}, got {kind!r}")
+    extra = set(target) - {"kind"} - _TARGET_KEYS[kind]
+    if extra:
+        raise ConfigError(f"unknown {kind} target keys: {sorted(extra)}")
     if kind == "haar":
-        extra = set(target) - {"kind", "seed"}
-        if extra:
-            raise ConfigError(f"unknown haar target keys: {sorted(extra)}")
-        if "seed" in target and not isinstance(target["seed"], int):
+        if "seed" in target and not _is_int(target["seed"]):
             raise ConfigError("haar target seed must be an integer")
-    elif kind == "explicit":
-        extra = set(target) - {"kind", "amplitudes"}
-        if extra:
-            raise ConfigError(f"unknown explicit target keys: {sorted(extra)}")
-        if "amplitudes" not in target or not isinstance(target["amplitudes"], list):
-            raise ConfigError("explicit target needs an 'amplitudes' list")
-    else:
-        extra = set(target) - {"kind", "name"}
-        if extra:
-            raise ConfigError(f"unknown named target keys: {sorted(extra)}")
+    elif kind == "named":
         if target.get("name") not in _NAMED_TARGETS:
             raise ConfigError(f"named target must be one of {_NAMED_TARGETS}")
+    else:
+        _check_amplitudes(target.get("amplitudes"), n)
+
+
+def _amplitudes(raw: list) -> np.ndarray:
+    """Explicit target entries, numbers or [re, im] pairs, as a complex vector."""
+    amps = np.zeros(len(raw), dtype=np.complex128)
+    for i, entry in enumerate(raw):
+        amps[i] = complex(entry[0], entry[1]) if isinstance(entry, list) else entry
+    return amps
+
+
+def _check_amplitudes(raw, n: int) -> None:
+    if not isinstance(raw, list):
+        raise ConfigError("explicit target needs an 'amplitudes' list")
+    if len(raw) != 1 << n:
+        raise ConfigError(f"explicit target needs {1 << n} amplitudes, got {len(raw)}")
+    for entry in raw:
+        parts = entry if isinstance(entry, list) and len(entry) == 2 else [entry]
+        if not all(_is_finite(part) for part in parts):
+            raise ConfigError(
+                "explicit amplitudes must be finite numbers or [re, im] pairs "
+                f"of finite numbers, got {entry!r}"
+            )
+    norm = float(np.linalg.norm(_amplitudes(raw)))
+    if abs(norm - 1.0) > 1e-6:
+        raise ConfigError(
+            f"explicit target norm {norm} deviates from 1 by more than 1e-6"
+        )
+
+
+def _read_json(path: str):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
 
 
 def load_config(path: str) -> ExperimentConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(doc)
+    return parse_config(_read_json(path))
 
 
 def _named_state(name: str, n: int) -> np.ndarray:
@@ -219,36 +237,21 @@ def _named_state(name: str, n: int) -> np.ndarray:
 
 
 def target_state(config: ExperimentConfig) -> tuple[PureState, bool]:
-    """The configured target and whether it had to be renormalized."""
+    """The configured target and whether it had to be renormalized.
+
+    parse_config has checked the target, so this only converts it.
+    """
     kind = config.target["kind"]
     if kind == "haar":
         seed = config.target.get("seed", config.seed)
         return haar_random_state(config.n, seed), False
     if kind == "named":
         return PureState(config.n, _named_state(config.target["name"], config.n)), False
-    raw = config.target["amplitudes"]
-    if len(raw) != 1 << config.n:
-        raise ConfigError(
-            f"explicit target needs {1 << config.n} amplitudes, got {len(raw)}"
-        )
-    amps = np.zeros(1 << config.n, dtype=np.complex128)
-    for i, entry in enumerate(raw):
-        if isinstance(entry, (int, float)):
-            amps[i] = entry
-        elif isinstance(entry, list) and len(entry) == 2:
-            amps[i] = complex(entry[0], entry[1])
-        else:
-            raise ConfigError(
-                "explicit amplitudes must be numbers or [re, im] pairs"
-            )
+    amps = _amplitudes(config.target["amplitudes"])
     norm = float(np.linalg.norm(amps))
-    if abs(norm - 1.0) > 1e-6:
-        raise ConfigError(
-            f"explicit target norm {norm} deviates from 1 by more than 1e-6"
-        )
     if norm == 1.0:
         return PureState(config.n, amps), False
-    return PureState(config.n, amps / norm), norm != 1.0
+    return PureState(config.n, amps / norm), True
 
 
 def _plan_for(config: ExperimentConfig, psi: PureState) -> tuple[SynthesisPlan, OracleSpec]:
@@ -343,7 +346,7 @@ def _expand_sweep(doc: dict) -> list[ExperimentConfig]:
     grid = doc.get("grid", {})
     if not isinstance(base, dict) or not isinstance(grid, dict):
         raise ConfigError("sweep 'base' and 'grid' must be objects")
-    bad = set(grid) - _CONFIG_KEYS
+    bad = set(grid) - _FIELD_NAMES
     if bad:
         raise ConfigError(f"unknown grid keys: {sorted(bad)}")
     keys = list(grid)
@@ -359,12 +362,7 @@ def _expand_sweep(doc: dict) -> list[ExperimentConfig]:
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-    configs = _expand_sweep(doc)
+    configs = _expand_sweep(_read_json(args.config))
     if args.jobs > 1:
         # Processes, not threads: the drivers hold the interpreter lock.
         # Imported here: at module level the process-pool modules added

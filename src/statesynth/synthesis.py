@@ -113,6 +113,11 @@ def harmonic_number(m: int) -> float:
     return float(np.sum(1.0 / np.arange(1, m + 1)))
 
 
+def _hash_alpha_floor(n: int) -> float:
+    """The hash-state overlap floor 1 / (2 sqrt(2) sqrt(H_{2^n}))."""
+    return 1.0 / (_SQRT8 * math.sqrt(harmonic_number(1 << n)))
+
+
 def derive_hash_params(n: int, epsilon: float, t_override: int | None = None) -> SynthesisParams:
     """Hash-strategy parameters.
 
@@ -125,7 +130,7 @@ def derive_hash_params(n: int, epsilon: float, t_override: int | None = None) ->
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     _check_epsilon(epsilon)
-    alpha = 1.0 / (_SQRT8 * math.sqrt(harmonic_number(1 << n)))
+    alpha = _hash_alpha_floor(n)
     beta = math.sqrt(1.0 - alpha * alpha)
     t = 0
     while beta ** (1 << t) > 0.01 * epsilon:
@@ -450,7 +455,7 @@ def _hash_steps(
     seed: int,
     max_trials: int,
 ) -> tuple[list[PlanStep], list[float]]:
-    expected_alpha = 1.0 / (_SQRT8 * math.sqrt(harmonic_number(1 << psi.n)))
+    expected_alpha = _hash_alpha_floor(psi.n)
     if params.alpha > expected_alpha + 1e-12:
         raise ValueError(
             "hash strategy needs alpha at or below the guaranteed overlap floor "
@@ -500,6 +505,8 @@ def build_plan(
     """
     if params.n != psi.n:
         raise ValueError(f"params are for n={params.n}, target has n={psi.n}")
+    if not np.isfinite(psi.amps).all():
+        raise ValueError("target amplitudes must be finite")
     nrm = float(np.linalg.norm(psi.amps))
     if nrm == 0.0:
         raise ValueError("zero-norm target")

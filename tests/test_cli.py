@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from statesynth import cli
 from statesynth.cli import (
     REPORT_COLUMNS,
     ConfigError,
@@ -220,6 +221,58 @@ def test_main_synth_bad_config_exits_2(tmp_path, capsys):
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert main(["synth", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+_NAN = float("nan")
+
+#: Configs that break one value rule each, as JSON text (json.dumps writes
+#: NaN as the bare `NaN` token, which json.load accepts).
+_SCHEMA_REJECTIONS = {
+    "amplitude-not-a-number": _base_doc(
+        n=1, target={"kind": "explicit", "amplitudes": [["a", 1], 0]}),
+    "amplitude-nan": _base_doc(n=1, target={"kind": "explicit", "amplitudes": [_NAN, 0]}),
+    "amplitude-pair-nan": _base_doc(
+        n=1, target={"kind": "explicit", "amplitudes": [[1.0, _NAN], 0]}),
+    "amplitude-infinite": _base_doc(
+        n=1, target={"kind": "explicit", "amplitudes": [float("inf"), 0]}),
+    "amplitude-boolean": _base_doc(n=1, target={"kind": "explicit", "amplitudes": [True, 0]}),
+    "amplitude-count": _base_doc(n=2, target={"kind": "explicit", "amplitudes": [1.0, 0.0]}),
+    "amplitude-norm": _base_doc(n=1, target={"kind": "explicit", "amplitudes": [1.0, 1.0]}),
+    "report-path-list": _base_doc(report_path=["x"]),
+    "oracle-path-number": _base_doc(oracle_path=7),
+    "n-boolean": _base_doc(n=True),
+    "seed-boolean": _base_doc(seed=False),
+    "haar-seed-boolean": _base_doc(target={"kind": "haar", "seed": True}),
+    "override-boolean": _base_doc(algorithm="one-query", overrides={"s": True}),
+    "strategy-list": _base_doc(strategy=["hash"]),
+    "target-kind-list": _base_doc(target={"kind": ["haar"]}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCHEMA_REJECTIONS))
+def test_main_synth_schema_rejection_exits_2(tmp_path, capsys, name):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_SCHEMA_REJECTIONS[name]), encoding="utf-8")
+    code = main(["synth", "--config", str(config_path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "report.csv").exists()
+
+
+def test_main_sweep_checks_every_row_before_running(tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "run_config", lambda config: runs.append(config))
+    good = {"kind": "explicit", "amplitudes": [1.0, 0.0]}
+    bad = {"kind": "explicit", "amplitudes": [_NAN, 0.0]}
+    doc = {"base": _base_doc(n=1), "grid": {"target": [good, bad]}}
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["sweep", "--config", str(config_path), "--out", str(tmp_path)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert runs == []
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in src/ and tests/ is used.
+"""Source hygiene: every module-level import in src/ and tests/ is used, and
+importing the CLI leaves the process-pool modules unimported.
 
 Package ``__init__.py`` files are exempt: their imports are re-exports.
 """
@@ -6,6 +7,9 @@ Package ``__init__.py`` files are exempt: their imports are re-exports.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,3 +40,18 @@ def test_no_unused_module_level_imports():
     assert files
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert unused == []
+
+
+def test_cli_import_leaves_process_pools_unimported():
+    # `sweep --jobs` imports them on use: at module level they would add
+    # their import time and memory to every import of statesynth.cli.
+    probe = (
+        "import sys, statesynth.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statesynth import clifford as cliff
+from statesynth import synthesis
 from statesynth.clifford import SearchExhaustedError, desc_to_bytes, identity_desc, sr
 from statesynth.f2linalg import F2Matrix, apply_to_index
 from statesynth.numerics import PureState, haar_random_state
@@ -613,6 +614,22 @@ def test_hash_state_for_first_preimage_rule():
         assert (hs.support, hs.signs) == _first_preimage_support(
             psi.amps.real, S, images, hs.k
         )
+
+
+@pytest.mark.parametrize("strategy", ["clifford", "hash"])
+def test_build_plan_rejects_non_finite_target_before_search(monkeypatch, strategy):
+    # A NaN passes both norm checks (every NaN comparison is false), so it
+    # must be caught on its own before the search starts.
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched for a step of a non-finite target")
+
+    monkeypatch.setattr(cliff, "find_overlap_clifford", no_search)
+    monkeypatch.setattr(synthesis, "hash_state_for", no_search)
+    derive = derive_params if strategy == "clifford" else derive_hash_params
+    for bad in ([math.nan, 0.0], [0.6, complex(0.0, math.nan)], [math.inf, 0.0]):
+        psi = PureState(1, np.array(bad, dtype=complex))
+        with pytest.raises(ValueError, match="must be finite"):
+            build_plan(psi, derive(1, 0.1), strategy=strategy)
 
 
 def test_hash_state_for_input_validation():
