@@ -20,6 +20,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields
@@ -330,10 +331,22 @@ def write_report(rows: list[dict], path: str, fmt: str = "csv") -> None:
         raise ConfigError(f"unknown report format {fmt!r}")
 
 
+def _check_writable(path: str) -> str:
+    """Open path for appending and close it again, removing it if this made
+    it, so that an unwritable report destination fails with open's own
+    error before any row runs."""
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+    return path
+
+
 def _cmd_synth(args) -> int:
     config = load_config(args.config)
+    path = _check_writable(config.report_path or f"{args.out}/report.{args.format}")
     row = run_config(config)
-    path = config.report_path or f"{args.out}/report.{args.format}"
     write_report([row], path, args.format)
     print(f"wrote {path}")
     return 0
@@ -363,6 +376,7 @@ def _expand_sweep(doc: dict) -> list[ExperimentConfig]:
 
 def _cmd_sweep(args) -> int:
     configs = _expand_sweep(_read_json(args.config))
+    path = _check_writable(f"{args.out}/sweep.{args.format}")
     if args.jobs > 1:
         # Processes, not threads: the drivers hold the interpreter lock.
         # Imported here: at module level the process-pool modules added
@@ -375,7 +389,6 @@ def _cmd_sweep(args) -> int:
             rows = list(pool.map(run_config, configs))
     else:
         rows = [run_config(c) for c in configs]
-    path = f"{args.out}/sweep.{args.format}"
     write_report(rows, path, args.format)
     print(f"wrote {path} ({len(rows)} rows)")
     return 0

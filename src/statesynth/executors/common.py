@@ -7,9 +7,18 @@ classical register), applies the indexed step transforms, and unloads the
 index register.  All drivers are built from forward/inverse applications of
 this circuit, so query and z bookkeeping live here.
 
+What A takes from the plan alone is built once per plan and shared by every
+driver call on it: the weight gates, the stacked sign bits and the +-1 sign
+matrix, the hash steps' planar rotations, and one batched Clifford step
+layer per direction over the steps whose description is not the identity,
+compiled on first use.  It is cached on the plan, so it lives exactly as
+long as the plan does.  Each driver call still builds its own
+:class:`PostselectCircuit`, which checks the oracle against the plan and
+counts the queries of that call.
+
 :class:`PreparedCircuit` is where every driver starts, and the one owner of
-A and A^dagger, ideal mode included.  It builds the circuit once per driver
-call, runs A|0> once, and holds the pieces all constructions share: the
+A and A^dagger, ideal mode included.  Per driver call it builds the circuit,
+runs A|0> once, and holds the pieces all constructions share: the
 actual state, its normalized junk direction tau_hat, the nominal amplitude
 gamma and delta = sqrt(1 - gamma^2).  In ideal mode the prepared state is
 the designed gamma |0..0>|psi> + delta |tau_hat>, and A is composed with a
@@ -111,9 +120,11 @@ def _index_qubit_gate(view: np.ndarray, mat: np.ndarray, scratch: np.ndarray) ->
 
 
 def _hadamard_target(state: np.ndarray, n: int) -> np.ndarray:
-    """H on every target-register qubit of a (rows, 2^n) state."""
+    """H on every target-register qubit of a (rows, 2^n) state, on large
+    states in place through one scratch buffer."""
+    scratch = cliff._butterfly_scratch(state)
     for i in range(n):
-        cliff._butterfly(state, n, i, None)
+        cliff._butterfly(state, n, i, None, scratch)
     return state
 
 
@@ -155,6 +166,68 @@ class _PlanarRotation:
         return self._map(v, inverse=True)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class _PlanCircuit:
+    """What the circuit A takes from the plan alone, shared by every
+    PostselectCircuit on the plan.
+
+    It holds the index-register weight gates and their transposes, the
+    stacked (T, 2^n) sign bits and the +-1 sign matrix the query multiplies
+    by, the hash steps' planar rotations, and the Clifford step rows whose
+    description is not ``identity_desc(n)``, with one CliffordLayer per
+    direction over just those rows, compiled on first use.  The identity
+    layer only copies, so leaving its rows out keeps every bit.  Nothing
+    here refers back to the plan, so caching it on the plan keeps no plan
+    alive.
+    """
+
+    def __init__(self, plan: SynthesisPlan) -> None:
+        steps = plan.steps
+        t_reg = plan.t_register
+        self.sign_bits = _read_only(np.stack([step.signs.bits for step in steps]))
+        self.sign_matrix = _read_only(1.0 - 2.0 * self.sign_bits.astype(np.float64))
+        weights = np.array([s.coefficient for s in steps])
+        self.gates = tuple(_read_only(gate) for gate in _weight_gates(weights, t_reg))
+        self.gates_t = tuple(gate.T for gate in self.gates)
+        rotations = []
+        scale = 1.0 / math.sqrt(1 << plan.params.n)
+        for j, step in enumerate(steps):
+            if step.kind == "hash":
+                w = step.signs.signs() * scale
+                xi = step.phase * step.hash_state.state_vector()
+                rotations.append((j, _PlanarRotation(w, xi)))
+        self.rotations = tuple(rotations)
+        identity = cliff.identity_desc(plan.params.n)
+        rows = [
+            j for j, step in enumerate(steps)
+            if step.kind == "clifford" and step.desc is not identity
+        ]
+        self.clifford_rows = _read_only(np.array(rows, dtype=np.intp))
+        self._descs = tuple(steps[j].desc for j in rows)
+        self._layers: dict[bool, cliff.CliffordLayer] = {}
+
+    def layer(self, invert: bool) -> cliff.CliffordLayer:
+        """The non-identity step rows compiled into one layer, per direction."""
+        layer = self._layers.get(invert)
+        if layer is None:
+            layer = self._layers[invert] = cliff.CliffordLayer(self._descs, invert)
+        return layer
+
+
+def _plan_circuit(plan: SynthesisPlan) -> _PlanCircuit:
+    """The plan's _PlanCircuit, built on first use and then cached in the
+    plan's instance dict, the way its cached desc_section and z are, so that
+    it is freed with the plan."""
+    parts = plan.__dict__.get("_plan_circuit")
+    if parts is None:
+        parts = plan.__dict__["_plan_circuit"] = _PlanCircuit(plan)
+    return parts
+
+
 class PostselectCircuit:
     """The plan's circuit A as an applicable unitary with query accounting.
 
@@ -164,6 +237,10 @@ class PostselectCircuit:
     which XORs the oracle's z string into the classical description
     register; that register is therefore the query parity times z, and
     z_register derives it from query_count.
+
+    Each instance checks its oracle against the plan and counts its own
+    queries; the gates, signs, rotations and compiled step layers come from
+    the plan's shared, once-built _PlanCircuit.
     """
 
     def __init__(self, plan: SynthesisPlan, oracle: OracleSpec) -> None:
@@ -174,8 +251,8 @@ class PostselectCircuit:
                 f"oracle shape ({oracle.n}, {oracle.t}, {oracle.T}) does not match "
                 f"plan ({n}, {plan.t_register}, {len(steps)})"
             )
-        plan_bits = np.stack([step.signs.bits for step in steps])
-        if not np.array_equal(oracle.sign_rows(), plan_bits):
+        parts = _plan_circuit(plan)
+        if not np.array_equal(oracle.sign_rows(), parts.sign_bits):
             raise OracleMismatchError("oracle sign table disagrees with the plan")
         if oracle.z != plan.z:
             raise OracleMismatchError("oracle description string disagrees with the plan")
@@ -185,20 +262,9 @@ class PostselectCircuit:
         self.dim = 1 << n
         self.t_reg = plan.t_register
         self.rows = 1 << self.t_reg
-        weights = np.array([s.coefficient for s in steps])
-        self._gates = _weight_gates(weights, self.t_reg)
-        self._sign_matrix = 1.0 - 2.0 * plan_bits.astype(np.float64)
-        self._rotations: list[tuple[int, _PlanarRotation]] = []
-        scale = 1.0 / math.sqrt(self.dim)
-        for j, step in enumerate(steps):
-            if step.kind == "hash":
-                w = step.signs.signs() * scale
-                xi = step.phase * step.hash_state.state_vector()
-                self._rotations.append((j, _PlanarRotation(w, xi)))
-        self._clifford_rows = [j for j, step in enumerate(steps) if step.kind == "clifford"]
-        # The step descriptions compiled into one batched layer, per direction,
-        # on first use.
-        self._layers: dict[bool, cliff.CliffordLayer] = {}
+        self._parts = parts
+        self._gates = parts.gates
+        self._rotations = parts.rotations
         self.query_count = 0
 
     @property
@@ -214,7 +280,9 @@ class PostselectCircuit:
         state[0, 0] = 1.0
         return state
 
-    def _gate_index(self, state: np.ndarray, gates: list[np.ndarray], cols: int) -> np.ndarray:
+    def _gate_index(
+        self, state: np.ndarray, gates: tuple[np.ndarray, ...], cols: int
+    ) -> np.ndarray:
         """Apply gates[q] to index qubit q of state, in place, on its
         first cols columns, through one scratch buffer."""
         scratch = np.empty(self.rows * cols, dtype=np.complex128)
@@ -234,22 +302,18 @@ class PostselectCircuit:
         return self._gate_index(state, self._gates, cols)
 
     def _unload(self, state: np.ndarray) -> np.ndarray:
-        return self._gate_index(state, [gate.T for gate in self._gates], self.dim)
+        return self._gate_index(state, self._parts.gates_t, self.dim)
 
     def _query(self, state: np.ndarray) -> np.ndarray:
         self.query_count += 1
-        return state * self._sign_matrix
+        return state * self._parts.sign_matrix
 
     def _steps(self, state: np.ndarray, invert: bool) -> np.ndarray:
         for j, rot in self._rotations:
             state[j] = rot.apply_inverse(state[j]) if invert else rot.apply(state[j])
-        rows = self._clifford_rows
-        if rows:
-            layer = self._layers.get(invert)
-            if layer is None:
-                descs = [self.plan.steps[j].desc for j in rows]
-                layer = self._layers[invert] = cliff.CliffordLayer(descs, invert)
-            state[rows] = layer(state[rows])
+        rows = self._parts.clifford_rows
+        if rows.size:
+            state[rows] = self._parts.layer(invert)(state[rows])
         return state
 
     def apply(self, state: np.ndarray) -> np.ndarray:
@@ -293,6 +357,10 @@ def ensure_plan(
 
 class PreparedCircuit:
     """The plan's A and A^dagger, and A|0..0>, for one driver call.
+
+    Each instance builds its own PostselectCircuit, so the oracle is checked
+    and the queries counted per call; what that circuit takes from the plan
+    alone is built once per plan and shared.
 
     actual is A|0..0> on the plan's circuit, tau_hat its normalized junk
     branch, gamma the nominal amplitude and delta = sqrt(1 - gamma^2).  The

@@ -275,6 +275,46 @@ def test_main_sweep_checks_every_row_before_running(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["synth-out", "synth-report-path", "sweep"])
+def test_unwritable_report_fails_before_any_row_runs(tmp_path, capsys, monkeypatch, command):
+    def unreachable(config):
+        raise AssertionError("run_config reached")
+
+    monkeypatch.setattr(cli, "run_config", unreachable)
+    missing = tmp_path / "no" / "such" / "dir"
+    doc = _base_doc()
+    argv = ["synth", "--out", str(missing)]
+    if command == "synth-report-path":
+        doc["report_path"] = str(missing / "report.csv")
+        argv = ["synth"]
+    elif command == "sweep":
+        doc = {"base": doc, "grid": {"n": [1, 2]}}
+        argv = ["sweep", "--out", str(missing)]
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(argv + ["--config", str(config_path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "No such file or directory" in err
+    assert "Traceback" not in err
+
+
+def test_report_destination_check_leaves_no_file(tmp_path, monkeypatch):
+    """The destination check creates nothing and truncates nothing when the
+    run then fails."""
+    def failing(config):
+        raise ValueError("run failed")
+
+    monkeypatch.setattr(cli, "run_config", failing)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(_base_doc()), encoding="utf-8")
+    argv = ["synth", "--config", str(config_path), "--out", str(tmp_path)]
+    assert main(argv) == 2
+    assert not (tmp_path / "report.csv").exists()
+    (tmp_path / "report.csv").write_text("old\n", encoding="utf-8")
+    assert main(argv) == 2
+    assert (tmp_path / "report.csv").read_text(encoding="utf-8") == "old\n"
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_main_sweep_expands_grid(tmp_path, jobs):
     doc = {

@@ -11,7 +11,7 @@ import pickle
 import numpy as np
 import pytest
 
-from statesynth import f2linalg
+from statesynth import clifford, f2linalg
 from statesynth.clifford import (
     CliffordDesc,
     CRound,
@@ -111,6 +111,40 @@ def test_full_h_round_builds_uniform_superposition():
         d = _with_round(identity_desc(n), 0, HRound((1,) * n))
         out = apply(d, _ket(n, 0))
         assert np.allclose(out.amps, np.full(1 << n, (1 << n) ** -0.5), atol=1e-12)
+
+
+def _butterfly_reference(amps: np.ndarray, n: int, i: int) -> None:
+    """The out-of-place all-rows butterfly: the bit-for-bit reference for
+    `clifford._butterfly(..., None, scratch)`, in place or not."""
+    view = amps.reshape(amps.shape[0], 1 << i, 2, 1 << (n - 1 - i))
+    a0 = view[:, :, 0].copy()
+    a1 = view[:, :, 1]
+    view[:, :, 0] = (a0 + a1) * clifford._INV_SQRT2
+    view[:, :, 1] = (a0 - a1) * clifford._INV_SQRT2
+
+
+def test_all_row_butterfly_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for n in range(1, 8):
+        for k in (1, 3, 8):
+            amps = rng.standard_normal((k, 1 << n)) + 1j * rng.standard_normal((k, 1 << n))
+            amps[::2, ::3] = -0.0
+            amps[1::3, 1::4] = complex(-0.0, 2.5)
+            amps[:, -1] = complex(0.0, -0.0)
+            want = amps.copy()
+            out_of_place = amps.copy()
+            # The in-place form, forced at every size: one scratch buffer
+            # serves every qubit, as in the callers.
+            scratch = np.empty(amps.size // 2, dtype=np.complex128)
+            for i in range(n):
+                _butterfly_reference(want, n, i)
+                clifford._butterfly(amps, n, i, None, scratch)
+                clifford._butterfly(out_of_place, n, i, None, None)
+                for got in (amps, out_of_place):
+                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, k, i)
+    # Large states get the scratch buffer, small ones the out-of-place form.
+    assert clifford._butterfly_scratch(np.empty((2048, 256), dtype=complex)).size == 1 << 18
+    assert clifford._butterfly_scratch(np.empty((256, 64), dtype=complex)) is None
 
 
 def test_to_matrix_gate_constants():

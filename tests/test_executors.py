@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import hashlib
 import itertools
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from statesynth.executors import (
     run_postselect,
     run_ten_query,
 )
+from statesynth.executors import common
 from statesynth.executors.common import PreparedCircuit, _hadamard_target, _PlanarRotation
 from statesynth.executors.four_query import default_copy_count as four_query_copies
 from statesynth.executors.four_query import expand_structured
@@ -43,6 +46,7 @@ from statesynth.numerics import (
     trace_distance_mixed,
 )
 from statesynth.synthesis import (
+    OracleSpec,
     build_plan,
     derive_hash_params,
     derive_params,
@@ -128,10 +132,98 @@ def test_batched_step_layer_matches_per_row():
 
 
 def test_postselect_oracle_mismatch_detected():
-    _, plan_a, _ = _plan_oracle(2, 2)
+    _, plan_a, oracle_a = _plan_oracle(2, 2)
     _, _, oracle_b = _plan_oracle(2, 3)
-    with pytest.raises(OracleMismatchError):
-        run_postselect(plan_a, oracle_b)
+    # Another plan's sign table, and this plan's signs with another z.
+    wrong_z = OracleSpec(oracle_a.n, oracle_a.t, oracle_a.sign_bits, oracle_b.desc_section)
+    for oracle in (oracle_b, wrong_z):
+        with pytest.raises(OracleMismatchError):
+            run_postselect(plan_a, oracle)
+    # The oracle is checked on every call, also once a driver has built the
+    # plan's shared circuit parts.
+    run_postselect(plan_a, oracle_a)
+    for oracle in (oracle_b, wrong_z):
+        with pytest.raises(OracleMismatchError):
+            PostselectCircuit(plan_a, oracle)
+        with pytest.raises(OracleMismatchError):
+            run_postselect(plan_a, oracle)
+
+
+def _run_every_driver(psi: PureState, plan, oracle) -> None:
+    """Postselect, one-query, and ten- and four-query exact and ideal."""
+    kw = {"plan": plan, "oracle": oracle}
+    run_postselect(plan, oracle)
+    run_one_query(psi, EPS, **kw)
+    for ideal in (False, True):
+        run_ten_query(psi, EPS, ideal=ideal, **kw)
+        run_four_query(psi, EPS, ideal=ideal, **kw)
+
+
+def test_step_layer_compiled_once_per_plan_and_direction(monkeypatch):
+    mixed_psi = haar_random_state(2, 3)
+    mixed = build_plan(mixed_psi, derive_params(2, EPS, t_override=2), seed=3)
+    identity = cliff.identity_desc(2)
+    moved = [step.desc for step in mixed.steps if step.desc is not identity]
+    assert 0 < len(moved) < len(mixed.steps)
+    flat_psi = PureState(1, np.array([0.6, 0.8], dtype=complex))
+    flat = build_plan(flat_psi, derive_params(1, EPS), seed=1)
+    assert all(step.desc is cliff.identity_desc(1) for step in flat.steps)
+
+    built = []
+
+    class CountingLayer(cliff.CliffordLayer):
+        def __init__(self, descs, invert=False):
+            built.append((list(descs), invert))
+            super().__init__(descs, invert)
+
+    monkeypatch.setattr(cliff, "CliffordLayer", CountingLayer)
+    _run_every_driver(mixed_psi, mixed, plan_to_oracle(mixed))
+    # One layer per direction, over the non-identity rows only.
+    assert sorted(invert for _, invert in built) == [False, True]
+    for descs, _ in built:
+        assert len(descs) == len(moved)
+        assert all(d is m for d, m in zip(descs, moved))
+    built.clear()
+    _run_every_driver(flat_psi, flat, plan_to_oracle(flat))
+    assert built == []
+
+
+def test_hash_rotations_built_once_per_plan(monkeypatch):
+    psi = haar_random_state(2, 5)
+    plan = build_plan(psi, derive_hash_params(2, EPS), strategy="hash", seed=5)
+    oracle = plan_to_oracle(plan)
+    built = []
+
+    class CountingRotation(_PlanarRotation):
+        def __init__(self, w, xi):
+            built.append(1)
+            super().__init__(w, xi)
+
+    monkeypatch.setattr(common, "_PlanarRotation", CountingRotation)
+    run_postselect(plan, oracle)
+    run_one_query(psi, EPS, plan=plan, oracle=oracle)
+    assert len(built) == len(plan.steps)
+    circuit = PostselectCircuit(plan, oracle)
+    assert [j for j, _ in circuit._rotations] == list(range(len(plan.steps)))
+    assert len(built) == len(plan.steps)
+
+
+def test_shared_circuit_parts_die_with_the_plan():
+    """The parts cached for a plan hold no reference to it, and nothing else
+    holds them: one n = 8 hash plan's rotations alone are about 33 MB."""
+    for strategy, derive in (("clifford", derive_params), ("hash", derive_hash_params)):
+        psi = haar_random_state(2, 7)
+        plan = build_plan(psi, derive(2, EPS), strategy=strategy, seed=7)
+        oracle = plan_to_oracle(plan)
+        run_postselect(plan, oracle)
+        run_one_query(psi, EPS, plan=plan, oracle=oracle)
+        run_four_query(psi, EPS, plan=plan, oracle=oracle)
+        circuit = PostselectCircuit(plan, oracle)
+        plan_ref, parts_ref = weakref.ref(plan), weakref.ref(circuit._parts)
+        del plan, circuit
+        gc.collect()
+        assert plan_ref() is None
+        assert parts_ref() is None
 
 
 def test_drivers_refuse_a_psi_the_plan_was_not_built_for():
