@@ -375,6 +375,8 @@ def _expand_sweep(doc: dict) -> list[ExperimentConfig]:
 
 
 def _cmd_sweep(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     configs = _expand_sweep(_read_json(args.config))
     path = _check_writable(f"{args.out}/sweep.{args.format}")
     if args.jobs > 1:

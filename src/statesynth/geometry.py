@@ -103,6 +103,8 @@ def sphere_measure_mc(d: int, trials: int = 400_000, seed: int = 0) -> float:
     """
     if d < 0:
         raise ValueError(f"dimension must be nonnegative, got {d}")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     dim = d + 1
     inside = 0
     done = 0

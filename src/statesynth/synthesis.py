@@ -8,21 +8,31 @@ bit-exact addressable oracle: a sign table (one bit per step and basis
 string) followed by the serialized step descriptions, which is exactly the
 classical function the simulated circuits query.
 
-Two step strategies:
+One loop plans both strategies.  It steps residual tracks, each a residual
+with a phase and a scale.  Round k visits every track once: step j =
+len(steps) gets coefficient scale * alpha * beta^k, finds a cheap state that
+overlaps the track's residual, reads its signs, subtracts the scaled state,
+and the round ends by recording the combined residual norm.  A zero residual
+is not searched (the step takes the trivial state of its family), and an
+exhausted search is re-raised with the step index and the residual norm.
+The two step families differ only in these parts:
 
-* ``clifford``: coefficient schedule c_k = alpha * beta^k with alpha = 0.35;
-  each step searches for a Clifford whose sign-pattern state overlaps the
-  current residual by at least alpha, giving ||eta_k|| <= beta^k.
-* ``hash``: real and imaginary parts are decomposed on separate tracks
-  (imaginary-track steps carry phase i).  Each track uses the guaranteed
-  hash-state overlap floor alpha_step = 1 / (2 sqrt(2) sqrt(H_{2^n})) and a
-  per-track schedule scaled by the track's initial norm, so the combined
-  residual obeys the same geometric decay at the strategy's own rate.
+* ``clifford``: one complex track [psi, phase 1, scale 1], alpha = 0.35,
+  giving ||eta_k|| <= beta^k.  The search finds a Clifford C whose
+  sign-pattern state overlaps the residual by at least alpha, and the signs
+  are those of conj(C^dagger eta) at every basis string.
+* ``hash``: the nonzero real and imaginary parts are real tracks (phase 1
+  and i), larger first, each scaled by its initial norm, with the guaranteed
+  hash-state overlap floor alpha = 1 / (2 sqrt(2) sqrt(H_{2^n})); the
+  combined residual obeys the same geometric decay at this rate.  The
+  search builds the hash state of the normalized residual, and the signs
+  are those of the residual on the state's support.
 
 Sign modes: ``exact`` uses the true sign of every overlap; ``perturbed``
 adds a deterministic pseudo-random complex error of magnitude at most
 ``bound`` to each value before taking the sign, modeling bounded-precision
-amplitude estimation.
+amplitude estimation.  Step j's sign at basis string x is keyed by its
+oracle address j * 2^n + x.
 """
 
 from __future__ import annotations
@@ -368,123 +378,108 @@ def nominal_success_amplitude(plan: SynthesisPlan) -> float:
     return (1.0 - p.beta) / (p.alpha * track_norm_sum)
 
 
-def _clifford_steps(
+def _perturbed_signs(values, xs, bound: float, index: int, n: int, seed: int) -> list[int]:
+    """perturbed_sign of each value at step `index`'s oracle address index * 2^n + x."""
+    base = index << n
+    return [perturbed_sign(value, bound, base + x, seed) for value, x in zip(values, xs)]
+
+
+def _plan_steps(
     psi: PureState,
     params: SynthesisParams,
+    strategy: str,
     bound: float,
     seed: int,
     max_trials: int,
 ) -> tuple[list[PlanStep], list[float]]:
+    """The planner loop of the module docstring: the steps and residual_norms."""
     n = psi.n
-    dim = 1 << n
-    eta = psi.amps.copy()
-    norms = [float(np.linalg.norm(eta))]
-    steps: list[PlanStep] = []
-    for k in range(params.T):
-        coeff = params.alpha * params.beta**k
-        if norms[-1] == 0.0:
+
+    # The step families: each returns its step and the step's state in the
+    # track's dtype.  step_seed is None on a zero residual, which is not
+    # searched: the family's trivial state stands in.
+    def clifford_step(eta, norm, coeff, phase, index, step_seed):
+        """Search for C; signs of conj(w), w = C^dagger eta, at every x; complex."""
+        if step_seed is None:
             # C^dagger of the identity leaves the (zero) residual as it is.
-            desc, w = cliff.identity_desc(n), eta.copy()
+            desc, w = cliff.identity_desc(n), eta
         else:
-            try:
-                desc, _, w = cliff.find_overlap_clifford(
-                    PureState(n, eta),
-                    params.alpha,
-                    max_trials=max_trials,
-                    seed=derive_seed(seed, f"clifford-step-{k}"),
-                )
-            except SearchExhaustedError as err:
-                raise err.at_step(k, norms[-1]) from err
+            desc, _, w = cliff.find_overlap_clifford(
+                PureState(n, eta), params.alpha, max_trials=max_trials, seed=step_seed
+            )
         if bound == 0.0:
-            bits = (w.real < 0.0).astype(np.uint8)
+            bits = w.real < 0.0
         else:
-            bits = np.fromiter(
-                (
-                    perturbed_sign(np.conj(w[x]), bound, k * dim + x, seed) < 0
-                    for x in range(dim)
-                ),
-                dtype=np.uint8,
-                count=dim,
-            )
-        step = PlanStep("clifford", coeff, 1 + 0j, SignPattern(n, bits), desc=desc)
-        eta = eta - coeff * step.step_state()
-        steps.append(step)
-        norms.append(float(np.linalg.norm(eta)))
-    return steps, norms
+            bits = np.array(_perturbed_signs(np.conj(w), range(1 << n), bound, index, n, seed)) < 0
+        step = PlanStep("clifford", coeff, phase, SignPattern(n, bits), desc=desc)
+        return step, step.step_state()
 
-
-def _hash_track_step(
-    eta: np.ndarray,
-    n: int,
-    coeff: float,
-    phase: complex,
-    bound: float,
-    step_index: int,
-    seed: int,
-    max_trials: int,
-) -> tuple[PlanStep, np.ndarray]:
-    dim = 1 << n
-    nrm = float(np.linalg.norm(eta))
-    if nrm == 0.0:
-        hs = trivial_hash_state(n)
-    else:
-        try:
+    def hash_step(eta, norm, coeff, phase, index, step_seed):
+        """The hash state of eta / norm; signs of eta on its support; real."""
+        if step_seed is None:
+            hs = trivial_hash_state(n)
+        else:
             hs, _mu = hash_state_for(
-                PureState(n, (eta / nrm).astype(np.complex128)),
+                PureState(n, (eta / norm).astype(np.complex128)),
                 max_trials=max_trials,
-                seed=derive_seed(seed, f"hash-step-{step_index}"),
+                seed=step_seed,
             )
-        except SearchExhaustedError as err:
-            raise err.at_step(step_index, nrm) from err
-    if bound != 0.0:
-        perturbed = tuple(
-            perturbed_sign(float(eta[x].real), bound, step_index * dim + x, seed)
-            for x in hs.support
-        )
-        hs = HashState(hs.n, hs.k, hs.matrix, hs.support, perturbed)
-    bits = np.zeros(dim, dtype=np.uint8)
-    bits[list(hs.support)] = np.array(hs.signs) < 0
-    step = PlanStep("hash", coeff, phase, SignPattern(n, bits), hash_state=hs)
-    return step, eta - coeff * step.step_state().real
+        support = list(hs.support)
+        if bound != 0.0:
+            signs = _perturbed_signs(eta[support], support, bound, index, n, seed)
+            hs = HashState(n, hs.k, hs.matrix, hs.support, tuple(signs))
+        bits = np.zeros(1 << n, dtype=np.uint8)
+        bits[support] = np.array(hs.signs) < 0
+        step = PlanStep("hash", coeff, phase, SignPattern(n, bits), hash_state=hs)
+        return step, step.step_state().real
 
+    # A track is [residual, phase, scale, current residual norm].
+    if strategy == "clifford":
+        eta = psi.amps.copy()
+        tracks = [[eta, 1 + 0j, 1.0, float(np.linalg.norm(eta))]]
+        family_step = clifford_step
+    else:
+        expected_alpha = _hash_alpha_floor(n)
+        if params.alpha > expected_alpha + 1e-12:
+            raise ValueError(
+                "hash strategy needs alpha at or below the guaranteed overlap floor "
+                f"{expected_alpha:.6g}; use derive_hash_params (got {params.alpha:.6g})"
+            )
+        tracks = []
+        for part, phase in ((psi.amps.real.copy(), 1 + 0j), (psi.amps.imag.copy(), 1j)):
+            norm = float(np.linalg.norm(part))
+            if norm > 0.0:
+                tracks.append([part, phase, norm, norm])
+        # Larger initial residual goes first (ties keep the real track first);
+        # the order is fixed for the whole plan so step weights stay a tensor
+        # product over the index register.
+        tracks.sort(key=lambda tr: -tr[2])
+        family_step = hash_step
 
-def _hash_steps(
-    psi: PureState,
-    params: SynthesisParams,
-    bound: float,
-    seed: int,
-    max_trials: int,
-) -> tuple[list[PlanStep], list[float]]:
-    expected_alpha = _hash_alpha_floor(psi.n)
-    if params.alpha > expected_alpha + 1e-12:
-        raise ValueError(
-            "hash strategy needs alpha at or below the guaranteed overlap floor "
-            f"{expected_alpha:.6g}; use derive_hash_params (got {params.alpha:.6g})"
-        )
-    real = psi.amps.real.copy()
-    imag = psi.amps.imag.copy()
-    tracks = [[real, 1 + 0j, float(np.linalg.norm(real))],
-              [imag, 1j, float(np.linalg.norm(imag))]]
-    tracks = [tr for tr in tracks if tr[2] > 0.0]
-    if not tracks:
-        raise ValueError("zero-norm target")
-    # Larger initial residual goes first (ties keep the real track first);
-    # the order is fixed for the whole plan so step weights stay a tensor
-    # product over the index register.
-    tracks.sort(key=lambda tr: -tr[2])
-    norms = [math.sqrt(sum(tr[2] ** 2 for tr in tracks))]
+    def residual_norm() -> float:
+        # A Clifford plan records its track's norm, a hash plan (one track or
+        # two) sqrt of the sum of `norm ** 2`: `norm * norm` can differ from
+        # that in the last bit, and the trace is pinned.
+        if strategy == "clifford":
+            return tracks[0][3]
+        return math.sqrt(sum(tr[3] ** 2 for tr in tracks))
+
+    norms = [residual_norm()]
     steps: list[PlanStep] = []
     for k in range(params.T):
-        for eta, phase, initial_norm in tracks:
-            coeff = initial_norm * params.alpha * params.beta**k
-            step, updated = _hash_track_step(
-                eta, psi.n, coeff, phase, bound, len(steps), seed, max_trials
-            )
-            eta[:] = updated.real
+        for track in tracks:
+            eta, phase, scale, norm = track
+            index = len(steps)
+            coeff = scale * params.alpha * params.beta**k
+            step_seed = None if norm == 0.0 else derive_seed(seed, f"{strategy}-step-{index}")
+            try:
+                step, state = family_step(eta, norm, coeff, phase, index, step_seed)
+            except SearchExhaustedError as err:
+                raise err.at_step(index, norm) from err
+            track[0] = eta = eta - coeff * state
+            track[3] = float(np.linalg.norm(eta))
             steps.append(step)
-        norms.append(
-            math.sqrt(sum(float(np.linalg.norm(tr[0])) ** 2 for tr in tracks))
-        )
+        norms.append(residual_norm())
     return steps, norms
 
 
@@ -521,10 +516,7 @@ def build_plan(
         bound = perturb_bound if perturb_bound is not None else (
             2.0 ** (-psi.n / 2.0) * params.delta_fp
         )
-    if strategy == "clifford":
-        steps, norms = _clifford_steps(psi, params, bound, seed, max_trials)
-    else:
-        steps, norms = _hash_steps(psi, params, bound, seed, max_trials)
+    steps, norms = _plan_steps(psi, params, strategy, bound, seed, max_trials)
     return SynthesisPlan(params, tuple(steps), tuple(norms), PureState(psi.n, psi.amps))
 
 
@@ -735,32 +727,3 @@ def plan_to_oracle(plan: SynthesisPlan) -> OracleSpec:
     """Flatten a plan into its addressable truth table."""
     sign_bits = np.concatenate([step.signs.bits for step in plan.steps])
     return OracleSpec(plan.params.n, plan.t_register, sign_bits, plan.desc_section)
-
-
-def merge_phase_oracles(fs, arities):
-    """Merge parallel phase oracles into one: F(x1, ..., xk) = XOR of f_j(x_j).
-
-    fs are callables on integer inputs; arities[j] is f_j's input width in
-    bits.  The merged callable takes one integer whose most significant
-    block is x1 (matching the package's big-endian register convention) and
-    has total arity sum(arities).
-    """
-    fs = list(fs)
-    arities = list(arities)
-    if len(fs) != len(arities):
-        raise ValueError(f"{len(fs)} functions but {len(arities)} arities")
-    if any(a < 0 for a in arities):
-        raise ValueError("arities must be nonnegative")
-    total = sum(arities)
-
-    def merged(x: int) -> int:
-        if not 0 <= x < 1 << total:
-            raise ValueError(f"input {x} outside {total} bits")
-        out = 0
-        shift = total
-        for f, arity in zip(fs, arities):
-            shift -= arity
-            out ^= f((x >> shift) & ((1 << arity) - 1)) & 1
-        return out
-
-    return merged, total

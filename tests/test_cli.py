@@ -275,6 +275,20 @@ def test_main_sweep_checks_every_row_before_running(tmp_path, capsys, monkeypatc
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_main_sweep_rejects_jobs_below_one(tmp_path, capsys, monkeypatch, jobs):
+    runs = []
+    monkeypatch.setattr(cli, "run_config", lambda config: runs.append(config))
+    config_path = tmp_path / "sweep.json"
+    config_path.write_text(json.dumps({"base": _base_doc(), "grid": {"n": [1, 2]}}),
+                           encoding="utf-8")
+    argv = ["sweep", "--config", str(config_path), "--out", str(tmp_path), "--jobs", jobs]
+    assert main(argv) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert runs == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.json"]
+
+
 @pytest.mark.parametrize("command", ["synth-out", "synth-report-path", "sweep"])
 def test_unwritable_report_fails_before_any_row_runs(tmp_path, capsys, monkeypatch, command):
     def unreachable(config):
@@ -381,6 +395,16 @@ def test_main_geometry_commands(capsys):
             "--s", "0", "--gate-set-size", "3", "--max-arity", "3"]
     assert main(args) == 0
     assert "certified_noncoverage = True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("calc", [["measure", "--d", "3"],
+                                  ["cap", "--n", "1", "--epsilon", "0.5"]])
+def test_main_geometry_negative_trials_exits_2(capsys, calc):
+    assert main(["geometry", *calc, "--trials", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert "at least one trial" in captured.err and "_mc" not in captured.out
+    assert main(["geometry", *calc, "--trials", "0"]) == 0
+    assert "_mc" not in capsys.readouterr().out
 
 
 def test_main_geometry_bad_epsilon_exits_2(capsys):

@@ -86,6 +86,14 @@ def test_sphere_measure_mc_within_one_percent():
         assert abs(estimate - exact) / exact < 0.01
 
 
+@pytest.mark.parametrize("trials", [0, -5])
+def test_monte_carlo_estimators_refuse_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match="at least one trial"):
+        sphere_measure_mc(3, trials)
+    with pytest.raises(ValueError, match="at least one trial"):
+        monte_carlo_cap(GeometryQuery(1, 0.5), trials)
+
+
 def _sphere_check(seed: int):
     results = verify.run_suite("geometry", instances=1, seed=seed)
     return next(r for r in results if r.name == "sphere-measure-matches-monte-carlo")

@@ -1,4 +1,5 @@
-"""Source hygiene: every module-level import in src/ and tests/ is used, and
+"""Source hygiene: every module-level import in src/ and tests/ is used,
+every module-level private function or class in src/ is referenced, and
 importing the CLI leaves the process-pool modules unimported.
 
 Package ``__init__.py`` files are exempt: their imports are re-exports.
@@ -30,16 +31,46 @@ def _unused_imports(path: Path) -> list[str]:
     return [f"{rel}:{line} {name}" for name, line in bound.items() if name not in used]
 
 
+def _python_files(*tops: str) -> list[Path]:
+    return [path for top in tops for path in sorted((ROOT / top).rglob("*.py"))]
+
+
 def test_no_unused_module_level_imports():
-    files = [
-        path
-        for top in ("src", "tests")
-        for path in sorted((ROOT / top).rglob("*.py"))
-        if path.name != "__init__.py"
-    ]
+    files = [path for path in _python_files("src", "tests") if path.name != "__init__.py"]
     assert files
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert unused == []
+
+
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_unreferenced_private_definitions():
+    # A refactor that stops calling a private helper must delete it too.  A
+    # reference is a name, an attribute or a string (as monkeypatch takes).
+    definitions: dict[str, str] = {}
+    referenced: set[str] = set()
+    for path in _python_files("src", "tests"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.parts[len(ROOT.parts)] == "src":
+            for node in tree.body:
+                if isinstance(node, _DEFINITIONS) and _is_private(node.name):
+                    definitions[node.name] = f"{path.relative_to(ROOT)}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                referenced.add(node.value)
+    assert definitions
+    unreferenced = [f"{where} {name}" for name, where in definitions.items()
+                    if name not in referenced]
+    assert unreferenced == []
 
 
 def test_cli_import_leaves_process_pools_unimported():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import math
 import tracemalloc
@@ -31,7 +32,6 @@ from statesynth.synthesis import (
     find_hash_matrix,
     harmonic_number,
     hash_state_for,
-    merge_phase_oracles,
     nominal_success_amplitude,
     parse_desc_section,
     perturbed_sign,
@@ -527,35 +527,6 @@ def test_desc_section_truncation_and_extension_rejected():
     assert info.value.offset == 0
 
 
-def test_merge_phase_oracles_trivial_cases():
-    zero = lambda x: 0  # noqa: E731
-    merged, total = merge_phase_oracles([zero, zero, zero], [2, 3, 1])
-    assert total == 6
-    assert all(merged(x) == 0 for x in range(64))
-
-    table = [0, 1, 1, 0]
-    single, total = merge_phase_oracles([lambda x: table[x]], [2])
-    assert total == 2
-    assert [single(x) for x in range(4)] == table
-
-
-def test_merge_phase_oracles_exhaustive_xor():
-    rng = substream(0, "test-merge")
-    f_table = rng.integers(0, 2, 4)
-    g_table = rng.integers(0, 2, 4)
-    merged, total = merge_phase_oracles(
-        [lambda x: int(f_table[x]), lambda x: int(g_table[x])], [2, 2]
-    )
-    assert total == 4
-    for joint in range(16):
-        hi, lo = joint >> 2, joint & 3
-        assert merged(joint) == int(f_table[hi]) ^ int(g_table[lo])
-    with pytest.raises(ValueError):
-        merge_phase_oracles([lambda x: 0], [2, 2])
-    with pytest.raises(ValueError):
-        merged(16)
-
-
 def test_hash_state_for_basis_target():
     hs, mu = hash_state_for(_ket(3, 0))
     assert (hs.k, mu) == (0, 1.0)
@@ -758,22 +729,117 @@ _ORACLE_DIGESTS = {
         "b6a709dde797f72a44181d08a8a8780fbc4ea1905f02c8e39127e8df2a711d45",
     ("hash", 5, 0.01, "perturbed"):
         "5c72e9c50f5f5c94875aee48281bcd9617083c57c184e8d9e691957ffd466317",
+    # One-track hash plans: the real part, and i times the imaginary part, of
+    # the same target, each renormalized; recorded before the Clifford and
+    # hash steps shared one planner loop.
+    ("hash-real", 3, 0.1, "exact"):
+        "551ced175989d31cb0c302a1d5898722f65a1e7d8720ad356b692a3d81e1d529",
+    ("hash-real", 3, 0.1, "perturbed"):
+        "9e02fc1de5103c0b42f0a90ef4fbab0c38970cbb274e3c59a25e7a943615a7b2",
+    ("hash-imag", 3, 0.1, "exact"):
+        "0effe898fdc0c723b05b1f92ba89cb7555c515520682442840f6975c5edffaef",
+    ("hash-imag", 3, 0.1, "perturbed"):
+        "5971fdf8bc829c5615111ec8b1a9252484292b8c9bfc1e28dad39bc2d9beae1a",
+}
+
+#: sha256 of np.array(plan.residual_norms).tobytes() for every plan of
+#: _ORACLE_DIGESTS, recorded with the one-track entries.  The oracle bytes do
+#: not hold the trace, so a last-bit change in a residual norm shows only here.
+_RESIDUAL_DIGESTS = {
+    ("clifford", 1, 0.1, "exact"):
+        "e133c10e796256afbe569c1a60cd22e572f6b2aa2b281e97b619afd70c07fab4",
+    ("clifford", 1, 0.1, "perturbed"):
+        "7664bbfedc0631a8a4534b8a1007fad5d0a006d730230487ba12b63c25342362",
+    ("clifford", 1, 0.01, "exact"):
+        "79f078340bd7c2a71f967c214d8a83511455bd8cac4fd3c58dfa2c12c8184136",
+    ("clifford", 1, 0.01, "perturbed"):
+        "13dbf4261312be20f04c3429862ce0c5fedd7da8a6a97af137bda9a9bc793669",
+    ("clifford", 3, 0.1, "exact"):
+        "539d8fb7e899290da89fa948970cbeebd6ba28d296f041a08f64b7575af6275a",
+    ("clifford", 3, 0.1, "perturbed"):
+        "0a76a2644b1f7f3b521f2b842d00862738c30dfb0c41c83b080bd4c4fe2fac0b",
+    ("clifford", 3, 0.01, "exact"):
+        "1f2aa7238c839aef49ae0df4af2e941f3c1bf64aa00a0df643d4e21644a35125",
+    ("clifford", 3, 0.01, "perturbed"):
+        "dd9dfa9108e88c3599251b6f78017b9e170f8c2cd0a8484344e1a41cb4eb80b7",
+    ("clifford", 5, 0.1, "exact"):
+        "ba9a228b6022d4427f869bdd2827d28a36aad3a23f5547067858eb948f6c3a44",
+    ("clifford", 5, 0.1, "perturbed"):
+        "475da78a50bdb3fed3f28a50dfcb40a5320edd04cbd9dace5fde941dbb4c4b7b",
+    ("clifford", 5, 0.01, "exact"):
+        "d01f6a78decdf06733cd741211fa7a376967698daf4d19921cfb6cb330ab8569",
+    ("clifford", 5, 0.01, "perturbed"):
+        "50ce184c8ab9367b41c178b6759cc62630ca084f8f69b0b96354d965382068ff",
+    ("clifford", 6, 0.25, "exact"):
+        "352952df8d72fd9055abe5512abe762576010912cff3a859e5d639d0ede3b0e4",
+    ("hash", 1, 0.1, "exact"):
+        "7419ad675943abba5cbe918c56e73c6da9875d8dd09779f769fde2d113a8557a",
+    ("hash", 1, 0.1, "perturbed"):
+        "8962781b53616a8930863129d461e87a74ad2c32e24e68cea831df449c55ad4e",
+    ("hash", 1, 0.01, "exact"):
+        "7419ad675943abba5cbe918c56e73c6da9875d8dd09779f769fde2d113a8557a",
+    ("hash", 1, 0.01, "perturbed"):
+        "8962781b53616a8930863129d461e87a74ad2c32e24e68cea831df449c55ad4e",
+    ("hash", 3, 0.1, "exact"):
+        "4c21cd72ca6808744a2998bd896d47e1a0e0a4a10771b0f162c6520174b3a5ef",
+    ("hash", 3, 0.1, "perturbed"):
+        "fc1702591067077828eb56e970c64ba85321fbbc1cc1c2ccc5510d852a2827e8",
+    ("hash", 3, 0.01, "exact"):
+        "4c21cd72ca6808744a2998bd896d47e1a0e0a4a10771b0f162c6520174b3a5ef",
+    ("hash", 3, 0.01, "perturbed"):
+        "fc1702591067077828eb56e970c64ba85321fbbc1cc1c2ccc5510d852a2827e8",
+    ("hash", 5, 0.1, "exact"):
+        "73b4d6fa6361f56f7feb6a866ab5f3f316c76ce6ebc204834307fac43aa5b857",
+    ("hash", 5, 0.1, "perturbed"):
+        "0516cb902af22476f12ef1cadd337a155a3242b777bdeb9b46547d029edd037a",
+    ("hash", 5, 0.01, "exact"):
+        "ce2508897b32ad8f930dbfbcdca8d7152f96a33ba3584b6308347e360030ba62",
+    ("hash", 5, 0.01, "perturbed"):
+        "0a9c1389e691aaac2b349a768a3eb0bb39890df5772816d18c64729bf7b44f52",
+    ("hash-real", 3, 0.1, "exact"):
+        "86f4f43257ceaca97d5c71bcdf5593dcef3144cb982c606045b9bf9b82be7175",
+    ("hash-real", 3, 0.1, "perturbed"):
+        "becbf8e2c71998b9769400ad46c49ebc1258459b29f4fe8f8d921a5fe70047a6",
+    ("hash-imag", 3, 0.1, "exact"):
+        "365465ba71e3802d9fb701cf61fc0e4a30f93d2b885fe4ef1d7b8a0ac140f7ce",
+    ("hash-imag", 3, 0.1, "perturbed"):
+        "3325408f09190f0533f639faf765a997b4f56f71b7043edd3182b46e7e6e4706",
 }
 
 
-@pytest.mark.parametrize(
-    "key", list(_ORACLE_DIGESTS), ids=["-".join(map(str, k)) for k in _ORACLE_DIGESTS]
-)
-def test_oracle_bytes_pinned(key):
+@functools.lru_cache(maxsize=None)
+def _pinned_digests(key) -> tuple[str, str]:
+    """sha256 of the oracle bytes and of the residual trace of a pinned key's
+    plan: (strategy, n, epsilon, mode), where "hash-real" and "hash-imag" are
+    hash plans of a one-track target."""
     strategy, n, eps, mode = key
+    psi = haar_random_state(n, 11 * n)
+    if strategy not in ("clifford", "hash"):
+        amps = psi.amps.real if strategy == "hash-real" else 1j * psi.amps.imag
+        psi, strategy = PureState(n, amps / np.linalg.norm(amps)), "hash"
     derive = derive_params if strategy == "clifford" else derive_hash_params
     plan = build_plan(
-        haar_random_state(n, 11 * n),
+        psi,
         derive(n, eps),
         strategy=strategy,
         mode=mode,
         perturb_bound=0.05 if mode == "perturbed" else None,
         seed=5,
     )
-    digest = hashlib.sha256(plan_to_oracle(plan).to_bytes()).hexdigest()
-    assert digest == _ORACLE_DIGESTS[key]
+    oracle = plan_to_oracle(plan).to_bytes()
+    trace = np.array(plan.residual_norms).tobytes()
+    return hashlib.sha256(oracle).hexdigest(), hashlib.sha256(trace).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "key", list(_ORACLE_DIGESTS), ids=["-".join(map(str, k)) for k in _ORACLE_DIGESTS]
+)
+def test_oracle_bytes_pinned(key):
+    assert _pinned_digests(key)[0] == _ORACLE_DIGESTS[key]
+
+
+@pytest.mark.parametrize(
+    "key", list(_RESIDUAL_DIGESTS), ids=["-".join(map(str, k)) for k in _RESIDUAL_DIGESTS]
+)
+def test_residual_trace_pinned(key):
+    assert _pinned_digests(key)[1] == _RESIDUAL_DIGESTS[key]
