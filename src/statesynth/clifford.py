@@ -25,19 +25,23 @@ Most searches stop at trial 0, the identity, so that trial costs next to
 nothing: `identity_desc(n)` is one shared immutable object per n, its
 compiled (empty) layer and its serialized bytes are cached per n, and the
 search builds its random substream only when it reaches trial 1.  A random
-trial costs about what its draws cost: `random_clifford_from` takes one
-block of digits per description, plus one per rejected GL_n(F2) candidate,
-with the values and the stream state of a sampler drawing round by round,
-so equal seeds give equal descriptions; `f2linalg.invertible_pair` accepts
-or rejects each candidate, from a memo up to n = 3.  A layer whose rows all
-hold one description (so every one-description layer) compiles that one
-row, whose ops broadcast over the others, and up to n = 3 a P row's S-power
-table comes from a memo.
+trial costs about what its draws cost: `random_clifford_from` draws a block
+of digits for every round with one candidate per C round, and draws again
+only when rejected GL_n(F2) candidates leave the parse short, then just the
+digits the rounds left still need, so the values and the stream state are
+those of a sampler drawing round by round and equal seeds give equal
+descriptions; `f2linalg.invertible_pair` accepts or rejects each candidate,
+from a memo up to n = 3.  A layer whose rows all hold one description (so
+every one-description layer) compiles that one row, whose ops broadcast
+over the others, and each round takes a short branch: the set H bits, one
+P row, one CNOT index map.  Up to n = 3 a P row's S-power table and a CNOT
+index map come from memos of read-only arrays.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -209,15 +213,27 @@ def _qubit_bits(n: int, negate: bool) -> np.ndarray:
 
 def _phase_row(digits: tuple[int, ...], negate: bool) -> np.ndarray:
     """(2^n,) int8 S-power table of one row of a P round: entry x is the digit
-    sum over the set qubits of x, negated when asked, mod 4."""
-    return np.array(digits, dtype=np.int8) @ _qubit_bits(len(digits), negate) & 3
+    sum over the set qubits of x, negated when asked, mod 4 (read-only)."""
+    row = np.array(digits, dtype=np.int8) @ _qubit_bits(len(digits), negate) & 3
+    row.flags.writeable = False
+    return row
 
 
-#: Up to n = 3 the memo holds every row, 2 (4 + 16 + 64), and the searches'
-#: one-description layers compile the same rows again and again; from n = 4
-#: on the rows seldom recur, so larger n skips it.
-_PHASE_MEMO_MAX_N = 3
+def _index_map(m: F2Matrix) -> np.ndarray:
+    """`f2linalg.apply_to_all` of a CNOT matrix, read-only."""
+    index = f2linalg.apply_to_all(m)
+    index.flags.writeable = False
+    return index
+
+
+#: Up to n = 3 the memos hold every P row, 2 (4 + 16 + 64), and every CNOT
+#: index map, one per element of GL_1, GL_2 and GL_3 over F2 (1 + 6 + 168),
+#: and the searches' one-description layers compile the same rows again and
+#: again; from n = 4 on the rows seldom recur, so larger n skips them.  The
+#: arrays are shared by every layer that compiles them, hence read-only.
+_MEMO_MAX_N = 3
 _memo_phase_row = functools.lru_cache(maxsize=2 * (4 + 16 + 64))(_phase_row)
+_memo_index_map = functools.lru_cache(maxsize=1 + 6 + 168)(_index_map)
 
 
 #: From this many amplitudes on, an all-rows butterfly runs in place through a
@@ -291,45 +307,62 @@ class CliffordLayer:
         self.k = k
         eye = tuple(1 << c for c in range(n))
         no_phase = (0,) * n
+        phase_row = _memo_phase_row if n <= _MEMO_MAX_N else _phase_row
+        index_map = _memo_index_map if n <= _MEMO_MAX_N else _index_map
         # Index maps by matrix rows, so a repeated matrix is mapped once.
         images: dict[tuple[int, ...], np.ndarray] = {}
         last = len(ROUND_PATTERN) - 1
         ops: list[tuple[str, object]] = []
         # A layer whose rows all hold one description (always when k = 1)
-        # compiles that one row, and its ops broadcast over the others.
-        if all(d is descs[0] for d in descs):
-            descs = descs[:1]
-        rows = len(descs)
+        # compiles that one row, whose ops broadcast over the others, and
+        # each of its rounds takes the short branch.
+        one_row = all(d is descs[0] for d in descs)
         for pos in range(last + 1) if invert else range(last, -1, -1):
-            rounds = [d.rounds[pos] for d in descs]
             kind = ROUND_PATTERN[pos]
+            if one_row:
+                rnd = descs[0].rounds[pos]
+            else:
+                rounds = [d.rounds[pos] for d in descs]
             # Rounds that leave every row as it is compile to nothing.
             if kind == "H":
-                qubits = []
-                for i, column in enumerate(zip(*[r.bits for r in rounds])):
-                    hits = rows - column.count(0)
-                    if hits:
-                        qubits.append((i, None if hits == rows else np.flatnonzero(column)))
+                if one_row:
+                    qubits = [(i, None) for i, b in enumerate(rnd.bits) if b]
+                else:
+                    qubits = []
+                    for i, column in enumerate(zip(*[r.bits for r in rounds])):
+                        hits = k - column.count(0)
+                        if hits:
+                            qubits.append((i, None if hits == k else np.flatnonzero(column)))
                 if qubits:
                     ops.append(("H", qubits))
             elif kind == "P":
-                digits = [r.digits for r in rounds]
-                if digits.count(no_phase) < rows:
-                    phase_row = _memo_phase_row if n <= _PHASE_MEMO_MAX_N else _phase_row
-                    ops.append(("P", np.array([phase_row(d, invert) for d in digits])))
+                if one_row:
+                    if rnd.digits != no_phase:
+                        ops.append(("P", phase_row(rnd.digits, invert)[None, :]))
+                else:
+                    digits = [r.digits for r in rounds]
+                    if digits.count(no_phase) < k:
+                        ops.append(("P", np.array([phase_row(d, invert) for d in digits])))
             else:
-                mats = [r.m if invert else r.m_inv for r in rounds]
-                keys = [m.row_bits for m in mats]
-                if keys.count(eye) < rows:
+                if one_row:
+                    m = rnd.m if invert else rnd.m_inv
+                    if m.row_bits == eye:
+                        continue
+                    index = index_map(m)
+                else:
+                    mats = [r.m if invert else r.m_inv for r in rounds]
+                    keys = [m.row_bits for m in mats]
+                    if keys.count(eye) == k:
+                        continue
                     for key, m in zip(keys, mats):
                         if key not in images:
-                            images[key] = f2linalg.apply_to_all(m)
+                            images[key] = index_map(m)
                     index = np.array([images[key] for key in keys])
-                    if k > 1:
-                        # Flat indices into the (k, 2^n) array: row r starts
-                        # at r 2^n.
-                        index = index + (np.arange(k) << n)[:, None]
-                    ops.append(("C", index.reshape(-1)))
+                if k > 1:
+                    # Flat indices into the (k, 2^n) array: row r starts at
+                    # r 2^n (a one-row map broadcasts over the k rows).
+                    index = index + (np.arange(k) << n)[:, None]
+                ops.append(("C", index.reshape(-1)))
         self._ops = ops
 
     def __call__(self, amps: np.ndarray) -> np.ndarray:
@@ -394,42 +427,59 @@ def random_clifford_from(rng: np.random.Generator, n: int) -> CliffordDesc:
     sampling, so M is uniform over GL_n(F2)).  Every value is one
     `rng.integers(0, 4)` digit and an H bit or matrix entry is `digit >> 1`:
     at a power-of-two range each value takes one 32-bit draw and the bit is
-    that draw's top bit, as `rng.integers(0, 2)` would give.  So the whole
-    description is one block of 6n + 5n^2 digits plus n^2 per rejected
-    candidate, with the values and the stream state of a sampler drawing
-    each round (and each candidate) on its own.
+    that draw's top bit, as `rng.integers(0, 2)` would give.  So a block of
+    digits is the same digits drawn one by one, and the sampler draws them in
+    as few blocks as it can without drawing past the description: first
+    6n + 5n^2 digits (every round, one candidate each), and when a rejected
+    candidate leaves the parse short of digits, the fewest that the rounds
+    left still need, counting the candidate at hand.  The values and the
+    stream state are those of a sampler drawing each round (and each
+    candidate) on its own.
     """
-    nn = n * n
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     # Every round is a whole number of n-digit chunks, so a round starts at
     # a chunk; each chunk is read as digits, bits or a packed matrix row.
     # A 0/1 row times the weights 2^c is its packed int.
     weights = 1 << np.arange(n, dtype=np.int64)
-    chunks = rng.integers(0, 4, size=6 * n + 5 * nn).reshape(-1, n)
-    bits = chunks >> 1
-    digit_rows = chunks.tolist()
-    bit_rows = bits.tolist()
-    packed = (bits @ weights).tolist()
+    digit_rows: list[list[int]] = []
+    bit_rows: list[list[int]] = []
+    packed: list[int] = []
+
+    def refill(pos: int, i: int) -> None:
+        # From chunk i on, rounds pos..10 take one chunk per H or P round and
+        # n per C round (one candidate each); draw those not drawn yet.
+        left = ROUND_PATTERN[pos:]
+        need = i + len(left) + (n - 1) * left.count("C") - len(packed)
+        chunks = rng.integers(0, 4, size=need * n).reshape(-1, n)
+        bits = chunks >> 1
+        digit_rows.extend(chunks.tolist())
+        bit_rows.extend(bits.tolist())
+        packed.extend((bits @ weights).tolist())
+
+    # The first refill, at round 0, draws every round's digits; rejected
+    # candidates use up digits of later rounds, so any round may find the
+    # parse short.
     rounds: list[Round] = []
     i = 0
-    for kind in ROUND_PATTERN:
-        if kind == "H":
-            rounds.append(HRound(tuple(bit_rows[i])))
-            i += 1
-        elif kind == "P":
-            rounds.append(PRound(tuple(digit_rows[i])))
-            i += 1
-        else:
-            while (pair := f2linalg.invertible_pair(tuple(packed[i : i + n]))) is None:
-                # A rejected candidate: the next n^2 values of the stream
-                # follow the block.
+    for pos, kind in enumerate(ROUND_PATTERN):
+        if kind == "C":
+            while True:
+                if i + n > len(packed):
+                    refill(pos, i)
+                if (pair := f2linalg.invertible_pair(tuple(packed[i : i + n]))) is not None:
+                    break
                 i += n
-                extra = rng.integers(0, 4, size=nn).reshape(n, n)
-                extra_bits = extra >> 1
-                digit_rows += extra.tolist()
-                bit_rows += extra_bits.tolist()
-                packed += (extra_bits @ weights).tolist()
             rounds.append(CRound(*pair))
             i += n
+            continue
+        if i == len(packed):
+            refill(pos, i)
+        if kind == "H":
+            rounds.append(HRound(tuple(bit_rows[i])))
+        else:
+            rounds.append(PRound(tuple(digit_rows[i])))
+        i += 1
     return CliffordDesc(n, tuple(rounds))
 
 
@@ -441,8 +491,6 @@ def random_clifford(n: int, seed: int) -> CliffordDesc:
     distribution: every use certifies the found description by the overlap
     it achieves, never by distributional assumptions.
     """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
     return random_clifford_from(substream(seed, f"clifford-{n}"), n)
 
 
@@ -478,8 +526,13 @@ def find_overlap_clifford(
     (through `apply_inverse`) and scores the real overlap with the normalized
     residual, sum |Re w| / (2^{n/2} ||eta||).  Returns the first qualifying
     description, its achieved overlap and its w; an exhausted budget raises
-    SearchExhaustedError with the best overlap seen.
+    SearchExhaustedError with the best overlap seen.  A negative budget or a
+    non-finite alpha is refused with ValueError before any trial.
     """
+    if max_trials < 0:
+        raise ValueError(f"max_trials must be >= 0, got {max_trials}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     nrm = float(np.linalg.norm(eta.amps))
     if nrm == 0.0:
         raise ValueError("zero residual has no overlap certificate")

@@ -211,8 +211,10 @@ def find_hash_matrix(
     check; rank-deficient draws count against the trial budget too.  Returns
     the matrix with its image table (`f2linalg.apply_to_all`, the image of
     every index).  An exhausted budget raises SearchExhaustedError with the
-    trials and seed.
+    trials and seed; a negative budget is refused with ValueError.
     """
+    if max_trials < 0:
+        raise ValueError(f"max_trials must be >= 0, got {max_trials}")
     if len(S) != 1 << k or len(S) > 1 << n:
         raise ValueError(f"need |S| = 2^{k} <= 2^{n}, got {len(S)}")
     if k == 0:
@@ -511,6 +513,8 @@ def build_plan(
         raise ValueError(f"unknown strategy {strategy!r}")
     if mode not in ("exact", "perturbed"):
         raise ValueError(f"unknown mode {mode!r}")
+    if max_trials < 0:
+        raise ValueError(f"max_trials must be >= 0, got {max_trials}")
     bound = 0.0
     if mode == "perturbed":
         bound = perturb_bound if perturb_bound is not None else (

@@ -147,6 +147,122 @@ def test_all_row_butterfly_matches_reference_bit_for_bit():
     assert clifford._butterfly_scratch(np.empty((256, 64), dtype=complex)) is None
 
 
+def _layer_ops_reference(descs, invert: bool) -> list:
+    """The ops of `CliffordLayer(descs, invert)`, compiled by the one loop it
+    used before one-row layers took a short branch: every round builds per-row
+    lists and stacks them, with no memo of index maps."""
+    n = descs[0].n
+    k = len(descs)
+    eye = tuple(1 << c for c in range(n))
+    no_phase = (0,) * n
+    images = {}
+    last = len(ROUND_PATTERN) - 1
+    ops = []
+    if all(d is descs[0] for d in descs):
+        descs = descs[:1]
+    rows = len(descs)
+    for pos in range(last + 1) if invert else range(last, -1, -1):
+        rounds = [d.rounds[pos] for d in descs]
+        kind = ROUND_PATTERN[pos]
+        if kind == "H":
+            qubits = []
+            for i, column in enumerate(zip(*[r.bits for r in rounds])):
+                hits = rows - column.count(0)
+                if hits:
+                    qubits.append((i, None if hits == rows else np.flatnonzero(column)))
+            if qubits:
+                ops.append(("H", qubits))
+        elif kind == "P":
+            digits = [r.digits for r in rounds]
+            if digits.count(no_phase) < rows:
+                ops.append(("P", np.array([clifford._phase_row(d, invert) for d in digits])))
+        else:
+            mats = [r.m if invert else r.m_inv for r in rounds]
+            keys = [m.row_bits for m in mats]
+            if keys.count(eye) < rows:
+                for key, m in zip(keys, mats):
+                    if key not in images:
+                        images[key] = f2linalg.apply_to_all(m)
+                index = np.array([images[key] for key in keys])
+                if k > 1:
+                    index = index + (np.arange(k) << n)[:, None]
+                ops.append(("C", index.reshape(-1)))
+    return ops
+
+
+def _assert_same_ops(got: list, want: list) -> None:
+    assert [kind for kind, _ in got] == [kind for kind, _ in want]
+    for (kind, a), (_, b) in zip(got, want):
+        if kind == "H":
+            assert [i for i, _ in a] == [i for i, _ in b]
+            for (_, rows_a), (_, rows_b) in zip(a, b):
+                assert (rows_a is None) == (rows_b is None)
+                if rows_a is not None:
+                    assert np.array_equal(rows_a, rows_b)
+        else:
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert np.array_equal(a, b)
+
+
+def test_layer_compile_matches_reference():
+    # One-row, repeated-row and mixed layers, with identity rows and
+    # matrices repeated within and across rows, compile to the reference
+    # loop's ops and give its output bits, in both directions.
+    for n in range(1, 7):
+        rng = substream(n, "test-layer-compile")
+        d, e = random_clifford_from(rng, n), random_clifford_from(rng, n)
+        eye = identity_desc(n)
+        # e's matrices with d's H and P rounds: the same matrix in two rows.
+        same_mats = CliffordDesc(n, tuple(
+            r if kind == "C" else s for kind, r, s in zip(ROUND_PATTERN, e.rounds, d.rounds)))
+        # One matrix in every C round, and an identity-valued copy that is
+        # not the shared identity object.
+        one_mat = CliffordDesc(n, tuple(
+            d.rounds[1] if kind == "C" else r for kind, r in zip(ROUND_PATTERN, d.rounds)))
+        eye_copy = CliffordDesc(n, eye.rounds)
+        layers = [[d], [e], [eye], [eye_copy], [one_mat], [d, d, d], [eye, eye],
+                  [d, e, d], [d, eye], [eye, d, eye_copy], [d, same_mats, e], [one_mat, d]]
+        for descs in layers:
+            k = len(descs)
+            amps = rng.standard_normal((k, 1 << n)) + 1j * rng.standard_normal((k, 1 << n))
+            for invert in (False, True):
+                layer = clifford.CliffordLayer(descs, invert)
+                want_ops = _layer_ops_reference(descs, invert)
+                _assert_same_ops(layer._ops, want_ops)
+                reference = object.__new__(clifford.CliffordLayer)
+                reference.n, reference.k, reference._ops = n, k, want_ops
+                got, want = layer(amps), reference(amps)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, k, invert)
+
+
+def _index_memo_lookups() -> int:
+    info = clifford._memo_index_map.cache_info()
+    return info.hits + info.misses
+
+
+def test_index_map_memo_stops_at_n3():
+    # Layers at n <= 3 look CNOT index maps up in the memo, whose arrays
+    # every layer shares, so they are read-only; from n = 4 on no layer
+    # touches it.  (Every C round at n = 1 is the identity, which compiles to
+    # nothing.)
+    for n in (2, 3):
+        d = random_clifford(n, 5)
+        m = next(r.m for r in d.rounds if isinstance(r, CRound) and r.m != F2Matrix.identity(n))
+        before = _index_memo_lookups()
+        clifford.CliffordLayer([d])
+        clifford.CliffordLayer([d, identity_desc(n)], invert=True)
+        assert _index_memo_lookups() > before
+        assert not clifford._memo_index_map(m).flags.writeable
+        assert not clifford._memo_phase_row((1,) * n, False).flags.writeable
+    for n in (4, 6):
+        d, e = random_clifford(n, 5), random_clifford(n, 6)
+        before = _index_memo_lookups()
+        for descs in ([d], [d, d], [d, e]):
+            for invert in (False, True):
+                clifford.CliffordLayer(descs, invert)
+        assert _index_memo_lookups() == before
+
+
 def test_to_matrix_gate_constants():
     assert np.allclose(to_matrix(identity_desc(1)), np.eye(2), atol=1e-12)
     h_only = _with_round(identity_desc(1), 0, HRound((1,)))
@@ -238,6 +354,39 @@ def test_random_clifford_from_matches_round_at_a_time_draws():
                     rng.integers(0, 7, size=call + 1)
                     rng.integers(0, 2, size=2 * call + 1)
                 assert block.bit_generator.state == reference.bit_generator.state
+
+
+class _CountingRng:
+    """A Generator that counts its `integers` calls."""
+
+    def __init__(self, rng: np.random.Generator) -> None:
+        self.rng = rng
+        self.integers_calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.integers_calls += 1
+        return self.rng.integers(*args, **kwargs)
+
+
+def test_random_clifford_from_draws_in_few_calls():
+    # A description takes one block of digits, and another only when
+    # rejected candidates leave the parse short: about 6 calls at n = 3,
+    # where one call per rejected candidate took about 11.
+    rng = _CountingRng(np.random.default_rng(0))
+    for _ in range(200):
+        random_clifford_from(rng, 3)
+    assert rng.integers_calls / 200 <= 7
+
+
+def test_random_clifford_from_refuses_n_below_one():
+    rng = np.random.default_rng(4)
+    state = rng.bit_generator.state
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="need n >= 1"):
+            random_clifford_from(rng, n)
+        assert rng.bit_generator.state == state
+        with pytest.raises(ValueError, match="need n >= 1"):
+            random_clifford(n, 1)
 
 
 def test_top_bit_of_a_four_way_draw_is_a_two_way_draw():
@@ -372,6 +521,19 @@ def test_find_overlap_clifford_exhaustion():
     assert (str(back), back.trials, back.best) == (str(err), 5, err.best)
     with pytest.raises(ValueError):
         find_overlap_clifford(PureState(1, np.zeros(2, dtype=complex)), 0.35)
+
+
+def test_find_overlap_clifford_refuses_bad_budget_and_alpha():
+    eta = haar_random_state(2, 99)
+    for bad in (-1, -5):
+        with pytest.raises(ValueError, match="max_trials"):
+            find_overlap_clifford(eta, 0.35, max_trials=bad)
+    for alpha in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="alpha"):
+            find_overlap_clifford(eta, alpha)
+    # An empty budget is still a search that found nothing.
+    with pytest.raises(SearchExhaustedError):
+        find_overlap_clifford(eta, 0.35, max_trials=0)
 
 
 def test_description_serialization_roundtrip():

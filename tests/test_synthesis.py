@@ -673,6 +673,18 @@ def test_build_plan_search_exhaustion_context():
     assert info.value.residual_norm > 0.0
 
 
+def test_negative_search_budget_is_refused():
+    # A negative budget is a caller error, not a search that found nothing.
+    with pytest.raises(ValueError, match="max_trials"):
+        build_plan(haar_random_state(2, 4), derive_params(2, 0.25), max_trials=-1)
+    with pytest.raises(ValueError, match="max_trials"):
+        build_plan(haar_random_state(3, 4), derive_hash_params(3, 0.25),
+                   strategy="hash", max_trials=-1)
+    for k, support in ((0, {5}), (2, {0, 1, 2, 3})):
+        with pytest.raises(ValueError, match="max_trials"):
+            find_hash_matrix(support, k, 4, max_trials=-1)
+
+
 #: sha256 of plan_to_oracle(plan).to_bytes() for the grid of
 #: test_oracle_bytes_pinned, recorded before the batched Clifford kernel
 #: replaced the per-index one (the n = 6 case, the shape of the large-n
