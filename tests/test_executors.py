@@ -638,6 +638,33 @@ def test_executor_outputs_pinned():
     assert h.hexdigest() == _EXECUTOR_OUTPUTS_DIGEST
 
 
+#: sha256 of A|0..0>, of A^dagger A|0..0> and of the ideal-mode A|0..0> on
+#: hash plans at n = 5 and 8 (512 steps each), recorded before the hash
+#: rotations were stacked into one layer.  The n 1-2 plans of
+#: test_executor_outputs_pinned take dot products of at most 4 terms; these
+#: take them over 32 and 256.
+_HASH_CIRCUIT_DIGEST = "9c5eca96d54b466ad2181d3eeb9316b2d2967522b68aef86f8b9877c3c443cf4"
+
+
+def test_hash_circuit_outputs_pinned():
+    h = hashlib.sha256()
+    for n in (5, 8):
+        psi = haar_random_state(n, 40 + n)
+        plan = build_plan(
+            psi, derive_hash_params(n, EPS, t_override=9), strategy="hash", seed=n
+        )
+        oracle = plan_to_oracle(plan)
+        prepared = PreparedCircuit(plan, oracle)
+        ideal = PreparedCircuit(plan, oracle, ideal=True)
+        for value in (
+            prepared.actual,
+            prepared.apply_dagger(prepared.actual),
+            ideal.apply(ideal.circuit.zero_state()),
+        ):
+            _digest_feed(h, value)
+    assert h.hexdigest() == _HASH_CIRCUIT_DIGEST
+
+
 def test_four_query_memory_stays_per_register():
     """The structured evaluator keeps per-register factors only: at 256 rows
     x 64 amplitudes and s = 256 copies, a dense (2, rows, dim, dim) branch

@@ -741,6 +741,12 @@ _ORACLE_DIGESTS = {
         "b6a709dde797f72a44181d08a8a8780fbc4ea1905f02c8e39127e8df2a711d45",
     ("hash", 5, 0.01, "perturbed"):
         "5c72e9c50f5f5c94875aee48281bcd9617083c57c184e8d9e691957ffd466317",
+    # Added with the one-image-table hash step, recorded before it: the
+    # largest hash n of the benchmark, and a perturbed plan past n = 5.
+    ("hash", 8, 0.25, "exact"):
+        "996165e500502ac0faf9de9f133ccee37f1642a9a48245073a8da6e91a089109",
+    ("hash", 6, 0.25, "perturbed"):
+        "af5fe90856f49d165ebd527437872fc773d7836c05ccbdf8cf03f45305f98079",
     # One-track hash plans: the real part, and i times the imaginary part, of
     # the same target, each renormalized; recorded before the Clifford and
     # hash steps shared one planner loop.
@@ -808,6 +814,10 @@ _RESIDUAL_DIGESTS = {
         "ce2508897b32ad8f930dbfbcdca8d7152f96a33ba3584b6308347e360030ba62",
     ("hash", 5, 0.01, "perturbed"):
         "0a9c1389e691aaac2b349a768a3eb0bb39890df5772816d18c64729bf7b44f52",
+    ("hash", 8, 0.25, "exact"):
+        "6fed7c6cb5566e48c8626be07d2d34369088595c8c33242dd9f1c9dae7ee7664",
+    ("hash", 6, 0.25, "perturbed"):
+        "46f9cb607529e0dd63c404f26e3302310165b34074953389aacffabc119ced67",
     ("hash-real", 3, 0.1, "exact"):
         "86f4f43257ceaca97d5c71bcdf5593dcef3144cb982c606045b9bf9b82be7175",
     ("hash-real", 3, 0.1, "perturbed"):
