@@ -9,9 +9,9 @@ this circuit, so query and z bookkeeping live here.
 
 What A takes from the plan alone is built once per plan and shared by every
 driver call on it: the weight gates, the stacked sign bits and the +-1 sign
-matrix, the hash steps' planar rotations, and one batched Clifford step
-layer per direction over the steps whose description is not the identity,
-compiled on first use.  It is cached on the plan, so it lives exactly as
+matrix, the hash steps' planar rotations stacked into one layer, and one
+batched Clifford step layer per direction over the steps whose description
+is not the identity, compiled on first use.  It is cached on the plan, so it lives exactly as
 long as the plan does.  Each driver call still builds its own
 :class:`PostselectCircuit`, which checks the oracle against the plan and
 counts the queries of that call.
@@ -22,8 +22,9 @@ runs A|0> once, and holds the pieces all constructions share: the
 actual state, its normalized junk direction tau_hat, the nominal amplitude
 gamma and delta = sqrt(1 - gamma^2).  In ideal mode the prepared state is
 the designed gamma |0..0>|psi> + delta |tau_hat>, and A is composed with a
-planar rotation that sends |0..0> to A^dagger of it, so the drivers see a
-genuine unitary that prepares the designed state.
+planar rotation that sends |0..0> to A^dagger of it (the one-row case of
+the hash steps' rotation layer), so the drivers see a genuine unitary that
+prepares the designed state.
 """
 
 from __future__ import annotations
@@ -128,42 +129,87 @@ def _hadamard_target(state: np.ndarray, n: int) -> np.ndarray:
     return state
 
 
-class _PlanarRotation:
-    """The rank-two unitary taking unit vector w to xi: the queried sign state
-    to a hash step's state, or (ideal mode) |0..0> to A^dagger |designed>.
+#: The rotation layer works in blocks of rows holding about this many
+#: amplitudes (1 MiB), so that its scratch stays small next to its frames.
+_BLOCK_AMPS = 1 << 16
 
-    It stores the frame (w, g) of the plane and its image (xi, xi_perp);
-    the inverse is the same map with the two frames swapped.  When xi = c w
-    (s = 0) the plane degenerates and the map scales the w component by c,
-    or by conj(c) for the inverse.
+
+def _blocks(rows: int, d: int) -> list[slice]:
+    """Consecutive row slices covering rows rows of length d, a block each."""
+    step = max(1, _BLOCK_AMPS // d)
+    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+
+
+def _row_dots(u: np.ndarray, v: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """np.vdot(u[r], v[r]) for every row r of two (rows, d) arrays, as a
+    (rows, 1) column, through scratch, a (rows, d) buffer it overwrites.
+    A stacked product of the conjugated rows gives vdot's bits."""
+    np.conjugate(u, out=scratch)
+    return np.matmul(scratch[:, None, :], v[:, :, None])[:, :, 0]
+
+
+class _PlanarRotations:
+    """A layer of rank-two unitaries on the given rows of a state: layer
+    row i takes the unit vector w[i] to xi[i] in state row rows[i], the
+    queried sign state to a hash step's state.  Ideal mode is the one-row
+    case on the flattened register: |0..0> to A^dagger |designed>.
+
+    It stores the frames (w, g) of the planes and their images (xi,
+    xi_perp) as stacked (len(rows), d) arrays, with g = (xi - c w) / s,
+    xi_perp = s w - conj(c) g, c = <w, xi> and s = sqrt(max(0, 1 - |c|^2));
+    the inverse is the same map with the two frames swapped.  A row with
+    xi = c w (s <= 1e-14) is degenerate: its map scales the w component by
+    c, or by conj(c) for the inverse.  w and xi are complex128 and taken
+    over by the layer.  Every formula is the one a single row would use, so
+    stacking the rows keeps every bit.
     """
 
-    def __init__(self, w: np.ndarray, xi: np.ndarray) -> None:
-        w = w.astype(np.complex128)
-        xi = xi.astype(np.complex128)
-        c = complex(np.vdot(w, xi))
-        s = math.sqrt(max(0.0, 1.0 - abs(c) ** 2))
-        self.c = c
+    def __init__(self, w: np.ndarray, xi: np.ndarray, rows: np.ndarray) -> None:
+        self.rows = rows
+        g = np.empty_like(w)
+        c = _row_dots(w, xi, g)
+        cs = c[:, 0].tolist()
+        s = np.array([math.sqrt(max(0.0, 1.0 - abs(ci) ** 2)) for ci in cs])
+        degenerate = s <= 1e-14
+        self.degenerate = [(i, cs[i]) for i in np.flatnonzero(degenerate).tolist()]
+        # A degenerate row's frames are never read; dividing by 1 keeps them finite.
+        s = np.where(degenerate, 1.0, s).astype(np.complex128)[:, None]
+        np.multiply(c, w, out=g)
+        np.subtract(xi, g, out=g)
+        np.divide(g, s, out=g)
+        # s w - conj(c) g needs room for a product: a block of rows at a time.
+        xi_perp = np.empty_like(w)
+        blocks = _blocks(*w.shape)
+        scratch = np.empty_like(w[blocks[0]])
+        for b in blocks:
+            np.multiply(s[b], w[b], out=xi_perp[b])
+            product = np.multiply(np.conj(c[b]), g[b], out=scratch[: len(g[b])])
+            np.subtract(xi_perp[b], product, out=xi_perp[b])
         self.w = w
-        self.frames = None
-        if s > 1e-14:
-            g = (xi - c * w) / s
-            self.frames = ((w, g), (xi, s * w - np.conj(c) * g))
+        self.frames = ((w, g), (xi, xi_perp))
 
-    def _map(self, v: np.ndarray, inverse: bool) -> np.ndarray:
-        if self.frames is None:
-            c = np.conj(self.c) if inverse else self.c
-            return v + np.vdot(self.w, v) * (c - 1.0) * self.w
+    def __call__(self, state: np.ndarray, inverse: bool) -> np.ndarray:
+        """The layer (or its inverse) on state, in place, a block of rows at
+        a time: each row v becomes v - a0 u0 - a1 u1 + a0 d0 + a1 d1, with
+        a_i = <u_i, v>."""
         (u0, u1), (d0, d1) = self.frames[::-1] if inverse else self.frames
-        a0 = np.vdot(u0, v)
-        a1 = np.vdot(u1, v)
-        return v - a0 * u0 - a1 * u1 + a0 * d0 + a1 * d1
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self._map(v, inverse=False)
-
-    def apply_inverse(self, v: np.ndarray) -> np.ndarray:
-        return self._map(v, inverse=True)
+        kept = [state[self.rows[i]].copy() for i, _ in self.degenerate]
+        blocks = _blocks(*u0.shape)
+        scratch = np.empty_like(u0[blocks[0]])
+        for b in blocks:
+            v = state[self.rows[b]]
+            buf = scratch[: len(v)]
+            a0 = _row_dots(u0[b], v, buf)
+            a1 = _row_dots(u1[b], v, buf)
+            for a, u, op in ((a0, u0, np.subtract), (a1, u1, np.subtract),
+                             (a0, d0, np.add), (a1, d1, np.add)):
+                np.multiply(a, u[b], out=buf)
+                op(v, buf, out=v)
+            state[self.rows[b]] = v
+        for (i, c), x in zip(self.degenerate, kept):
+            w = self.w[i]
+            state[self.rows[i]] = x + np.vdot(w, x) * ((np.conj(c) if inverse else c) - 1.0) * w
+        return state
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -177,7 +223,9 @@ class _PlanCircuit:
 
     It holds the index-register weight gates and their transposes, the
     stacked (T, 2^n) sign bits and the +-1 sign matrix the query multiplies
-    by, the hash steps' planar rotations, and the Clifford step rows whose
+    by, the hash steps' planar rotations as one _PlanarRotations layer over
+    their rows (None when there are none), whose frames are built once,
+    straight into stacked arrays, and the Clifford step rows whose
     description is not ``identity_desc(n)``, with one CliffordLayer per
     direction over just those rows, compiled on first use.  The identity
     layer only copies, so leaving its rows out keeps every bit.  Nothing
@@ -193,14 +241,18 @@ class _PlanCircuit:
         weights = np.array([s.coefficient for s in steps])
         self.gates = tuple(_read_only(gate) for gate in _weight_gates(weights, t_reg))
         self.gates_t = tuple(gate.T for gate in self.gates)
-        rotations = []
-        scale = 1.0 / math.sqrt(1 << plan.params.n)
-        for j, step in enumerate(steps):
-            if step.kind == "hash":
-                w = step.signs.signs() * scale
-                xi = step.phase * step.hash_state.state_vector()
-                rotations.append((j, _PlanarRotation(w, xi)))
-        self.rotations = tuple(rotations)
+        rows = _read_only(np.array(
+            [j for j, step in enumerate(steps) if step.kind == "hash"], dtype=np.intp
+        ))
+        self.rotations = None
+        if rows.size:
+            scale = 1.0 / math.sqrt(1 << plan.params.n)
+            w = np.empty((rows.size, 1 << plan.params.n), dtype=np.complex128)
+            np.multiply(self.sign_matrix[rows], scale, out=w)
+            xi = np.empty_like(w)
+            for i, j in enumerate(rows.tolist()):
+                np.multiply(steps[j].phase, steps[j].hash_state.state_vector(), out=xi[i])
+            self.rotations = _PlanarRotations(w, xi, rows)
         identity = cliff.identity_desc(plan.params.n)
         rows = [
             j for j, step in enumerate(steps)
@@ -264,7 +316,6 @@ class PostselectCircuit:
         self.rows = 1 << self.t_reg
         self._parts = parts
         self._gates = parts.gates
-        self._rotations = parts.rotations
         self.query_count = 0
 
     @property
@@ -309,8 +360,8 @@ class PostselectCircuit:
         return state * self._parts.sign_matrix
 
     def _steps(self, state: np.ndarray, invert: bool) -> np.ndarray:
-        for j, rot in self._rotations:
-            state[j] = rot.apply_inverse(state[j]) if invert else rot.apply(state[j])
+        if self._parts.rotations is not None:
+            self._parts.rotations(state, invert)
         rows = self._parts.clifford_rows
         if rows.size:
             state[rows] = self._parts.layer(invert)(state[rows])
@@ -411,22 +462,28 @@ class PreparedCircuit:
         return designed
 
     @cached_property
-    def _ideal_rotation(self) -> _PlanarRotation:
+    def _ideal_rotation(self) -> _PlanarRotations:
         """|0..0> -> A^dagger |designed>, so that A after it prepares the
-        designed state.  Its construction applies A^dagger once."""
-        e0 = np.zeros(self.circuit.rows * self.circuit.dim, dtype=np.complex128)
-        e0[0] = 1.0
-        return _PlanarRotation(e0, self.circuit.apply_dagger(self.designed).reshape(-1))
+        designed state: one row over the flattened register.  Its
+        construction applies A^dagger once."""
+        e0 = np.zeros((1, self.circuit.rows * self.circuit.dim), dtype=np.complex128)
+        e0[0, 0] = 1.0
+        xi = self.circuit.apply_dagger(self.designed).reshape(1, -1)
+        return _PlanarRotations(e0, xi, np.zeros(1, dtype=np.intp))
+
+    def _rotate(self, state: np.ndarray, inverse: bool) -> np.ndarray:
+        """The ideal-mode rotation (or its inverse) on a copy of state."""
+        return self._ideal_rotation(state.reshape(1, -1).copy(), inverse).reshape(state.shape)
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """A |state>, A composed with the ideal-mode rotation in ideal mode."""
         if self.ideal:
-            state = self._ideal_rotation.apply(state.reshape(-1)).reshape(state.shape)
+            state = self._rotate(state, inverse=False)
         return self.circuit.apply(state)
 
     def apply_dagger(self, state: np.ndarray) -> np.ndarray:
         """A^dagger |state>, the exact inverse of apply."""
         state = self.circuit.apply_dagger(state)
         if self.ideal:
-            state = self._ideal_rotation.apply_inverse(state.reshape(-1)).reshape(state.shape)
+            state = self._rotate(state, inverse=True)
         return state

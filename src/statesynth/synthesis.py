@@ -172,7 +172,9 @@ class HashState:
 
     support holds 2^k basis indices (ascending) on which the k x n matrix
     is one-to-one; signs[i] is the +-1 sign of amplitude 2^(-k/2) at
-    support[i].
+    support[i].  The constructor checks all of it, computing the matrix's
+    image table; the planner runs the same check fed the table its search
+    already built.
     """
 
     n: int
@@ -182,6 +184,12 @@ class HashState:
     signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        self._check(f2linalg.apply_to_all(self.matrix))
+
+    def _check(self, images: np.ndarray | None) -> None:
+        """Every invariant, given images, the matrix's image table
+        (`f2linalg.apply_to_all`), or None when this support was already
+        found one-to-one on this matrix (a checked state with new signs)."""
         if len(self.support) != 1 << self.k or len(self.signs) != 1 << self.k:
             raise ValueError(f"support and signs must have exactly 2^{self.k} entries")
         if self.matrix.rows != self.k or self.matrix.cols != self.n:
@@ -192,8 +200,9 @@ class HashState:
             raise ValueError("support must be strictly ascending")
         if self.support and (self.support[0] < 0 or self.support[-1] >= 1 << self.n):
             raise ValueError("support index out of range")
-        images = f2linalg.apply_to_all(self.matrix)[list(self.support)]
-        if np.unique(images).size != len(self.support):
+        if images is None:
+            return
+        if _distinct_images(images[list(self.support)], self.k) != len(self.support):
             raise ValueError("hash matrix is not one-to-one on the support")
 
     def state_vector(self) -> np.ndarray:
@@ -202,11 +211,17 @@ class HashState:
         return amps
 
 
+def _distinct_images(images: np.ndarray, k: int) -> int:
+    """How many distinct values, each in [0, 2^k), images holds."""
+    return int(np.count_nonzero(np.bincount(images, minlength=1 << k)))
+
+
 def find_hash_matrix(
-    S: set[int], k: int, n: int, max_trials: int = 200, seed: int = 0
+    S: set[int] | np.ndarray, k: int, n: int, max_trials: int = 200, seed: int = 0
 ) -> tuple[F2Matrix, np.ndarray]:
     """Random full-rank k x n matrix whose image of S exceeds 2^(k-1) points.
 
+    S is a set of indices, or the same indices as an int64 array.
     Candidates are drawn until one passes the (directly evaluated) image-size
     check; rank-deficient draws count against the trial budget too.  Returns
     the matrix with its image table (`f2linalg.apply_to_all`, the image of
@@ -219,14 +234,14 @@ def find_hash_matrix(
         raise ValueError(f"need |S| = 2^{k} <= 2^{n}, got {len(S)}")
     if k == 0:
         return F2Matrix(0, n, ()), np.zeros(1 << n, dtype=np.int64)
-    s_array = np.fromiter(sorted(S), dtype=np.int64)
+    s_array = S if isinstance(S, np.ndarray) else np.fromiter(sorted(S), dtype=np.int64)
     rng = substream(seed, f"hash-matrix-{k}x{n}")
     for _ in range(max_trials):
         candidate = F2Matrix(k, n, f2linalg.random_rows_from(rng, k, n))
         if f2linalg.rank(candidate) != k:
             continue
         images = f2linalg.apply_to_all(candidate)
-        if np.unique(images[s_array]).size > 1 << (k - 1):
+        if _distinct_images(images[s_array], k) > 1 << (k - 1):
             return candidate, images
     raise SearchExhaustedError(
         f"no admissible {k}x{n} hash matrix within {max_trials} trials (seed {seed})",
@@ -259,23 +274,26 @@ def hash_state_for(
     dim = 1 << n
     reals = amps.real
     mags = np.abs(reals)
-    order = np.lexsort((np.arange(dim), -mags))
+    order = np.argsort(-mags, kind="stable")
     scores = mags[order] * np.sqrt(np.arange(1, dim + 1))
     jstar = int(np.argmax(scores)) + 1
     mu = float(scores[jstar - 1])
     k = jstar.bit_length() - 1
     s_array = np.sort(order[: 1 << k])
-    matrix, images = find_hash_matrix(
-        set(s_array.tolist()), k, n, max_trials=max_trials, seed=seed
-    )
-    # The matrix has full rank k, so every y in [0, 2^k) has a preimage:
-    # np.unique lists them in order with the first (lowest) preimage of each.
-    _, chosen = np.unique(images, return_index=True)
+    matrix, images = find_hash_matrix(s_array, k, n, max_trials=max_trials, seed=seed)
+    # The matrix has full rank k, so every y in [0, 2^k) has the same number
+    # of preimages, 2^(n-k): a stable sort of the images lists them y by y,
+    # each y's lowest preimage first.
+    chosen = np.argsort(images, kind="stable")[:: 1 << (n - k)]
     hit, first_in_S = np.unique(images[s_array], return_index=True)
     chosen[hit] = s_array[first_in_S]
     support = np.sort(chosen)
     signs = np.where(reals[support] >= 0.0, 1, -1)
-    return HashState(n, k, matrix, tuple(support.tolist()), tuple(signs.tolist())), mu
+    hs = cliff._checked(
+        HashState, images, n=n, k=k, matrix=matrix,
+        support=tuple(support.tolist()), signs=tuple(signs.tolist()),
+    )
+    return hs, mu
 
 
 def trivial_hash_state(n: int) -> HashState:
@@ -426,14 +444,20 @@ def _plan_steps(
                 max_trials=max_trials,
                 seed=step_seed,
             )
-        support = list(hs.support)
+        support = np.array(hs.support)
         if bound != 0.0:
-            signs = _perturbed_signs(eta[support], support, bound, index, n, seed)
-            hs = HashState(n, hs.k, hs.matrix, hs.support, tuple(signs))
+            signs = _perturbed_signs(eta[support], hs.support, bound, index, n, seed)
+            hs = cliff._checked(
+                HashState, None, n=n, k=hs.k, matrix=hs.matrix,
+                support=hs.support, signs=tuple(signs),
+            )
+        signs = np.array(hs.signs)
         bits = np.zeros(1 << n, dtype=np.uint8)
-        bits[support] = np.array(hs.signs) < 0
-        step = PlanStep("hash", coeff, phase, SignPattern(n, bits), hash_state=hs)
-        return step, step.step_state().real
+        bits[support] = signs < 0
+        # The real part of hs.state_vector(), from the arrays at hand.
+        state = np.zeros(1 << n)
+        state[support] = signs * 2.0 ** (-hs.k / 2.0)
+        return PlanStep("hash", coeff, phase, SignPattern(n, bits), hash_state=hs), state
 
     # A track is [residual, phase, scale, current residual norm].
     if strategy == "clifford":

@@ -35,7 +35,7 @@ from statesynth.executors import (
     run_ten_query,
 )
 from statesynth.executors import common
-from statesynth.executors.common import PreparedCircuit, _hadamard_target, _PlanarRotation
+from statesynth.executors.common import PreparedCircuit, _hadamard_target, _PlanarRotations
 from statesynth.executors.four_query import default_copy_count as four_query_copies
 from statesynth.executors.four_query import expand_structured
 from statesynth.executors.one_query import default_copy_count as one_query_copies
@@ -194,18 +194,19 @@ def test_hash_rotations_built_once_per_plan(monkeypatch):
     oracle = plan_to_oracle(plan)
     built = []
 
-    class CountingRotation(_PlanarRotation):
-        def __init__(self, w, xi):
-            built.append(1)
-            super().__init__(w, xi)
+    class CountingRotations(_PlanarRotations):
+        def __init__(self, w, xi, rows):
+            built.append(len(w))
+            super().__init__(w, xi, rows)
 
-    monkeypatch.setattr(common, "_PlanarRotation", CountingRotation)
+    monkeypatch.setattr(common, "_PlanarRotations", CountingRotations)
     run_postselect(plan, oracle)
     run_one_query(psi, EPS, plan=plan, oracle=oracle)
-    assert len(built) == len(plan.steps)
+    # One stacked layer per plan, one row per hash step.
+    assert built == [len(plan.steps)]
     circuit = PostselectCircuit(plan, oracle)
-    assert [j for j, _ in circuit._rotations] == list(range(len(plan.steps)))
-    assert len(built) == len(plan.steps)
+    assert circuit._parts.rotations.rows.tolist() == list(range(len(plan.steps)))
+    assert built == [len(plan.steps)]
 
 
 def test_shared_circuit_parts_die_with_the_plan():
@@ -424,12 +425,96 @@ def test_planar_rotation_inverse_undoes_apply():
                 xi /= np.linalg.norm(xi)
             else:
                 xi = c * w
-            rot = _PlanarRotation(w, xi)
-            assert (rot.frames is None) == (c is not None)
-            assert np.max(np.abs(rot.apply(w) - xi)) <= 1e-12
+            rot = _PlanarRotations(
+                w[None].astype(complex), xi[None].astype(complex), np.zeros(1, dtype=np.intp)
+            )
+            assert bool(rot.degenerate) == (c is not None)
+
+            def apply(v, inverse=False):
+                return rot(v[None].astype(complex), inverse)[0]
+
+            assert np.max(np.abs(apply(w) - xi)) <= 1e-12
             x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            assert np.max(np.abs(rot.apply_inverse(rot.apply(x)) - x)) <= 1e-12
-            assert np.max(np.abs(rot.apply(rot.apply_inverse(x)) - x)) <= 1e-12
+            assert np.max(np.abs(apply(apply(x), inverse=True) - x)) <= 1e-12
+            assert np.max(np.abs(apply(apply(x, inverse=True)) - x)) <= 1e-12
+
+
+class _PlanarRotationReference:
+    """One row of _PlanarRotations the way it was computed before the rows
+    were stacked: the bit-for-bit reference of
+    test_planar_rotations_match_per_row."""
+
+    def __init__(self, w: np.ndarray, xi: np.ndarray) -> None:
+        w = w.astype(np.complex128)
+        xi = xi.astype(np.complex128)
+        c = complex(np.vdot(w, xi))
+        s = math.sqrt(max(0.0, 1.0 - abs(c) ** 2))
+        self.c = c
+        self.w = w
+        self.frames = None
+        if s > 1e-14:
+            g = (xi - c * w) / s
+            self.frames = ((w, g), (xi, s * w - np.conj(c) * g))
+
+    def map(self, v: np.ndarray, inverse: bool) -> np.ndarray:
+        if self.frames is None:
+            c = np.conj(self.c) if inverse else self.c
+            return v + np.vdot(self.w, v) * (c - 1.0) * self.w
+        (u0, u1), (d0, d1) = self.frames[::-1] if inverse else self.frames
+        a0 = np.vdot(u0, v)
+        a1 = np.vdot(u1, v)
+        return v - a0 * u0 - a1 * u1 + a0 * d0 + a1 * d1
+
+
+def test_planar_rotations_match_per_row(monkeypatch):
+    """Every bit, -0.0 included, of the stacked layer's frames and of both
+    directions equals the per-row reference, on hash-step rows (a sign state
+    to a phased hash state), random unit targets and degenerate rows, over
+    12 of 16 state rows in shuffled order, in one block of rows and in
+    blocks of 5, 5 and 2."""
+    rng = np.random.default_rng(31)
+    for n, block_rows in itertools.product(range(1, 9), (None, 5)):
+        dim = 1 << n
+        if block_rows is not None:
+            monkeypatch.setattr(common, "_BLOCK_AMPS", block_rows * dim)
+        ws, xis = [], []
+        for r in range(12):
+            w = (1.0 - 2.0 * rng.integers(0, 2, dim)) / math.sqrt(dim)
+            if r < 6:
+                k = int(rng.integers(0, n + 1))
+                amps = np.zeros(dim, dtype=np.complex128)
+                support = rng.choice(dim, 1 << k, replace=False)
+                amps[support] = (1.0 - 2.0 * rng.integers(0, 2, 1 << k)) * 2.0 ** (-k / 2.0)
+                xi = (1j if r % 2 else 1) * amps
+            elif r < 10:
+                xi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+                xi /= np.linalg.norm(xi)
+            else:
+                # Degenerate at even n, where the sign state's norm is exactly 1.
+                xi = (-1j if r % 2 else -1.0) * w
+            ws.append(w)
+            xis.append(xi)
+        rows = rng.permutation(16)[:12]
+        layer = _PlanarRotations(
+            np.array(ws, dtype=np.complex128), np.array(xis, dtype=np.complex128), rows
+        )
+        refs = [_PlanarRotationReference(w, xi) for w, xi in zip(ws, xis)]
+        assert [i for i, _ in layer.degenerate] == [
+            i for i, ref in enumerate(refs) if ref.frames is None
+        ]
+        for i, ref in enumerate(refs):
+            if ref.frames is not None:
+                for got, want in zip(layer.frames, ref.frames):
+                    assert np.array_equal(got[0][i].view(np.uint64), want[0].view(np.uint64))
+                    assert np.array_equal(got[1][i].view(np.uint64), want[1].view(np.uint64))
+        state = rng.standard_normal((16, dim)) + 1j * rng.standard_normal((16, dim))
+        state[:, : dim // 2] *= 0.0  # signed zeros: -0.0 where the draw was negative
+        for inverse in (False, True):
+            want = state.copy()
+            for i, ref in enumerate(refs):
+                want[rows[i]] = ref.map(state[rows[i]], inverse)
+            got = layer(state.copy(), inverse)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_circuit_dagger_undoes_apply():
@@ -447,7 +532,8 @@ def test_circuit_dagger_undoes_apply():
             circuit = PostselectCircuit(plan, plan_to_oracle(plan))
             zero = circuit.zero_state()
             assert np.linalg.norm(circuit.apply_dagger(circuit.apply(zero)) - zero) <= 1e-12
-            degenerate += sum(rot.frames is None for _, rot in circuit._rotations)
+            if circuit._parts.rotations is not None:
+                degenerate += len(circuit._parts.rotations.degenerate)
     assert degenerate > 0
 
 

@@ -624,6 +624,59 @@ def test_hash_state_validation():
             HashState(2, 1, m, support, (1, 1))
 
 
+def _hand_hash_record(n: int, k: int, rows: tuple[int, ...], support, signs) -> bytes:
+    """A hash step record written field by field, whatever its contents."""
+    record = b"\x02" + k.to_bytes(2, "little") + F2Matrix(k, n, rows).to_bytes()
+    record += b"".join(x.to_bytes(8, "little") for x in support)
+    sign_bits = sum(1 << i for i, sign in enumerate(signs) if sign < 0)
+    return record + sign_bits.to_bytes(((1 << k) + 7) // 8, "little")
+
+
+def test_malformed_records_rejected_through_the_parser():
+    """Records from bytes get the full check: each fault raises
+    OracleFormatError from parse_desc_section, also on the section of an
+    oracle file that OracleSpec.from_bytes accepted."""
+    n = 2
+    # The 1 x 2 matrix reads the high bit: 0 -> 0, 1 -> 0, 2 -> 1, 3 -> 1.
+    good = _hand_hash_record(n, 1, (1,), (0, 2), (1, -1))
+    assert parse_desc_section(good, n, 1) == [HashState(n, 1, F2Matrix(1, 2, (1,)), (0, 2), (1, -1))]
+    # The identity's first C round (bytes 1-10: M, then M^-1) with an M^-1
+    # that is not the inverse of M = I.
+    clifford = bytearray(b"\x01" + desc_to_bytes(identity_desc(n)))
+    clifford[7:12] = F2Matrix(2, 2, (0b11, 0b01)).to_bytes()
+    bad = [
+        ("one-to-one", _hand_hash_record(n, 1, (1,), (0, 1), (1, 1))),
+        ("strictly ascending", _hand_hash_record(n, 1, (1,), (2, 2), (1, 1))),
+        ("strictly ascending", _hand_hash_record(n, 1, (1,), (2, 0), (1, 1))),
+        ("out of range", _hand_hash_record(n, 1, (1,), (0, 4), (1, 1))),
+        ("wrong inverse", bytes(clifford)),
+    ]
+    for message, record in bad:
+        section = good + record
+        with pytest.raises(OracleFormatError, match=message) as info:
+            parse_desc_section(section, n, 2)
+        assert info.value.offset == len(good)
+        oracle = OracleSpec.from_bytes(_oracle_image(n, 1, 3, section))
+        with pytest.raises(OracleFormatError, match=message):
+            parse_desc_section(oracle.desc_section, oracle.n, oracle.T)
+
+
+def test_planner_hash_states_pass_the_full_check():
+    """The planner checks each hash state with the image table its search
+    built; the public constructor, which builds the table itself, accepts
+    every one of them and gives an equal state."""
+    for n in range(1, 9):
+        psi = haar_random_state(n, 70 + n)
+        for mode in ("exact", "perturbed"):
+            plan = build_plan(
+                psi, derive_hash_params(n, 0.25, t_override=3), strategy="hash",
+                mode=mode, perturb_bound=0.05, seed=n,
+            )
+            for step in plan.steps:
+                hs = step.hash_state
+                assert HashState(hs.n, hs.k, hs.matrix, hs.support, hs.signs) == hs
+
+
 def test_trivial_hash_state():
     hs = trivial_hash_state(2)
     assert (hs.k, hs.support, hs.signs) == (0, (0,), (1,))
