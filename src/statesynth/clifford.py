@@ -130,11 +130,6 @@ class CliffordDesc:
     rounds: tuple[Round, ...]
 
     def __post_init__(self) -> None:
-        self._check(inverses_proved=False)
-
-    def _check(self, inverses_proved: bool) -> None:
-        """Every invariant; inverses_proved skips only the GF(2) product of
-        each C round's pair, for pairs that `f2linalg.invertible_pair` made."""
         eye = tuple(1 << c for c in range(self.n))
         if len(self.rounds) != len(ROUND_PATTERN):
             raise ValueError(f"expected {len(ROUND_PATTERN)} rounds, got {len(self.rounds)}")
@@ -153,23 +148,8 @@ class CliffordDesc:
                 for m in (rnd.m, rnd.m_inv):
                     if m.rows != self.n or m.cols != self.n:
                         raise ValueError(f"round {pos} matrix is not {self.n}x{self.n}")
-                if (
-                    not inverses_proved
-                    and f2linalg.mul_rows(rnd.m.row_bits, rnd.m_inv.row_bits) != eye
-                ):
+                if f2linalg.mul_rows(rnd.m.row_bits, rnd.m_inv.row_bits) != eye:
                     raise ValueError(f"round {pos} carries a wrong inverse")
-
-
-def _checked(cls, proof, **fields):
-    """An instance of the frozen dataclass cls with these fields, checked by
-    cls._check(proof) in place of the constructor's full check: for the
-    builders that already hold what that check would compute (a
-    `CliffordDesc` sampler, the hash-state search)."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    obj._check(proof)
-    return obj
 
 
 def sr(c: complex) -> int:
@@ -500,8 +480,7 @@ def random_clifford_from(rng: np.random.Generator, n: int) -> CliffordDesc:
         else:
             rounds.append(PRound(tuple(digit_rows[i])))
         i += 1
-    # Every C round's pair came from f2linalg.invertible_pair.
-    return _checked(CliffordDesc, True, n=n, rounds=tuple(rounds))
+    return CliffordDesc(n, tuple(rounds))
 
 
 def random_clifford(n: int, seed: int) -> CliffordDesc:

@@ -471,19 +471,17 @@ class PreparedCircuit:
         xi = self.circuit.apply_dagger(self.designed).reshape(1, -1)
         return _PlanarRotations(e0, xi, np.zeros(1, dtype=np.intp))
 
-    def _rotate(self, state: np.ndarray, inverse: bool) -> np.ndarray:
-        """The ideal-mode rotation (or its inverse) on a copy of state."""
-        return self._ideal_rotation(state.reshape(1, -1).copy(), inverse).reshape(state.shape)
-
     def apply(self, state: np.ndarray) -> np.ndarray:
         """A |state>, A composed with the ideal-mode rotation in ideal mode."""
         if self.ideal:
-            state = self._rotate(state, inverse=False)
+            rotated = self._ideal_rotation(state.reshape(1, -1).copy(), inverse=False)
+            state = rotated.reshape(state.shape)
         return self.circuit.apply(state)
 
     def apply_dagger(self, state: np.ndarray) -> np.ndarray:
         """A^dagger |state>, the exact inverse of apply."""
         state = self.circuit.apply_dagger(state)
         if self.ideal:
-            state = self._rotate(state, inverse=True)
+            # The circuit's output is a fresh array: rotate it in place.
+            self._ideal_rotation(state.reshape(1, -1), inverse=True)
         return state

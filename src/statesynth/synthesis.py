@@ -205,6 +205,16 @@ class HashState:
         if _distinct_images(images[list(self.support)], self.k) != len(self.support):
             raise ValueError("hash matrix is not one-to-one on the support")
 
+    @classmethod
+    def _built(cls, images: np.ndarray | None, **fields) -> HashState:
+        """A state with these fields, checked by _check(images) in place of
+        the constructor's full check: for the planner, which holds images."""
+        state = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(state, name, value)
+        state._check(images)
+        return state
+
     def state_vector(self) -> np.ndarray:
         amps = np.zeros(1 << self.n, dtype=np.complex128)
         amps[list(self.support)] = np.array(self.signs, dtype=np.float64) * 2.0 ** (-self.k / 2.0)
@@ -289,8 +299,8 @@ def hash_state_for(
     chosen[hit] = s_array[first_in_S]
     support = np.sort(chosen)
     signs = np.where(reals[support] >= 0.0, 1, -1)
-    hs = cliff._checked(
-        HashState, images, n=n, k=k, matrix=matrix,
+    hs = HashState._built(
+        images, n=n, k=k, matrix=matrix,
         support=tuple(support.tolist()), signs=tuple(signs.tolist()),
     )
     return hs, mu
@@ -447,9 +457,8 @@ def _plan_steps(
         support = np.array(hs.support)
         if bound != 0.0:
             signs = _perturbed_signs(eta[support], hs.support, bound, index, n, seed)
-            hs = cliff._checked(
-                HashState, None, n=n, k=hs.k, matrix=hs.matrix,
-                support=hs.support, signs=tuple(signs),
+            hs = HashState._built(
+                None, n=n, k=hs.k, matrix=hs.matrix, support=hs.support, signs=tuple(signs)
             )
         signs = np.array(hs.signs)
         bits = np.zeros(1 << n, dtype=np.uint8)

@@ -106,17 +106,6 @@ def test_description_rejects_bad_cnot_round():
         _with_round(identity_desc(2), pos, CRound(m, f2linalg.inverse(m)))
 
 
-def test_sampled_descriptions_pass_the_full_check():
-    """The sampler skips only the GF(2) product of each C round, whose pair
-    f2linalg.invertible_pair proved; the public constructor runs it and
-    accepts every description drawn, giving an equal one."""
-    for n in range(1, 7):
-        rng = substream(0, f"sampled-descriptions-{n}")
-        for _ in range(400):
-            d = random_clifford_from(rng, n)
-            assert CliffordDesc(d.n, d.rounds) == d
-
-
 def test_full_h_round_builds_uniform_superposition():
     for n in (1, 2, 3):
         d = _with_round(identity_desc(n), 0, HRound((1,) * n))
