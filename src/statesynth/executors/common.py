@@ -11,7 +11,10 @@ What A takes from the plan alone is built once per plan and shared by every
 driver call on it: the weight gates, the stacked sign bits and the +-1 sign
 matrix, the hash steps' planar rotations stacked into one layer, and one
 batched Clifford step layer per direction over the steps whose description
-is not the identity, compiled on first use.  It is cached on the plan, so it lives exactly as
+is not the identity, compiled on first use.  The rotation layer keeps two
+numbers per row and the hash states in compact form; it rebuilds its dense
+frames a block of rows at a time on every application, so the plan holds
+no (T, 2^n) complex array.  It is cached on the plan, so it lives exactly as
 long as the plan does.  Each driver call still builds its own
 :class:`PostselectCircuit`, which checks the oracle against the plan and
 counts the queries of that call.
@@ -130,14 +133,15 @@ def _hadamard_target(state: np.ndarray, n: int) -> np.ndarray:
 
 
 #: The rotation layer works in blocks of rows holding about this many
-#: amplitudes (1 MiB), so that its scratch stays small next to its frames.
+#: amplitudes (1 MiB), so that the frames it rebuilds for a block, and its
+#: scratch, stay small next to the state.
 _BLOCK_AMPS = 1 << 16
 
 
 def _blocks(rows: int, d: int) -> list[slice]:
     """Consecutive row slices covering rows rows of length d, a block each."""
     step = max(1, _BLOCK_AMPS // d)
-    return [slice(lo, lo + step) for lo in range(0, rows, step)]
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
 def _row_dots(u: np.ndarray, v: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -148,66 +152,147 @@ def _row_dots(u: np.ndarray, v: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.matmul(scratch[:, None, :], v[:, :, None])[:, :, 0]
 
 
+def _row_index(rows: np.ndarray, b: slice) -> slice | np.ndarray:
+    """rows[b] as an index: a slice, which views rather than copies, when
+    those rows run consecutively upward, as a plan's hash rows do."""
+    picked = rows[b]
+    lo = int(picked[0])
+    if np.array_equal(picked, np.arange(lo, lo + len(picked))):
+        return slice(lo, lo + len(picked))
+    return picked
+
+
+class _DenseRows:
+    """Frame rows held as one stacked (rows, d) complex array."""
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+        self.shape = array.shape
+
+    def block(self, b: slice, out: np.ndarray) -> np.ndarray:
+        """Rows b: a view of the array, so out is not written."""
+        return self.array[b]
+
+
+class _SignRows:
+    """The sign states of the given rows of a +-1 sign matrix: each row
+    times scale, the same product, cast to complex, that a dense array of
+    them would hold."""
+
+    def __init__(self, signs: np.ndarray, rows: np.ndarray, scale: float) -> None:
+        self.signs = signs
+        self.rows = rows
+        self.scale = scale
+        self.shape = (len(rows), signs.shape[1])
+
+    def block(self, b: slice, out: np.ndarray) -> np.ndarray:
+        """Rows b, written into out and returned."""
+        return np.multiply(self.signs[_row_index(self.rows, b)], self.scale, out=out)
+
+
+class _SparseRows:
+    """Frame rows phase[i] * x[i] with x[i] real and nonzero only on a
+    support: a hash state's phased state vector.  It holds the phases, one
+    per row, and the supports' flat positions in the stacked (rows, d)
+    array and their values, row after row in one array each; starts[i] is
+    where row i's entries begin."""
+
+    def __init__(self, d: int, phases, supports, values) -> None:
+        counts = [len(support) for support in supports]
+        self.shape = (len(counts), d)
+        self.phases = np.array(phases, dtype=np.complex128)[:, None]
+        self.starts = np.concatenate(([0], np.cumsum(counts))).tolist()
+        self.positions = np.repeat(np.arange(len(counts)) * d, counts) + np.concatenate(supports)
+        self.values = np.concatenate(values)
+
+    def block(self, b: slice, out: np.ndarray) -> np.ndarray:
+        """Rows b, written into out and returned: zeros, then the support
+        values, then the product with the phases, as phase * state_vector()
+        computes a row."""
+        lo, hi = self.starts[b.start], self.starts[b.stop]
+        out.fill(0.0)
+        flat = out.reshape(-1)
+        flat[self.positions[lo:hi] - b.start * self.shape[1]] = self.values[lo:hi]
+        return np.multiply(self.phases[b], out, out=out)
+
+
 class _PlanarRotations:
     """A layer of rank-two unitaries on the given rows of a state: layer
     row i takes the unit vector w[i] to xi[i] in state row rows[i], the
     queried sign state to a hash step's state.  Ideal mode is the one-row
     case on the flattened register: |0..0> to A^dagger |designed>.
 
-    It stores the frames (w, g) of the planes and their images (xi,
-    xi_perp) as stacked (len(rows), d) arrays, with g = (xi - c w) / s,
-    xi_perp = s w - conj(c) g, c = <w, xi> and s = sqrt(max(0, 1 - |c|^2));
-    the inverse is the same map with the two frames swapped.  A row with
-    xi = c w (s <= 1e-14) is degenerate: its map scales the w component by
-    c, or by conj(c) for the inverse.  w and xi are complex128 and taken
-    over by the layer.  Every formula is the one a single row would use, so
-    stacking the rows keeps every bit.
+    The plane of row i is framed by (w, g) and its image by (xi, xi_perp),
+    with g = (xi - c w) / s, xi_perp = s w - conj(c) g, c = <w, xi> and
+    s = sqrt(max(0, 1 - |c|^2)); the inverse is the same map with the two
+    frames swapped.  A row with xi = c w (s <= 1e-14) is degenerate: its
+    map scales the w component by c, or by conj(c) for the inverse.
+
+    w and xi are row sources (_DenseRows, _SignRows, _SparseRows) of the
+    same (len(rows), d) shape.  The layer stores only c, s and the
+    degenerate rows; each application rebuilds the four frames a block of
+    rows at a time, into one buffer, by the formulas above.  Every formula
+    is the one a single row would use, so neither stacking nor blocking
+    the rows moves a bit.
     """
 
-    def __init__(self, w: np.ndarray, xi: np.ndarray, rows: np.ndarray) -> None:
-        self.rows = rows
-        g = np.empty_like(w)
-        c = _row_dots(w, xi, g)
+    def __init__(self, w, xi, rows: np.ndarray) -> None:
+        self.w, self.xi, self.rows = w, xi, rows
+        buf = self._buffer()
+        c = np.empty((len(rows), 1), dtype=np.complex128)
+        for b in _blocks(*w.shape):
+            size = b.stop - b.start
+            c[b] = _row_dots(w.block(b, buf[0, :size]), xi.block(b, buf[2, :size]), buf[4, :size])
         cs = c[:, 0].tolist()
         s = np.array([math.sqrt(max(0.0, 1.0 - abs(ci) ** 2)) for ci in cs])
         degenerate = s <= 1e-14
         self.degenerate = [(i, cs[i]) for i in np.flatnonzero(degenerate).tolist()]
         # A degenerate row's frames are never read; dividing by 1 keeps them finite.
-        s = np.where(degenerate, 1.0, s).astype(np.complex128)[:, None]
-        np.multiply(c, w, out=g)
+        self.s = np.where(degenerate, 1.0, s).astype(np.complex128)[:, None]
+        self.c = c
+
+    def _buffer(self) -> np.ndarray:
+        """Room for one block's w, g, xi, xi_perp and scratch."""
+        rows, d = self.w.shape
+        return np.empty((5, min(rows, max(1, _BLOCK_AMPS // d)), d), dtype=np.complex128)
+
+    def frames(self, b: slice, buf: np.ndarray) -> tuple:
+        """((w, g), (xi, xi_perp)) of layer rows b, rebuilt in buf (from
+        _buffer), whose last slot is left as scratch."""
+        size = b.stop - b.start
+        w, g, xi, xi_perp, scratch = buf[:, :size]
+        w = self.w.block(b, w)
+        xi = self.xi.block(b, xi)
+        np.multiply(self.c[b], w, out=g)
         np.subtract(xi, g, out=g)
-        np.divide(g, s, out=g)
-        # s w - conj(c) g needs room for a product: a block of rows at a time.
-        xi_perp = np.empty_like(w)
-        blocks = _blocks(*w.shape)
-        scratch = np.empty_like(w[blocks[0]])
-        for b in blocks:
-            np.multiply(s[b], w[b], out=xi_perp[b])
-            product = np.multiply(np.conj(c[b]), g[b], out=scratch[: len(g[b])])
-            np.subtract(xi_perp[b], product, out=xi_perp[b])
-        self.w = w
-        self.frames = ((w, g), (xi, xi_perp))
+        np.divide(g, self.s[b], out=g)
+        np.multiply(self.s[b], w, out=xi_perp)
+        np.multiply(np.conj(self.c[b]), g, out=scratch)
+        np.subtract(xi_perp, scratch, out=xi_perp)
+        return (w, g), (xi, xi_perp)
 
     def __call__(self, state: np.ndarray, inverse: bool) -> np.ndarray:
         """The layer (or its inverse) on state, in place, a block of rows at
         a time: each row v becomes v - a0 u0 - a1 u1 + a0 d0 + a1 d1, with
         a_i = <u_i, v>."""
-        (u0, u1), (d0, d1) = self.frames[::-1] if inverse else self.frames
         kept = [state[self.rows[i]].copy() for i, _ in self.degenerate]
-        blocks = _blocks(*u0.shape)
-        scratch = np.empty_like(u0[blocks[0]])
-        for b in blocks:
-            v = state[self.rows[b]]
-            buf = scratch[: len(v)]
-            a0 = _row_dots(u0[b], v, buf)
-            a1 = _row_dots(u1[b], v, buf)
+        buf = self._buffer()
+        for b in _blocks(*self.w.shape):
+            frames = self.frames(b, buf)
+            (u0, u1), (d0, d1) = frames[::-1] if inverse else frames
+            at = _row_index(self.rows, b)
+            v = state[at]
+            scratch = buf[4, : len(v)]
+            a0 = _row_dots(u0, v, scratch)
+            a1 = _row_dots(u1, v, scratch)
             for a, u, op in ((a0, u0, np.subtract), (a1, u1, np.subtract),
                              (a0, d0, np.add), (a1, d1, np.add)):
-                np.multiply(a, u[b], out=buf)
-                op(v, buf, out=v)
-            state[self.rows[b]] = v
+                np.multiply(a, u, out=scratch)
+                op(v, scratch, out=v)
+            if not isinstance(at, slice):
+                state[at] = v
         for (i, c), x in zip(self.degenerate, kept):
-            w = self.w[i]
+            w = self.w.block(slice(i, i + 1), buf[0, :1])[0]
             state[self.rows[i]] = x + np.vdot(w, x) * ((np.conj(c) if inverse else c) - 1.0) * w
         return state
 
@@ -224,9 +309,10 @@ class _PlanCircuit:
     It holds the index-register weight gates and their transposes, the
     stacked (T, 2^n) sign bits and the +-1 sign matrix the query multiplies
     by, the hash steps' planar rotations as one _PlanarRotations layer over
-    their rows (None when there are none), whose frames are built once,
-    straight into stacked arrays, and the Clifford step rows whose
-    description is not ``identity_desc(n)``, with one CliffordLayer per
+    their rows (None when there are none), which keeps c and s per row and
+    rebuilds its frames per application from that sign matrix and the hash
+    states' supports, signs and phases held flat, and the Clifford step
+    rows whose description is not ``identity_desc(n)``, with one CliffordLayer per
     direction over just those rows, compiled on first use.  The identity
     layer only copies, so leaving its rows out keeps every bit.  Nothing
     here refers back to the plan, so caching it on the plan keeps no plan
@@ -246,12 +332,15 @@ class _PlanCircuit:
         ))
         self.rotations = None
         if rows.size:
-            scale = 1.0 / math.sqrt(1 << plan.params.n)
-            w = np.empty((rows.size, 1 << plan.params.n), dtype=np.complex128)
-            np.multiply(self.sign_matrix[rows], scale, out=w)
-            xi = np.empty_like(w)
-            for i, j in enumerate(rows.tolist()):
-                np.multiply(steps[j].phase, steps[j].hash_state.state_vector(), out=xi[i])
+            dim = 1 << plan.params.n
+            w = _SignRows(self.sign_matrix, rows, 1.0 / math.sqrt(dim))
+            hashed = [steps[j] for j in rows.tolist()]
+            xi = _SparseRows(
+                dim,
+                [step.phase for step in hashed],
+                [step.hash_state.support for step in hashed],
+                [step.hash_state.amplitudes() for step in hashed],
+            )
             self.rotations = _PlanarRotations(w, xi, rows)
         identity = cliff.identity_desc(plan.params.n)
         rows = [
@@ -357,7 +446,7 @@ class PostselectCircuit:
 
     def _query(self, state: np.ndarray) -> np.ndarray:
         self.query_count += 1
-        return state * self._parts.sign_matrix
+        return np.multiply(state, self._parts.sign_matrix, out=state)
 
     def _steps(self, state: np.ndarray, invert: bool) -> np.ndarray:
         if self._parts.rotations is not None:
@@ -367,13 +456,17 @@ class PostselectCircuit:
             state[rows] = self._parts.layer(invert)(state[rows])
         return state
 
-    def apply(self, state: np.ndarray) -> np.ndarray:
-        """A |state>: one query."""
-        state = self._load(state.copy())
+    def _forward(self, state: np.ndarray) -> np.ndarray:
+        """A |state>, overwriting state: one query."""
+        state = self._load(state)
         state = _hadamard_target(state, self.n)
         state = self._query(state)
         state = self._steps(state, invert=False)
         return self._unload(state)
+
+    def apply(self, state: np.ndarray) -> np.ndarray:
+        """A |state>: one query."""
+        return self._forward(state.copy())
 
     def apply_dagger(self, state: np.ndarray) -> np.ndarray:
         """A^dagger |state>: one query."""
@@ -384,7 +477,8 @@ class PostselectCircuit:
         return self._unload(state)
 
     def prepare(self) -> np.ndarray:
-        return self.apply(self.zero_state())
+        """A |0..0>: one query."""
+        return self._forward(self.zero_state())
 
 
 def ensure_plan(
@@ -451,7 +545,8 @@ class PreparedCircuit:
         norm = float(np.linalg.norm(junk))
         if norm == 0.0:
             raise ValueError("prepared state has no junk branch to amplify")
-        return junk / norm
+        junk /= norm
+        return junk
 
     @cached_property
     def designed(self) -> np.ndarray:
@@ -466,10 +561,9 @@ class PreparedCircuit:
         """|0..0> -> A^dagger |designed>, so that A after it prepares the
         designed state: one row over the flattened register.  Its
         construction applies A^dagger once."""
-        e0 = np.zeros((1, self.circuit.rows * self.circuit.dim), dtype=np.complex128)
-        e0[0, 0] = 1.0
         xi = self.circuit.apply_dagger(self.designed).reshape(1, -1)
-        return _PlanarRotations(e0, xi, np.zeros(1, dtype=np.intp))
+        e0 = _SparseRows(xi.shape[1], [1.0], [[0]], [[1.0]])
+        return _PlanarRotations(e0, _DenseRows(xi), np.zeros(1, dtype=np.intp))
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """A |state>, A composed with the ideal-mode rotation in ideal mode."""

@@ -215,9 +215,13 @@ class HashState:
         state._check(images)
         return state
 
+    def amplitudes(self) -> np.ndarray:
+        """The signed amplitudes +-2^(-k/2) on the support, in its order."""
+        return np.array(self.signs, dtype=np.float64) * 2.0 ** (-self.k / 2.0)
+
     def state_vector(self) -> np.ndarray:
         amps = np.zeros(1 << self.n, dtype=np.complex128)
-        amps[list(self.support)] = np.array(self.signs, dtype=np.float64) * 2.0 ** (-self.k / 2.0)
+        amps[list(self.support)] = self.amplitudes()
         return amps
 
 

@@ -35,7 +35,14 @@ from statesynth.executors import (
     run_ten_query,
 )
 from statesynth.executors import common
-from statesynth.executors.common import PreparedCircuit, _hadamard_target, _PlanarRotations
+from statesynth.executors.common import (
+    PreparedCircuit,
+    _DenseRows,
+    _hadamard_target,
+    _PlanarRotations,
+    _SignRows,
+    _SparseRows,
+)
 from statesynth.executors.four_query import default_copy_count as four_query_copies
 from statesynth.executors.four_query import expand_structured
 from statesynth.executors.one_query import default_copy_count as one_query_copies
@@ -196,7 +203,7 @@ def test_hash_rotations_built_once_per_plan(monkeypatch):
 
     class CountingRotations(_PlanarRotations):
         def __init__(self, w, xi, rows):
-            built.append(len(w))
+            built.append(w.shape[0])
             super().__init__(w, xi, rows)
 
     monkeypatch.setattr(common, "_PlanarRotations", CountingRotations)
@@ -211,7 +218,7 @@ def test_hash_rotations_built_once_per_plan(monkeypatch):
 
 def test_shared_circuit_parts_die_with_the_plan():
     """The parts cached for a plan hold no reference to it, and nothing else
-    holds them: one n = 8 hash plan's rotations alone are about 33 MB."""
+    holds them: one n = 8, T = 2048 hash plan's parts are about 6.5 MiB."""
     for strategy, derive in (("clifford", derive_params), ("hash", derive_hash_params)):
         psi = haar_random_state(2, 7)
         plan = build_plan(psi, derive(2, EPS), strategy=strategy, seed=7)
@@ -225,6 +232,29 @@ def test_shared_circuit_parts_die_with_the_plan():
         gc.collect()
         assert plan_ref() is None
         assert parts_ref() is None
+
+
+def test_hash_circuit_memory_stays_compact():
+    """A hash plan keeps no dense (T, 2^n) frames, and an application
+    rebuilds them a block of rows at a time: on a 2048 x 128 register (4 MiB
+    a state, 16 MiB for four dense frames) run_postselect peaks under
+    20 MiB and leaves under 8 MiB behind, the plan's cached parts included."""
+    plan = build_plan(
+        haar_random_state(7, 3), derive_hash_params(7, 0.25), strategy="hash", seed=3
+    )
+    oracle = plan_to_oracle(plan)
+    assert (plan.t_register, len(plan.steps)) == (11, 2048)
+    tracemalloc.start()
+    try:
+        report = run_postselect(plan, oracle)
+        _, peak = tracemalloc.get_traced_memory()
+        del report
+        gc.collect()
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20 << 20
+    assert kept <= 8 << 20
 
 
 def test_drivers_refuse_a_psi_the_plan_was_not_built_for():
@@ -426,7 +456,9 @@ def test_planar_rotation_inverse_undoes_apply():
             else:
                 xi = c * w
             rot = _PlanarRotations(
-                w[None].astype(complex), xi[None].astype(complex), np.zeros(1, dtype=np.intp)
+                _DenseRows(w[None].astype(complex)),
+                _DenseRows(xi[None].astype(complex)),
+                np.zeros(1, dtype=np.intp),
             )
             assert bool(rot.degenerate) == (c is not None)
 
@@ -467,46 +499,69 @@ class _PlanarRotationReference:
 
 
 def test_planar_rotations_match_per_row(monkeypatch):
-    """Every bit, -0.0 included, of the stacked layer's frames and of both
-    directions equals the per-row reference, on hash-step rows (a sign state
-    to a phased hash state), random unit targets and degenerate rows, over
-    12 of 16 state rows in shuffled order, in one block of rows and in
-    blocks of 5, 5 and 2."""
+    """Every bit, -0.0 included, of the four frames a block of rows
+    rebuilds and of both directions equals the per-row reference, over 12
+    of 16 state rows in shuffled order, in one block of rows and in blocks
+    of 5, 5 and 2.  Compact sources (sign rows to phased sparse rows, as
+    the plan's hash steps are held) map sign states to phased hash states,
+    to phased real vectors on a random support and, degenerately, to
+    themselves times -1 or -i; dense sources replace the second kind by
+    random complex unit targets."""
     rng = np.random.default_rng(31)
-    for n, block_rows in itertools.product(range(1, 9), (None, 5)):
+    for n, block_rows, compact in itertools.product(range(1, 9), (12, 5), (True, False)):
         dim = 1 << n
-        if block_rows is not None:
-            monkeypatch.setattr(common, "_BLOCK_AMPS", block_rows * dim)
-        ws, xis = [], []
+        monkeypatch.setattr(common, "_BLOCK_AMPS", block_rows * dim)
+        rows = rng.permutation(16)[:12]
+        signs = 1.0 - 2.0 * rng.integers(0, 2, (16, dim))
+        scale = 1.0 / math.sqrt(dim)
+        ws = signs[rows] * scale
+        phases, supports, values, xis = [], [], [], []
         for r in range(12):
-            w = (1.0 - 2.0 * rng.integers(0, 2, dim)) / math.sqrt(dim)
-            if r < 6:
+            if r < 6 or (r < 10 and compact):
                 k = int(rng.integers(0, n + 1))
-                amps = np.zeros(dim, dtype=np.complex128)
-                support = rng.choice(dim, 1 << k, replace=False)
-                amps[support] = (1.0 - 2.0 * rng.integers(0, 2, 1 << k)) * 2.0 ** (-k / 2.0)
-                xi = (1j if r % 2 else 1) * amps
+                support = np.sort(rng.choice(dim, 1 << k, replace=False))
+                if r < 6:
+                    value = (1.0 - 2.0 * rng.integers(0, 2, 1 << k)) * 2.0 ** (-k / 2.0)
+                    phase = 1j if r % 2 else 1 + 0j
+                else:
+                    value = rng.standard_normal(1 << k)
+                    value /= np.linalg.norm(value)
+                    phase = complex(np.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
             elif r < 10:
                 xi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-                xi /= np.linalg.norm(xi)
+                xis.append(xi / np.linalg.norm(xi))
+                continue
             else:
                 # Degenerate at even n, where the sign state's norm is exactly 1.
-                xi = (-1j if r % 2 else -1.0) * w
-            ws.append(w)
-            xis.append(xi)
-        rows = rng.permutation(16)[:12]
-        layer = _PlanarRotations(
-            np.array(ws, dtype=np.complex128), np.array(xis, dtype=np.complex128), rows
-        )
+                support, value, phase = np.arange(dim), ws[r], -1j if r % 2 else -1 + 0j
+            amps = np.zeros(dim, dtype=np.complex128)
+            amps[support] = value
+            xis.append(np.multiply(phase, amps))
+            phases.append(phase)
+            supports.append(support)
+            values.append(value)
+        if compact:
+            layer = _PlanarRotations(
+                _SignRows(signs, rows, scale), _SparseRows(dim, phases, supports, values), rows
+            )
+        else:
+            layer = _PlanarRotations(
+                _DenseRows(ws.astype(np.complex128)),
+                _DenseRows(np.array(xis, dtype=np.complex128)),
+                rows,
+            )
         refs = [_PlanarRotationReference(w, xi) for w, xi in zip(ws, xis)]
         assert [i for i, _ in layer.degenerate] == [
             i for i, ref in enumerate(refs) if ref.frames is None
         ]
-        for i, ref in enumerate(refs):
-            if ref.frames is not None:
-                for got, want in zip(layer.frames, ref.frames):
-                    assert np.array_equal(got[0][i].view(np.uint64), want[0].view(np.uint64))
-                    assert np.array_equal(got[1][i].view(np.uint64), want[1].view(np.uint64))
+        buf = layer._buffer()
+        for b in common._blocks(12, dim):
+            frames = layer.frames(b, buf)
+            for i, ref in enumerate(refs[b], start=b.start):
+                if ref.frames is not None:
+                    for got, want in zip(frames, ref.frames):
+                        assert _same_bits(got[0][i - b.start], want[0])
+                        assert _same_bits(got[1][i - b.start], want[1])
         state = rng.standard_normal((16, dim)) + 1j * rng.standard_normal((16, dim))
         state[:, : dim // 2] *= 0.0  # signed zeros: -0.0 where the draw was negative
         for inverse in (False, True):
@@ -514,7 +569,7 @@ def test_planar_rotations_match_per_row(monkeypatch):
             for i, ref in enumerate(refs):
                 want[rows[i]] = ref.map(state[rows[i]], inverse)
             got = layer(state.copy(), inverse)
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert _same_bits(got, want)
 
 
 def test_circuit_dagger_undoes_apply():
