@@ -152,25 +152,18 @@ def _row_dots(u: np.ndarray, v: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.matmul(scratch[:, None, :], v[:, :, None])[:, :, 0]
 
 
-def _row_index(rows: np.ndarray, b: slice) -> slice | np.ndarray:
-    """rows[b] as an index: a slice, which views rather than copies, when
-    those rows run consecutively upward, as a plan's hash rows do."""
-    picked = rows[b]
-    lo = int(picked[0])
-    if np.array_equal(picked, np.arange(lo, lo + len(picked))):
-        return slice(lo, lo + len(picked))
-    return picked
-
-
 class _DenseRows:
     """Frame rows held as one stacked (rows, d) complex array."""
+
+    #: Buffer slots that block() writes: none, it returns a view.
+    slots = 0
 
     def __init__(self, array: np.ndarray) -> None:
         self.array = array
         self.shape = array.shape
 
-    def block(self, b: slice, out: np.ndarray) -> np.ndarray:
-        """Rows b: a view of the array, so out is not written."""
+    def block(self, b: slice, spare) -> np.ndarray:
+        """Rows b: a view of the array, taking nothing from spare."""
         return self.array[b]
 
 
@@ -179,15 +172,17 @@ class _SignRows:
     times scale, the same product, cast to complex, that a dense array of
     them would hold."""
 
+    slots = 1
+
     def __init__(self, signs: np.ndarray, rows: np.ndarray, scale: float) -> None:
         self.signs = signs
         self.rows = rows
         self.scale = scale
         self.shape = (len(rows), signs.shape[1])
 
-    def block(self, b: slice, out: np.ndarray) -> np.ndarray:
-        """Rows b, written into out and returned."""
-        return np.multiply(self.signs[_row_index(self.rows, b)], self.scale, out=out)
+    def block(self, b: slice, spare) -> np.ndarray:
+        """Rows b, written into the next buffer slot of spare and returned."""
+        return np.multiply(self.signs[self.rows[b]], self.scale, out=next(spare))
 
 
 class _SparseRows:
@@ -197,6 +192,8 @@ class _SparseRows:
     array and their values, row after row in one array each; starts[i] is
     where row i's entries begin."""
 
+    slots = 1
+
     def __init__(self, d: int, phases, supports, values) -> None:
         counts = [len(support) for support in supports]
         self.shape = (len(counts), d)
@@ -205,10 +202,11 @@ class _SparseRows:
         self.positions = np.repeat(np.arange(len(counts)) * d, counts) + np.concatenate(supports)
         self.values = np.concatenate(values)
 
-    def block(self, b: slice, out: np.ndarray) -> np.ndarray:
-        """Rows b, written into out and returned: zeros, then the support
-        values, then the product with the phases, as phase * state_vector()
-        computes a row."""
+    def block(self, b: slice, spare) -> np.ndarray:
+        """Rows b, written into the next buffer slot of spare and returned:
+        zeros, then the support values, then the product with the phases,
+        as phase * state_vector() computes a row."""
+        out = next(spare)
         lo, hi = self.starts[b.start], self.starts[b.stop]
         out.fill(0.0)
         flat = out.reshape(-1)
@@ -229,9 +227,11 @@ class _PlanarRotations:
     map scales the w component by c, or by conj(c) for the inverse.
 
     w and xi are row sources (_DenseRows, _SignRows, _SparseRows) of the
-    same (len(rows), d) shape.  The layer stores only c, s and the
-    degenerate rows; each application rebuilds the four frames a block of
-    rows at a time, into one buffer, by the formulas above.  Every formula
+    same (len(rows), d) shape; a source's block(b, spare) takes its
+    ``slots`` buffer slots (1, or 0 for a view) from the iterator spare.
+    The layer stores only c, s and the degenerate rows; each application
+    rebuilds the four frames a block of rows at a time, into one buffer,
+    by the formulas above.  Every formula
     is the one a single row would use, so neither stacking nor blocking
     the rows moves a bit.
     """
@@ -241,8 +241,7 @@ class _PlanarRotations:
         buf = self._buffer()
         c = np.empty((len(rows), 1), dtype=np.complex128)
         for b in _blocks(*w.shape):
-            size = b.stop - b.start
-            c[b] = _row_dots(w.block(b, buf[0, :size]), xi.block(b, buf[2, :size]), buf[4, :size])
+            c[b] = _row_dots(*self._sources(b, buf), buf[0, : b.stop - b.start])
         cs = c[:, 0].tolist()
         s = np.array([math.sqrt(max(0.0, 1.0 - abs(ci) ** 2)) for ci in cs])
         degenerate = s <= 1e-14
@@ -252,17 +251,22 @@ class _PlanarRotations:
         self.c = c
 
     def _buffer(self) -> np.ndarray:
-        """Room for one block's w, g, xi, xi_perp and scratch."""
+        """Room for one block's scratch, g and xi_perp, then for w and xi
+        where their sources build the rows rather than view them."""
         rows, d = self.w.shape
-        return np.empty((5, min(rows, max(1, _BLOCK_AMPS // d)), d), dtype=np.complex128)
+        slots = 3 + self.w.slots + self.xi.slots
+        return np.empty((slots, min(rows, max(1, _BLOCK_AMPS // d)), d), dtype=np.complex128)
+
+    def _sources(self, b: slice, buf: np.ndarray) -> tuple:
+        """(w, xi) of layer rows b, built in buf's slots from 3 on."""
+        spare = iter(buf[3:, : b.stop - b.start])
+        return self.w.block(b, spare), self.xi.block(b, spare)
 
     def frames(self, b: slice, buf: np.ndarray) -> tuple:
         """((w, g), (xi, xi_perp)) of layer rows b, rebuilt in buf (from
-        _buffer), whose last slot is left as scratch."""
-        size = b.stop - b.start
-        w, g, xi, xi_perp, scratch = buf[:, :size]
-        w = self.w.block(b, w)
-        xi = self.xi.block(b, xi)
+        _buffer), whose first slot is left as scratch."""
+        scratch, g, xi_perp = buf[:3, : b.stop - b.start]
+        w, xi = self._sources(b, buf)
         np.multiply(self.c[b], w, out=g)
         np.subtract(xi, g, out=g)
         np.divide(g, self.s[b], out=g)
@@ -280,19 +284,18 @@ class _PlanarRotations:
         for b in _blocks(*self.w.shape):
             frames = self.frames(b, buf)
             (u0, u1), (d0, d1) = frames[::-1] if inverse else frames
-            at = _row_index(self.rows, b)
+            at = self.rows[b]
             v = state[at]
-            scratch = buf[4, : len(v)]
+            scratch = buf[0, : len(v)]
             a0 = _row_dots(u0, v, scratch)
             a1 = _row_dots(u1, v, scratch)
             for a, u, op in ((a0, u0, np.subtract), (a1, u1, np.subtract),
                              (a0, d0, np.add), (a1, d1, np.add)):
                 np.multiply(a, u, out=scratch)
                 op(v, scratch, out=v)
-            if not isinstance(at, slice):
-                state[at] = v
+            state[at] = v
         for (i, c), x in zip(self.degenerate, kept):
-            w = self.w.block(slice(i, i + 1), buf[0, :1])[0]
+            w = self.w.block(slice(i, i + 1), iter(buf[3:, :1]))[0]
             state[self.rows[i]] = x + np.vdot(w, x) * ((np.conj(c) if inverse else c) - 1.0) * w
         return state
 
