@@ -8,22 +8,27 @@ index register.  All drivers are built from forward/inverse applications of
 this circuit, so query and z bookkeeping live here.
 
 What A takes from the plan alone is built once per plan and shared by every
-driver call on it: the weight gates, the stacked sign bits and the +-1 sign
-matrix, the hash steps' planar rotations stacked into one layer, and one
-batched Clifford step layer per direction over the steps whose description
-is not the identity, compiled on first use.  The rotation layer keeps two
-numbers per row and the hash states in compact form; it rebuilds its dense
-frames a block of rows at a time on every application, so the plan holds
-no (T, 2^n) complex array.  It is cached on the plan, so it lives exactly as
-long as the plan does.  Each driver call still builds its own
+driver call on it: the weight gates, the stacked sign bits, the hash steps'
+planar rotations stacked into one layer, one batched Clifford step layer per
+direction over the steps whose description is not the identity, compiled on
+first use, and A|0..0> itself, read-only, computed on the first call that
+prepares it.  The rotation layer keeps two numbers per row and the hash
+states in compact form.  A runs in the state's own register plus buffers of
+a few blocks of about _BLOCK_AMPS amplitudes: the index gates, the target
+H, the query's +-1 signs and the rotation frames are all made a block at a
+time.  So the plan holds no (T, 2^n) array but A|0..0>, and the only
+register-sized transient of a pass is the Clifford step layer's gather of
+its non-identity rows.  The parts are cached on the plan, so they live
+exactly as long as the plan does.  Each driver call still builds its own
 :class:`PostselectCircuit`, which checks the oracle against the plan and
 counts the queries of that call.
 
 :class:`PreparedCircuit` is where every driver starts, and the one owner of
 A and A^dagger, ideal mode included.  Per driver call it builds the circuit,
-runs A|0> once, and holds the pieces all constructions share: the
-actual state, its normalized junk direction tau_hat, the nominal amplitude
-gamma and delta = sqrt(1 - gamma^2).  In ideal mode the prepared state is
+takes A|0..0> from it (one counted query, computed once per plan), and
+holds the pieces all constructions share: the actual state, its normalized
+junk direction tau_hat, the nominal amplitude gamma and
+delta = sqrt(1 - gamma^2).  In ideal mode the prepared state is
 the designed gamma |0..0>|psi> + delta |tau_hat>, and A is composed with a
 planar rotation that sends |0..0> to A^dagger of it (the one-row case of
 the hash steps' rotation layer), so the drivers see a genuine unitary that
@@ -124,18 +129,22 @@ def _index_qubit_gate(view: np.ndarray, mat: np.ndarray, scratch: np.ndarray) ->
 
 
 def _hadamard_target(state: np.ndarray, n: int) -> np.ndarray:
-    """H on every target-register qubit of a (rows, 2^n) state, on large
-    states in place through one scratch buffer."""
-    scratch = cliff._butterfly_scratch(state)
-    for i in range(n):
-        cliff._butterfly(state, n, i, None, scratch)
+    """H on every target-register qubit of a (rows, 2^n) state, in place, a
+    block of rows (from _blocks) at a time through clifford's _butterfly:
+    the same operations and operands per amplitude as on the whole state."""
+    for b in _blocks(state.shape[0], 1 << n):
+        block = state[b]
+        scratch = cliff._butterfly_scratch(block)
+        for i in range(n):
+            cliff._butterfly(block, n, i, None, scratch)
     return state
 
 
-#: The rotation layer works in blocks of rows holding about this many
-#: amplitudes (1 MiB), so that the frames it rebuilds for a block, and its
-#: scratch, stay small next to the state.
-_BLOCK_AMPS = 1 << 16
+#: A works in blocks holding about this many amplitudes (256 KiB), so that
+#: the index gates' scratch, the target H, the query's +-1 rows and the
+#: rotation layer's rebuilt frames stay small next to the state.  Of
+#: these, the rotation layer's buffer of five such blocks is the largest.
+_BLOCK_AMPS = 1 << 14
 
 
 def _blocks(rows: int, d: int) -> list[slice]:
@@ -167,22 +176,27 @@ class _DenseRows:
         return self.array[b]
 
 
+def _signs(bits: np.ndarray) -> np.ndarray:
+    """The +-1 float64 signs 1 - 2 bit of a block of sign bits."""
+    return 1.0 - 2.0 * bits.astype(np.float64)
+
+
 class _SignRows:
-    """The sign states of the given rows of a +-1 sign matrix: each row
-    times scale, the same product, cast to complex, that a dense array of
-    them would hold."""
+    """The sign states of the given rows of a sign-bit table: each row's
+    +-1 signs times scale, the same product, cast to complex, that a dense
+    array of them would hold."""
 
     slots = 1
 
-    def __init__(self, signs: np.ndarray, rows: np.ndarray, scale: float) -> None:
-        self.signs = signs
+    def __init__(self, bits: np.ndarray, rows: np.ndarray, scale: float) -> None:
+        self.bits = bits
         self.rows = rows
         self.scale = scale
-        self.shape = (len(rows), signs.shape[1])
+        self.shape = (len(rows), bits.shape[1])
 
     def block(self, b: slice, spare) -> np.ndarray:
         """Rows b, written into the next buffer slot of spare and returned."""
-        return np.multiply(self.signs[self.rows[b]], self.scale, out=next(spare))
+        return np.multiply(_signs(self.bits[self.rows[b]]), self.scale, out=next(spare))
 
 
 class _SparseRows:
@@ -310,14 +324,16 @@ class _PlanCircuit:
     PostselectCircuit on the plan.
 
     It holds the index-register weight gates and their transposes, the
-    stacked (T, 2^n) sign bits and the +-1 sign matrix the query multiplies
-    by, the hash steps' planar rotations as one _PlanarRotations layer over
-    their rows (None when there are none), which keeps c and s per row and
-    rebuilds its frames per application from that sign matrix and the hash
-    states' supports, signs and phases held flat, and the Clifford step
-    rows whose description is not ``identity_desc(n)``, with one CliffordLayer per
-    direction over just those rows, compiled on first use.  The identity
-    layer only copies, so leaving its rows out keeps every bit.  Nothing
+    stacked (T, 2^n) sign bits, from which the query and the rotations
+    rebuild +-1 signs a block of rows at a time, the hash steps' planar
+    rotations as one _PlanarRotations layer over their rows (None when there
+    are none), which keeps c and s per row and rebuilds its frames per
+    application from the sign bits and the hash states' supports, signs and
+    phases held flat, and the Clifford step rows whose description is not
+    ``identity_desc(n)``, with one CliffordLayer per direction over just
+    those rows, compiled on first use.  The identity layer only copies, so
+    leaving its rows out keeps every bit.  prepared is A|0..0>, read-only,
+    once PostselectCircuit.prepare has built it (None before).  Nothing
     here refers back to the plan, so caching it on the plan keeps no plan
     alive.
     """
@@ -326,7 +342,6 @@ class _PlanCircuit:
         steps = plan.steps
         t_reg = plan.t_register
         self.sign_bits = _read_only(np.stack([step.signs.bits for step in steps]))
-        self.sign_matrix = _read_only(1.0 - 2.0 * self.sign_bits.astype(np.float64))
         weights = np.array([s.coefficient for s in steps])
         self.gates = tuple(_read_only(gate) for gate in _weight_gates(weights, t_reg))
         self.gates_t = tuple(gate.T for gate in self.gates)
@@ -336,7 +351,7 @@ class _PlanCircuit:
         self.rotations = None
         if rows.size:
             dim = 1 << plan.params.n
-            w = _SignRows(self.sign_matrix, rows, 1.0 / math.sqrt(dim))
+            w = _SignRows(self.sign_bits, rows, 1.0 / math.sqrt(dim))
             hashed = [steps[j] for j in rows.tolist()]
             xi = _SparseRows(
                 dim,
@@ -353,6 +368,7 @@ class _PlanCircuit:
         self.clifford_rows = _read_only(np.array(rows, dtype=np.intp))
         self._descs = tuple(steps[j].desc for j in rows)
         self._layers: dict[bool, cliff.CliffordLayer] = {}
+        self.prepared: np.ndarray | None = None
 
     def layer(self, invert: bool) -> cliff.CliffordLayer:
         """The non-identity step rows compiled into one layer, per direction."""
@@ -427,12 +443,26 @@ class PostselectCircuit:
         self, state: np.ndarray, gates: tuple[np.ndarray, ...], cols: int
     ) -> np.ndarray:
         """Apply gates[q] to index qubit q of state, in place, on its
-        first cols columns, through one scratch buffer."""
-        scratch = np.empty(self.rows * cols, dtype=np.complex128)
+        first cols columns.  Qubit q splits the rows as (a, 2, b); each gate
+        runs over blocks of whole row pairs (a, 0, b) / (a, 1, b), a run of
+        b for one a where the b axis holds a block's pairs, else runs of a
+        with every b, through one scratch buffer of about _BLOCK_AMPS
+        amplitudes.  The per-amplitude arithmetic is _index_qubit_gate's
+        whatever the blocks, so they move no bit."""
+        if cols == 0:
+            return state
+        pairs = min(self.rows // 2, max(1, _BLOCK_AMPS // (2 * cols)))
+        scratch = np.empty(2 * pairs * cols, dtype=np.complex128)
         for q, gate in enumerate(gates):
-            split = (1 << q, 1 << (self.t_reg - 1 - q))
-            view = state.reshape(split[0], 2, split[1], self.dim)[..., :cols]
-            _index_qubit_gate(view, gate, scratch.reshape(2, *split, cols))
+            outer, inner = 1 << q, 1 << (self.t_reg - 1 - q)
+            view = state.reshape(outer, 2, inner, self.dim)[..., :cols]
+            step_a, step_b = max(1, pairs // inner), min(pairs, inner)
+            for lo_a in range(0, outer, step_a):
+                for lo_b in range(0, inner, step_b):
+                    block = view[lo_a : lo_a + step_a, :, lo_b : lo_b + step_b]
+                    rows_a, _, rows_b, _ = block.shape
+                    work = scratch[: block.size].reshape(2, rows_a, rows_b, cols)
+                    _index_qubit_gate(block, gate, work)
         return state
 
     def _load(self, state: np.ndarray) -> np.ndarray:
@@ -448,8 +478,14 @@ class PostselectCircuit:
         return self._gate_index(state, self._parts.gates_t, self.dim)
 
     def _query(self, state: np.ndarray) -> np.ndarray:
+        """The oracle's phase kickback, in place, a block of rows at a time:
+        each amplitude times its float64 +-1 sign."""
         self.query_count += 1
-        return np.multiply(state, self._parts.sign_matrix, out=state)
+        bits = self._parts.sign_bits
+        for b in _blocks(*state.shape):
+            block = state[b]
+            np.multiply(block, _signs(bits[b]), out=block)
+        return state
 
     def _steps(self, state: np.ndarray, invert: bool) -> np.ndarray:
         if self._parts.rotations is not None:
@@ -480,8 +516,15 @@ class PostselectCircuit:
         return self._unload(state)
 
     def prepare(self) -> np.ndarray:
-        """A |0..0>: one query."""
-        return self._forward(self.zero_state())
+        """A |0..0>, read-only: one query.  The plan's first call computes
+        it and keeps it on the plan's shared parts; later calls, on any
+        circuit of the plan, count their query and return that array."""
+        parts = self._parts
+        if parts.prepared is None:
+            parts.prepared = _read_only(self._forward(self.zero_state()))
+        else:
+            self.query_count += 1
+        return parts.prepared
 
 
 def ensure_plan(
@@ -508,9 +551,10 @@ class PreparedCircuit:
 
     Each instance builds its own PostselectCircuit, so the oracle is checked
     and the queries counted per call; what that circuit takes from the plan
-    alone is built once per plan and shared.
+    alone, A|0..0> included, is built once per plan and shared.
 
-    actual is A|0..0> on the plan's circuit, tau_hat its normalized junk
+    actual is A|0..0> on the plan's circuit, the plan's one read-only array
+    (preparing it counts this call's query), tau_hat its normalized junk
     branch, gamma the nominal amplitude and delta = sqrt(1 - gamma^2).  The
     driver reads the prepared state, its success amplitude and its
     normalized success branch as state, amp and theta_hat: the actual

@@ -18,6 +18,7 @@ import weakref
 
 import numpy as np
 import pytest
+from conftest import traced_memory
 
 from statesynth import clifford as cliff
 from statesynth.executors import (
@@ -218,7 +219,8 @@ def test_hash_rotations_built_once_per_plan(monkeypatch):
 
 def test_shared_circuit_parts_die_with_the_plan():
     """The parts cached for a plan hold no reference to it, and nothing else
-    holds them: one n = 8, T = 2048 hash plan's parts are about 6.5 MiB."""
+    holds them or the A|0..0> kept among them: one n = 8, T = 2048 hash
+    plan's parts are about 11.4 MiB, 8 MiB of it that state."""
     for strategy, derive in (("clifford", derive_params), ("hash", derive_hash_params)):
         psi = haar_random_state(2, 7)
         plan = build_plan(psi, derive(2, EPS), strategy=strategy, seed=7)
@@ -228,33 +230,96 @@ def test_shared_circuit_parts_die_with_the_plan():
         run_four_query(psi, EPS, plan=plan, oracle=oracle)
         circuit = PostselectCircuit(plan, oracle)
         plan_ref, parts_ref = weakref.ref(plan), weakref.ref(circuit._parts)
+        prepared_ref = weakref.ref(circuit._parts.prepared)
         del plan, circuit
         gc.collect()
         assert plan_ref() is None
         assert parts_ref() is None
+        assert prepared_ref() is None
 
 
 def test_hash_circuit_memory_stays_compact():
-    """A hash plan keeps no dense (T, 2^n) frames, and an application
-    rebuilds them a block of rows at a time: on a 2048 x 128 register (4 MiB
-    a state, 16 MiB for four dense frames) run_postselect peaks under
-    20 MiB and leaves under 8 MiB behind, the plan's cached parts included."""
+    """A hash plan keeps no dense (T, 2^n) frames and no +-1 sign matrix,
+    and A runs in its state plus blocks of about _BLOCK_AMPS amplitudes: on
+    a 2048 x 128 register (4 MiB a state, 16 MiB for four dense frames)
+    run_postselect peaks under 10 MiB and leaves under 8 MiB behind, the
+    plan's cached parts, its A|0..0> among them, included."""
     plan = build_plan(
         haar_random_state(7, 3), derive_hash_params(7, 0.25), strategy="hash", seed=3
     )
     oracle = plan_to_oracle(plan)
     assert (plan.t_register, len(plan.steps)) == (11, 2048)
-    tracemalloc.start()
-    try:
-        report = run_postselect(plan, oracle)
-        _, peak = tracemalloc.get_traced_memory()
-        del report
-        gc.collect()
-        kept, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 20 << 20
+    peak, kept = traced_memory(run_postselect, plan, oracle)
+    assert peak <= 10 << 20
     assert kept <= 8 << 20
+
+
+def test_prepared_state_built_once_per_plan(monkeypatch):
+    """Every driver on one plan shares one read-only A|0..0>, computed by the
+    first call; each call still counts its own query, and each output equals,
+    bit for bit, that of the same driver on a fresh plan."""
+    psi = haar_random_state(2, 9)
+
+    def fresh() -> dict:
+        plan = build_plan(psi, derive_params(2, EPS), seed=9)
+        return {"plan": plan, "oracle": plan_to_oracle(plan)}
+
+    calls = (
+        lambda kw: run_postselect(kw["plan"], kw["oracle"]),
+        lambda kw: run_one_query(psi, EPS, **kw),
+        lambda kw: run_ten_query(psi, EPS, **kw),
+        lambda kw: run_four_query(psi, EPS, **kw),
+        lambda kw: run_ten_query(psi, EPS, ideal=True, **kw),
+        lambda kw: run_four_query(psi, EPS, ideal=True, **kw),
+    )
+    zero_runs = []
+    forward = PostselectCircuit._forward
+
+    def counting_forward(self, state):
+        if _same_bits(state, self.zero_state()):
+            zero_runs.append(state.shape)
+        return forward(self, state)
+
+    monkeypatch.setattr(PostselectCircuit, "_forward", counting_forward)
+    shared = fresh()
+    reports = [call(shared) for call in calls]
+    assert len(zero_runs) == 1
+    assert [report.query_count for report in reports] == [1, 1, 10, 4, 10, 4]
+    circuit = PostselectCircuit(shared["plan"], shared["oracle"])
+    prepared = circuit.prepare()
+    assert circuit.query_count == 1 and len(zero_runs) == 1
+    assert not prepared.flags.writeable
+    assert np.shares_memory(reports[0].output_pure.amps, prepared)
+    for call, report in zip(calls, reports):
+        got, want = hashlib.sha256(), hashlib.sha256()
+        _digest_feed(got, report)
+        _digest_feed(want, call(fresh()))
+        assert got.digest() == want.digest()
+
+
+def test_blocked_circuit_matches_unblocked(monkeypatch):
+    """prepare, apply and apply_dagger give every bit, -0.0 included, of
+    their one-block outputs when _BLOCK_AMPS holds 3, 5 or 13 rows of 2^n
+    amplitudes, which split the 64-row index register unevenly, on Clifford
+    and hash plans at n 1-6."""
+    rng = np.random.default_rng(37)
+    for n, strategy in itertools.product(range(1, 7), ("clifford", "hash")):
+        derive = derive_hash_params if strategy == "hash" else derive_params
+        params = derive(n, EPS, t_override=6)
+        plan = build_plan(haar_random_state(n, 70 + n), params, strategy=strategy, seed=n)
+        oracle = plan_to_oracle(plan)
+        shape = (1 << plan.t_register, 1 << n)
+        state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        state[::3] *= -0.0  # signed zeros: -0.0 where the draw was positive
+        outputs = []
+        for amps in (shape[0] * shape[1], 3 << n, 5 << n, 13 << n):
+            monkeypatch.setattr(common, "_BLOCK_AMPS", amps)
+            plan.__dict__.pop("_plan_circuit", None)  # rebuild the parts in these blocks
+            circuit = PostselectCircuit(plan, oracle)
+            outputs.append((circuit.prepare(), circuit.apply(state), circuit.apply_dagger(state)))
+        for blocked in outputs[1:]:
+            for got, want in zip(blocked, outputs[0]):
+                assert _same_bits(got, want)
 
 
 def test_drivers_refuse_a_psi_the_plan_was_not_built_for():
@@ -512,7 +577,8 @@ def test_planar_rotations_match_per_row(monkeypatch):
         dim = 1 << n
         monkeypatch.setattr(common, "_BLOCK_AMPS", block_rows * dim)
         rows = rng.permutation(16)[:12]
-        signs = 1.0 - 2.0 * rng.integers(0, 2, (16, dim))
+        bits = rng.integers(0, 2, (16, dim)).astype(np.uint8)
+        signs = 1.0 - 2.0 * bits
         scale = 1.0 / math.sqrt(dim)
         ws = signs[rows] * scale
         phases, supports, values, xis = [], [], [], []
@@ -542,7 +608,7 @@ def test_planar_rotations_match_per_row(monkeypatch):
             values.append(value)
         if compact:
             layer = _PlanarRotations(
-                _SignRows(signs, rows, scale), _SparseRows(dim, phases, supports, values), rows
+                _SignRows(bits, rows, scale), _SparseRows(dim, phases, supports, values), rows
             )
         else:
             layer = _PlanarRotations(

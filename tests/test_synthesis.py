@@ -6,11 +6,11 @@ import dataclasses
 import functools
 import hashlib
 import math
-import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from conftest import traced_memory
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -469,19 +469,6 @@ def test_oracle_header_rejected_before_allocation():
     assert info.value.offset == 20
 
 
-def _traced_peak(fn, *args) -> int:
-    """Peak bytes traced while fn(*args) runs; OracleFormatError is allowed."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-    except OracleFormatError:
-        pass
-    finally:
-        peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.stop()
-    return peak
-
-
 _HEADER_FIELD = st.one_of(st.integers(0, 70), st.integers(0, 2**32 - 1))
 
 
@@ -492,7 +479,8 @@ def test_random_oracle_bytes_allocate_little(n, t, T, power, tail):
         T = 1 << t
     data = _header(n, t, T) + tail
     for blob in (data, data[: 5 + len(tail) % 12], tail):
-        assert _traced_peak(OracleSpec.from_bytes, blob) <= 65536 + 16 * len(blob)
+        peak, _ = traced_memory(OracleSpec.from_bytes, blob, tolerate=(OracleFormatError,))
+        assert peak <= 65536 + 16 * len(blob)
     try:
         oracle = OracleSpec.from_bytes(data)
     except OracleFormatError:
@@ -504,7 +492,8 @@ def test_random_oracle_bytes_allocate_little(n, t, T, power, tail):
 @given(st.integers(1, 4), st.integers(1, 4), st.binary(max_size=300))
 def test_random_desc_sections_allocate_little(n, count, data):
     for blob in (data, b"\x01" + data, b"\x02" + bytes([n % 3, 0]) + data):
-        assert _traced_peak(parse_desc_section, blob, n, count) <= 65536 + 16 * len(blob)
+        peak, _ = traced_memory(parse_desc_section, blob, n, count, tolerate=(OracleFormatError,))
+        assert peak <= 65536 + 16 * len(blob)
 
 
 def test_desc_section_truncation_and_extension_rejected():
