@@ -174,7 +174,19 @@ class SignPattern:
 
     def signs(self) -> np.ndarray:
         """The bits as floats +1.0 / -1.0."""
-        return 1.0 - 2.0 * self.bits.astype(np.float64)
+        return signs_from_bits(self.bits)
+
+
+def signs_from_bits(bits: np.ndarray) -> np.ndarray:
+    """The float64 signs 1 - 2 bit (+1.0 / -1.0) of an array of sign bits.
+
+    Computed in place on one float64 copy, as (bit * -2.0) + 1.0: the same
+    +-1.0 values as 1.0 - 2.0 * bit, without the two extra temporaries.
+    """
+    signs = bits.astype(np.float64)
+    signs *= -2.0
+    signs += 1.0
+    return signs
 
 
 @functools.lru_cache(maxsize=None)

@@ -176,11 +176,6 @@ class _DenseRows:
         return self.array[b]
 
 
-def _signs(bits: np.ndarray) -> np.ndarray:
-    """The +-1 float64 signs 1 - 2 bit of a block of sign bits."""
-    return 1.0 - 2.0 * bits.astype(np.float64)
-
-
 class _SignRows:
     """The sign states of the given rows of a sign-bit table: each row's
     +-1 signs times scale, the same product, cast to complex, that a dense
@@ -196,7 +191,8 @@ class _SignRows:
 
     def block(self, b: slice, spare) -> np.ndarray:
         """Rows b, written into the next buffer slot of spare and returned."""
-        return np.multiply(_signs(self.bits[self.rows[b]]), self.scale, out=next(spare))
+        signs = cliff.signs_from_bits(self.bits[self.rows[b]])
+        return np.multiply(signs, self.scale, out=next(spare))
 
 
 class _SparseRows:
@@ -484,7 +480,7 @@ class PostselectCircuit:
         bits = self._parts.sign_bits
         for b in _blocks(*state.shape):
             block = state[b]
-            np.multiply(block, _signs(bits[b]), out=block)
+            np.multiply(block, cliff.signs_from_bits(bits[b]), out=block)
         return state
 
     def _steps(self, state: np.ndarray, invert: bool) -> np.ndarray:

@@ -100,18 +100,33 @@ def _jacobi_eigvalsh(mat: np.ndarray) -> np.ndarray:
     JACOBI_TOL (scaled by the matrix norm) or raises after JACOBI_MAX_SWEEPS.
 
     The rotation works in place on row and column views of the matrix,
-    through four scratch vectors.  Every product is taken from the
-    pre-rotation vectors before anything is written, and each element goes
-    through the same complex-scalar times vector multiply and the same
-    subtraction order as an allocate-per-rotation loop, so the eigenvalues
-    are bit-identical to it.  They must stay so: the benchmark's golden
-    digests keep 12 significant digits of the one-query error, which is
-    small enough that Jacobi rounding shows in those digits, and the pinned
-    report tests keep full precision.  Only IEEE-exact real scalar
+    through four scratch vectors and the column-p buffer below.  Every
+    product is taken from the pre-rotation vectors before anything is
+    written, and each element goes through the same complex-scalar times
+    vector multiply and the same subtraction order as an
+    allocate-per-rotation loop, so the eigenvalues are bit-identical to it.
+    They must stay so: the benchmark's golden digests keep 12 significant
+    digits of the one-query error, which is small enough that Jacobi
+    rounding shows in those digits, and the pinned report tests keep full
+    precision.  Only IEEE-exact real scalar
     operations (+, -, *, /, sqrt, copysign) may move from numpy to `math`;
     complex scalar arithmetic, abs and division stay in numpy.  Each
     product keeps the coefficient as its left operand: numpy's complex
     multiply rounds x * k differently from k * x.
+
+    Two rules keep the per-rotation overhead down without moving a bit:
+
+    - The six coefficients (c, s and their products with the phase and its
+      conjugate) reach the ufuncs as preallocated 0-d complex128 arrays,
+      written per rotation with ``k[()] = value``.  A Python float or numpy
+      scalar operand would be converted on every call; the 0-d array takes
+      the same complex128 loop with the coefficient still on the left.
+    - Column p lives in one contiguous buffer for its whole p-phase (all
+      q > p), and is written back to the matrix when the phase ends.  It
+      shares two entries with the rows a rotation updates: a[p, p] with row
+      p and a[q, p] with row q.  Before the row update they are copied from
+      the buffer into the matrix, and after it back into the buffer.  No
+      other entry of column p is read or written by the rows of a p-phase.
     """
     a = np.array(mat, dtype=np.complex128)
     dim = a.shape[0]
@@ -119,15 +134,18 @@ def _jacobi_eigvalsh(mat: np.ndarray) -> np.ndarray:
         return a.diagonal().real.copy()
     scale = max(float(np.linalg.norm(a)), 1.0)
     rows, cols = list(a), list(a.T)
-    b0, b1, b2, b3 = np.empty((4, dim), dtype=np.complex128)
-    mul, add, sub = np.multiply, np.add, np.subtract
+    col_p, b0, b1, b2, b3 = np.empty((5, dim), dtype=np.complex128)
+    off = np.empty_like(a)
+    kc, ks, ksc, kcc, ksr, kcr = (np.empty((), dtype=np.complex128) for _ in range(6))
+    mul, add, sub, copyto = np.multiply, np.add, np.subtract, np.copyto
     for _ in range(JACOBI_MAX_SWEEPS):
-        off = a.copy()
+        copyto(off, a)
         np.fill_diagonal(off, 0.0)
         if float(np.linalg.norm(off)) <= JACOBI_TOL * scale:
             return np.sort(a.diagonal().real)
         for p in range(dim - 1):
-            row_p, col_p = rows[p], cols[p]
+            row_p = rows[p]
+            copyto(col_p, cols[p])
             for q in range(p + 1, dim):
                 apq = row_p[q]
                 mag = abs(apq)
@@ -146,19 +164,30 @@ def _jacobi_eigvalsh(mat: np.ndarray) -> np.ndarray:
                 c = 1.0 / math.sqrt(1.0 + t * t)
                 s = t * c
                 phase_conj = np.conj(phase)
+                kc[()] = c
+                ks[()] = s
+                ksc[()] = s * phase_conj
+                kcc[()] = c * phase_conj
+                ksr[()] = s * phase
+                kcr[()] = c * phase
                 row_q, col_q = rows[q], cols[q]
-                mul(c, col_p, b0)
-                mul(s * phase_conj, col_q, b1)
-                mul(s, col_p, b2)
-                mul(c * phase_conj, col_q, b3)
+                mul(kc, col_p, b0)
+                mul(ksc, col_q, b1)
+                mul(ks, col_p, b2)
+                mul(kcc, col_q, b3)
                 sub(b0, b1, col_p)
                 add(b2, b3, col_q)
-                mul(c, row_p, b0)
-                mul(s * phase, row_q, b1)
-                mul(s, row_p, b2)
-                mul(c * phase, row_q, b3)
+                row_p[p] = col_p[p]
+                row_q[p] = col_p[q]
+                mul(kc, row_p, b0)
+                mul(ksr, row_q, b1)
+                mul(ks, row_p, b2)
+                mul(kcr, row_q, b3)
                 sub(b0, b1, row_p)
                 add(b2, b3, row_q)
+                col_p[p] = row_p[p]
+                col_p[q] = row_q[p]
+            copyto(cols[p], col_p)
     raise EigensolverError(
         f"Jacobi sweeps did not converge within {JACOBI_MAX_SWEEPS} sweeps"
     )
@@ -182,15 +211,21 @@ def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
 def trace_distance_mixed(a: DensityMatrix, b: DensityMatrix) -> float:
     """Trace distance 0.5 * ||a - b||_1 via the spectrum of the difference.
 
-    The operands are ordered canonically (by raw bytes) before subtracting,
-    so td(a, b) and td(b, a) run the identical float computation and the
-    metric's symmetry holds bitwise.
+    The operands are ordered canonically (by raw bytes in C order) before
+    subtracting, so td(a, b) and td(b, a) run the identical float
+    computation and the metric's symmetry holds bitwise.  The bytes are
+    compared a row at a time up to the first row that differs, which is the
+    same lexicographic decision as comparing whole copies.
     """
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n} qubits")
     first, second = a.entries, b.entries
-    if first.tobytes() > second.tobytes():
-        first, second = second, first
+    for row_a, row_b in zip(first, second):
+        bytes_a, bytes_b = row_a.tobytes(), row_b.tobytes()
+        if bytes_a != bytes_b:
+            if bytes_a > bytes_b:
+                first, second = second, first
+            break
     eigs = hermitian_eigenvalues(first - second)
     return float(0.5 * np.sum(np.abs(eigs)))
 

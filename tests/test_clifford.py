@@ -480,6 +480,16 @@ def test_sign_pattern_matches_definition():
         assert np.max(np.abs(p.amps - want)) < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(256,), (64, 256), (512, 8), (0,), (0, 8), (3, 0)])
+def test_signs_from_bits_is_one_minus_two_bits(shape):
+    bits = np.random.default_rng(sum(shape) + len(shape)).integers(0, 2, shape).astype(np.uint8)
+    got = clifford.signs_from_bits(bits)
+    assert got.dtype == np.float64
+    assert got.shape == bits.shape
+    want = 1.0 - 2.0 * bits.astype(np.float64)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_find_overlap_clifford_uniform_target():
     plus = PureState(2, np.full(4, 0.5, dtype=complex))
     d, achieved, _ = find_overlap_clifford(plus, 0.35, seed=5)

@@ -166,8 +166,31 @@ def test_jacobi_matches_reference_bit_for_bit():
     block[:5, :5] = _random_hermitian(5, rng)
     block[5:, 5:] = _random_hermitian(7, rng)
     mats.append(block)
+    # A long p-phase through the column-p buffer: 127 rotations at p = 0.
+    # Near-diagonal with spread diagonal entries, so it converges in one
+    # or two sweeps (under a second for the solver and the reference).
+    near_diag = 1e-6 * _random_hermitian(128, rng)
+    near_diag[np.diag_indices(128)] += np.linspace(-1.0, 1.0, 128)
+    mats.append(near_diag)
+    # -0.0 real and imaginary entries in the buffered columns, and zero
+    # couplings in the middle of the p = 0 and p = 1 phases: index 3 is
+    # coupled to 4 and 5 only, so a[0, 3] and a[1, 3] are still zero when
+    # their rotations come up, while index 0's later rotations (q = 4, 5)
+    # still run.  Index 6 is all -0.0 and takes the skip in every phase.
+    signed = _random_hermitian(7, rng)
+    signed[3, :3] = complex(-0.0, -0.0)
+    signed[:3, 3] = complex(-0.0, 0.0)
+    signed[6, :] = complex(-0.0, -0.0)
+    signed[:, 6] = complex(-0.0, 0.0)
+    signed[6, 6] = complex(-0.0, 0.0)
+    signed[4, 1] = complex(-0.0, 0.5)
+    signed[1, 4] = complex(-0.0, -0.5)
+    mats.append(signed)
     for mat in mats:
+        before = mat.copy()
         _assert_same_bits(hermitian_eigenvalues(mat), _jacobi_reference(mat))
+        # The solver works on its own copy: the caller's matrix is untouched.
+        _assert_same_bits(mat, before)
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
@@ -219,6 +242,46 @@ def test_trace_distance_mixed_is_a_metric_on_samples():
         # Symmetry is exact by construction (operands ordered canonically).
         assert ab == trace_distance_mixed(b, a)
         assert ab <= trace_distance_mixed(a, c) + trace_distance_mixed(c, b) + 1e-8
+
+
+def _subtracted(monkeypatch, a: DensityMatrix, b: DensityMatrix) -> np.ndarray:
+    """The difference trace_distance_mixed(a, b) hands to the eigensolver."""
+    seen = []
+
+    def record(mat):
+        seen.append(mat.copy())
+        return np.zeros(mat.shape[0])
+
+    monkeypatch.setattr(numerics, "hermitian_eigenvalues", record)
+    trace_distance_mixed(a, b)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def test_trace_distance_mixed_orders_by_bytes_to_the_last_byte(monkeypatch):
+    # The two matrices differ only in the last byte of their raw bytes: the
+    # sign bit of the last entry's imaginary part (+0.0 against -0.0).  As
+    # floats they are equal, so only a byte comparison orders them, and it
+    # must read up to the last row to do so.
+    rho = _random_density(3, np.random.default_rng(61)).entries
+    rho[-1, -1] = complex(rho[-1, -1].real, 0.0)
+    flipped = rho.copy()
+    flipped[-1, -1] = complex(rho[-1, -1].real, -0.0)
+    assert rho.tobytes()[:-1] == flipped.tobytes()[:-1]
+    assert rho.tobytes() < flipped.tobytes()
+    a, b = DensityMatrix(3, rho), DensityMatrix(3, flipped)
+    want = rho - flipped
+    _assert_same_bits(_subtracted(monkeypatch, a, b), want)
+    _assert_same_bits(_subtracted(monkeypatch, b, a), want)
+    assert not np.signbit(want[-1, -1].imag)  # 0.0 - -0.0
+    assert trace_distance_mixed(a, b) == trace_distance_mixed(b, a) == 0.0
+
+
+def test_trace_distance_mixed_of_equal_matrices(monkeypatch):
+    rho = _random_density(2, np.random.default_rng(67))
+    same = DensityMatrix(2, rho.entries.copy())
+    _assert_same_bits(_subtracted(monkeypatch, rho, same), np.zeros((4, 4), dtype=complex))
+    assert trace_distance_mixed(rho, same) == trace_distance_mixed(same, rho) == 0.0
 
 
 def test_mixed_vs_pure_overlap_bound():
