@@ -248,43 +248,16 @@ _memo_phase_row = functools.lru_cache(maxsize=2 * (4 + 16 + 64))(_phase_row)
 _memo_index_map = functools.lru_cache(maxsize=1 + 6 + 168)(_index_map)
 
 
-#: From this many amplitudes on, an all-rows butterfly runs in place through a
-#: scratch buffer.  Below it the out-of-place form is faster: numpy's
-#: contiguous loops on fresh temporaries beat strided in-place writes, by
-#: 4-24 % per H layer from 2^12 to 2^17 amplitudes, while from 2^18 on the
-#: in-place form saves 5-8 % (2-core x86-64, numpy 2.4.6).
-_IN_PLACE_MIN_AMPS = 1 << 18
-
-
-def _butterfly_scratch(amps: np.ndarray) -> np.ndarray | None:
-    """The scratch buffer for all-rows butterflies on amps, or None where the
-    out-of-place form is the faster one."""
-    if amps.size < _IN_PLACE_MIN_AMPS:
-        return None
-    return np.empty(amps.size // 2, dtype=np.complex128)
-
-
-def _butterfly(
-    amps: np.ndarray, n: int, i: int, rows: np.ndarray | None, scratch: np.ndarray | None
-) -> None:
+def _butterfly(amps: np.ndarray, n: int, i: int, rows: np.ndarray | None) -> None:
     """H on qubit i of the given rows (all rows when None) of a (k, 2^n) array.
 
-    Given a scratch buffer of k 2^(n-1) complex values, the all-rows form
-    works in place: a0 + a1 goes to scratch, a1 becomes a0 - a1, and each is
-    scaled by 1/sqrt(2) into place.  Those are the operations, operands and
-    order of (a0 + a1) * 1/sqrt(2) and (a0 - a1) * 1/sqrt(2), so the bits are
-    the same either way.
+    Out of place: each pair (a0, a1) becomes (a0 + a1) * 1/sqrt(2) and
+    (a0 - a1) * 1/sqrt(2), computed into fresh arrays and written back.  The
+    query circuit hands it one block of rows at a time (about 2^14
+    amplitudes, or one row where 2^n is larger), so those arrays stay small.
     """
     view = amps.reshape(amps.shape[0], 1 << i, 2, 1 << (n - 1 - i))
-    if rows is None and scratch is not None:
-        a0 = view[:, :, 0]
-        a1 = view[:, :, 1]
-        total = scratch.reshape(a0.shape)
-        np.add(a0, a1, total)
-        np.subtract(a0, a1, a1)
-        np.multiply(a1, _INV_SQRT2, a1)
-        np.multiply(total, _INV_SQRT2, a0)
-    elif rows is None:
+    if rows is None:
         a0 = view[:, :, 0].copy()
         a1 = view[:, :, 1]
         view[:, :, 0] = (a0 + a1) * _INV_SQRT2
@@ -384,9 +357,8 @@ class CliffordLayer:
             raise ValueError(f"expected shape {(self.k, 1 << self.n)}, got {work.shape}")
         for kind, data in self._ops:
             if kind == "H":
-                scratch = _butterfly_scratch(work)
                 for i, rows in data:
-                    _butterfly(work, self.n, i, rows, scratch)
+                    _butterfly(work, self.n, i, rows)
             elif kind == "P":
                 work *= _PHASES[data]
             else:

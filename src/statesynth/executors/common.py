@@ -8,20 +8,24 @@ index register.  All drivers are built from forward/inverse applications of
 this circuit, so query and z bookkeeping live here.
 
 What A takes from the plan alone is built once per plan and shared by every
-driver call on it: the weight gates, the stacked sign bits, the hash steps'
-planar rotations stacked into one layer, one batched Clifford step layer per
-direction over the steps whose description is not the identity, compiled on
-first use, and A|0..0> itself, read-only, computed on the first call that
-prepares it.  The rotation layer keeps two numbers per row and the hash
-states in compact form.  A runs in the state's own register plus buffers of
-a few blocks of about _BLOCK_AMPS amplitudes: the index gates, the target
-H, the query's +-1 signs and the rotation frames are all made a block at a
-time.  So the plan holds no (T, 2^n) array but A|0..0>, and the only
-register-sized transient of a pass is the Clifford step layer's gather of
-its non-identity rows.  The parts are cached on the plan, so they live
-exactly as long as the plan does.  Each driver call still builds its own
-:class:`PostselectCircuit`, which checks the oracle against the plan and
-counts the queries of that call.
+driver call on it: the weight gates, the stacked sign bits, the blocks of
+index rows A works in, the step layer, and A|0..0> itself, read-only,
+computed on the first call that prepares it.  A plan's steps are all of one
+family, so its step layer is either the hash steps' planar rotations
+stacked into one layer, which keeps two numbers per row and the hash states
+in compact form, or per block of rows one Clifford layer per direction over
+the steps whose description is not the identity, compiled on first use.
+
+A is the index gates that load the weights, one pass over the blocks of
+rows, and the gates that unload them.  The pass runs every row-local stage
+on a block before it moves to the next: the target H, the query's +-1 signs
+and the step layer, or their inverses in reverse order for A^dagger.  So A
+runs in the state's own register plus buffers of a few blocks of about
+_BLOCK_AMPS amplitudes, no stage gathers more than a block, and the plan
+holds no (T, 2^n) array but A|0..0>.  The parts are cached on the plan, so
+they live exactly as long as the plan does.  Each driver call still builds
+its own :class:`PostselectCircuit`, which checks the oracle against the plan
+and counts the queries of that call.
 
 :class:`PreparedCircuit` is where every driver starts, and the one owner of
 A and A^dagger, ideal mode included.  Per driver call it builds the circuit,
@@ -128,21 +132,16 @@ def _index_qubit_gate(view: np.ndarray, mat: np.ndarray, scratch: np.ndarray) ->
     np.copyto(v0, s0)
 
 
-def _hadamard_target(state: np.ndarray, n: int) -> np.ndarray:
-    """H on every target-register qubit of a (rows, 2^n) state, in place, a
-    block of rows (from _blocks) at a time through clifford's _butterfly:
-    the same operations and operands per amplitude as on the whole state."""
-    for b in _blocks(state.shape[0], 1 << n):
-        block = state[b]
-        scratch = cliff._butterfly_scratch(block)
-        for i in range(n):
-            cliff._butterfly(block, n, i, None, scratch)
-    return state
+def _hadamard_target(block: np.ndarray, n: int) -> None:
+    """H on every target-register qubit of a (rows, 2^n) block of a state,
+    in place, through clifford's all-rows _butterfly."""
+    for i in range(n):
+        cliff._butterfly(block, n, i, None)
 
 
 #: A works in blocks holding about this many amplitudes (256 KiB), so that
-#: the index gates' scratch, the target H, the query's +-1 rows and the
-#: rotation layer's rebuilt frames stay small next to the state.  Of
+#: the index gates' scratch and every stage of the pass, the target H, the
+#: query's +-1 rows and the step layer, stay small next to the state.  Of
 #: these, the rotation layer's buffer of five such blocks is the largest.
 _BLOCK_AMPS = 1 << 14
 
@@ -177,21 +176,20 @@ class _DenseRows:
 
 
 class _SignRows:
-    """The sign states of the given rows of a sign-bit table: each row's
-    +-1 signs times scale, the same product, cast to complex, that a dense
-    array of them would hold."""
+    """The sign states of the rows of a sign-bit table: each row's +-1
+    signs times scale, the same product, cast to complex, that a dense array
+    of them would hold."""
 
     slots = 1
 
-    def __init__(self, bits: np.ndarray, rows: np.ndarray, scale: float) -> None:
+    def __init__(self, bits: np.ndarray, scale: float) -> None:
         self.bits = bits
-        self.rows = rows
         self.scale = scale
-        self.shape = (len(rows), bits.shape[1])
+        self.shape = bits.shape
 
     def block(self, b: slice, spare) -> np.ndarray:
         """Rows b, written into the next buffer slot of spare and returned."""
-        signs = cliff.signs_from_bits(self.bits[self.rows[b]])
+        signs = cliff.signs_from_bits(self.bits[b])
         return np.multiply(signs, self.scale, out=next(spare))
 
 
@@ -225,10 +223,10 @@ class _SparseRows:
 
 
 class _PlanarRotations:
-    """A layer of rank-two unitaries on the given rows of a state: layer
-    row i takes the unit vector w[i] to xi[i] in state row rows[i], the
-    queried sign state to a hash step's state.  Ideal mode is the one-row
-    case on the flattened register: |0..0> to A^dagger |designed>.
+    """A layer of rank-two unitaries on the rows of a state: row i takes the
+    unit vector w[i] to xi[i], the queried sign state to a hash step's
+    state.  Ideal mode is the one-row case on the flattened register: |0..0>
+    to A^dagger |designed>.
 
     The plane of row i is framed by (w, g) and its image by (xi, xi_perp),
     with g = (xi - c w) / s, xi_perp = s w - conj(c) g, c = <w, xi> and
@@ -236,22 +234,23 @@ class _PlanarRotations:
     frames swapped.  A row with xi = c w (s <= 1e-14) is degenerate: its
     map scales the w component by c, or by conj(c) for the inverse.
 
-    w and xi are row sources (_DenseRows, _SignRows, _SparseRows) of the
-    same (len(rows), d) shape; a source's block(b, spare) takes its
-    ``slots`` buffer slots (1, or 0 for a view) from the iterator spare.
-    The layer stores only c, s and the degenerate rows; each application
-    rebuilds the four frames a block of rows at a time, into one buffer,
-    by the formulas above.  Every formula
-    is the one a single row would use, so neither stacking nor blocking
-    the rows moves a bit.
+    w and xi are row sources (_DenseRows, _SignRows, _SparseRows) of one
+    (rows, d) shape; a source's block(b, spare) takes its ``slots`` buffer
+    slots (1, or 0 for a view) from the iterator spare.  The layer stores
+    only c, s and the degenerate rows.  frames builds the four frames of a
+    block of rows into a buffer by the formulas above, and rotate applies
+    them to that block of the state in place: the circuit's pass does both
+    for each block, and ideal mode builds g and xi_perp once and keeps them.
+    Every formula is the one a single row would use, so neither stacking
+    nor blocking the rows moves a bit.
     """
 
-    def __init__(self, w, xi, rows: np.ndarray) -> None:
-        self.w, self.xi, self.rows = w, xi, rows
-        buf = self._buffer()
-        c = np.empty((len(rows), 1), dtype=np.complex128)
+    def __init__(self, w, xi) -> None:
+        self.w, self.xi = w, xi
+        buf = self.buffer()
+        c = np.empty((w.shape[0], 1), dtype=np.complex128)
         for b in _blocks(*w.shape):
-            c[b] = _row_dots(*self._sources(b, buf), buf[0, : b.stop - b.start])
+            c[b] = _row_dots(*self.sources(b, buf[3:]), buf[0][: b.stop - b.start])
         cs = c[:, 0].tolist()
         s = np.array([math.sqrt(max(0.0, 1.0 - abs(ci) ** 2)) for ci in cs])
         degenerate = s <= 1e-14
@@ -260,23 +259,25 @@ class _PlanarRotations:
         self.s = np.where(degenerate, 1.0, s).astype(np.complex128)[:, None]
         self.c = c
 
-    def _buffer(self) -> np.ndarray:
+    def buffer(self) -> list[np.ndarray]:
         """Room for one block's scratch, g and xi_perp, then for w and xi
-        where their sources build the rows rather than view them."""
+        where their sources build the rows rather than view them: separate
+        arrays, so that g and xi_perp can be kept without the rest."""
         rows, d = self.w.shape
+        shape = (min(rows, max(1, _BLOCK_AMPS // d)), d)
         slots = 3 + self.w.slots + self.xi.slots
-        return np.empty((slots, min(rows, max(1, _BLOCK_AMPS // d)), d), dtype=np.complex128)
+        return [np.empty(shape, dtype=np.complex128) for _ in range(slots)]
 
-    def _sources(self, b: slice, buf: np.ndarray) -> tuple:
-        """(w, xi) of layer rows b, built in buf's slots from 3 on."""
-        spare = iter(buf[3:, : b.stop - b.start])
+    def sources(self, b: slice, slots: list[np.ndarray]) -> tuple:
+        """(w, xi) of rows b, built in the given buffer slots."""
+        spare = iter([slot[: b.stop - b.start] for slot in slots])
         return self.w.block(b, spare), self.xi.block(b, spare)
 
-    def frames(self, b: slice, buf: np.ndarray) -> tuple:
-        """((w, g), (xi, xi_perp)) of layer rows b, rebuilt in buf (from
-        _buffer), whose first slot is left as scratch."""
-        scratch, g, xi_perp = buf[:3, : b.stop - b.start]
-        w, xi = self._sources(b, buf)
+    def frames(self, b: slice, buf: list[np.ndarray]) -> tuple:
+        """((w, g), (xi, xi_perp)) of rows b, rebuilt in buf (from buffer),
+        whose first slot is left as scratch."""
+        scratch, g, xi_perp = (slot[: b.stop - b.start] for slot in buf[:3])
+        w, xi = self.sources(b, buf[3:])
         np.multiply(self.c[b], w, out=g)
         np.subtract(xi, g, out=g)
         np.divide(g, self.s[b], out=g)
@@ -285,29 +286,27 @@ class _PlanarRotations:
         np.subtract(xi_perp, scratch, out=xi_perp)
         return (w, g), (xi, xi_perp)
 
-    def __call__(self, state: np.ndarray, inverse: bool) -> np.ndarray:
-        """The layer (or its inverse) on state, in place, a block of rows at
-        a time: each row v becomes v - a0 u0 - a1 u1 + a0 d0 + a1 d1, with
-        a_i = <u_i, v>."""
-        kept = [state[self.rows[i]].copy() for i, _ in self.degenerate]
-        buf = self._buffer()
-        for b in _blocks(*self.w.shape):
-            frames = self.frames(b, buf)
-            (u0, u1), (d0, d1) = frames[::-1] if inverse else frames
-            at = self.rows[b]
-            v = state[at]
-            scratch = buf[0, : len(v)]
-            a0 = _row_dots(u0, v, scratch)
-            a1 = _row_dots(u1, v, scratch)
-            for a, u, op in ((a0, u0, np.subtract), (a1, u1, np.subtract),
-                             (a0, d0, np.add), (a1, d1, np.add)):
-                np.multiply(a, u, out=scratch)
-                op(v, scratch, out=v)
-            state[at] = v
-        for (i, c), x in zip(self.degenerate, kept):
-            w = self.w.block(slice(i, i + 1), iter(buf[3:, :1]))[0]
-            state[self.rows[i]] = x + np.vdot(w, x) * ((np.conj(c) if inverse else c) - 1.0) * w
-        return state
+    def rotate(
+        self, v: np.ndarray, b: slice, frames: tuple, inverse: bool, scratch: np.ndarray
+    ) -> None:
+        """The layer (or its inverse) on v, rows b of a state, in place, by
+        the frames of those rows and through scratch, a buffer of at least
+        v's rows: each row v becomes v - a0 u0 - a1 u1 + a0 d0 + a1 d1, with
+        a_i = <u_i, v>.  A degenerate row is then remade from its value
+        before by its own map."""
+        kept = [(i - b.start, c, v[i - b.start].copy())
+                for i, c in self.degenerate if b.start <= i < b.stop]
+        w = frames[0][0]
+        (u0, u1), (d0, d1) = frames[::-1] if inverse else frames
+        scratch = scratch[: len(v)]
+        a0 = _row_dots(u0, v, scratch)
+        a1 = _row_dots(u1, v, scratch)
+        for a, u, op in ((a0, u0, np.subtract), (a1, u1, np.subtract),
+                         (a0, d0, np.add), (a1, d1, np.add)):
+            np.multiply(a, u, out=scratch)
+            op(v, scratch, out=v)
+        for r, c, x in kept:
+            v[r] = x + np.vdot(w[r], x) * ((np.conj(c) if inverse else c) - 1.0) * w[r]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -321,57 +320,60 @@ class _PlanCircuit:
 
     It holds the index-register weight gates and their transposes, the
     stacked (T, 2^n) sign bits, from which the query and the rotations
-    rebuild +-1 signs a block of rows at a time, the hash steps' planar
-    rotations as one _PlanarRotations layer over their rows (None when there
-    are none), which keeps c and s per row and rebuilds its frames per
-    application from the sign bits and the hash states' supports, signs and
-    phases held flat, and the Clifford step rows whose description is not
-    ``identity_desc(n)``, with one CliffordLayer per direction over just
-    those rows, compiled on first use.  The identity layer only copies, so
-    leaving its rows out keeps every bit.  prepared is A|0..0>, read-only,
-    once PostselectCircuit.prepare has built it (None before).  Nothing
-    here refers back to the plan, so caching it on the plan keeps no plan
-    alive.
+    rebuild +-1 signs a block of rows at a time, the blocks of rows (from
+    _blocks) that A's pass runs in, and the step layer, whose kind follows
+    the plan's one step family.  Hash steps make one _PlanarRotations layer
+    over all rows, which keeps c and s per row and rebuilds its frames per
+    block from the sign bits and the hash states' supports, signs and
+    phases held flat.  Clifford steps make, per block, the rows whose
+    description is not ``identity_desc(n)``, with one CliffordLayer per
+    direction over just those rows, compiled on first use.  The identity
+    layer only copies, so leaving its rows out keeps every bit.  prepared
+    is A|0..0>, read-only, once PostselectCircuit.prepare has built it
+    (None before).  Nothing here refers back to the plan, so caching it on
+    the plan keeps no plan alive.
     """
 
     def __init__(self, plan: SynthesisPlan) -> None:
         steps = plan.steps
-        t_reg = plan.t_register
+        dim = 1 << plan.params.n
         self.sign_bits = _read_only(np.stack([step.signs.bits for step in steps]))
         weights = np.array([s.coefficient for s in steps])
-        self.gates = tuple(_read_only(gate) for gate in _weight_gates(weights, t_reg))
+        self.gates = tuple(_read_only(gate) for gate in _weight_gates(weights, plan.t_register))
         self.gates_t = tuple(gate.T for gate in self.gates)
-        rows = _read_only(np.array(
-            [j for j, step in enumerate(steps) if step.kind == "hash"], dtype=np.intp
-        ))
+        self.blocks = _blocks(len(steps), dim)
         self.rotations = None
-        if rows.size:
-            dim = 1 << plan.params.n
-            w = _SignRows(self.sign_bits, rows, 1.0 / math.sqrt(dim))
-            hashed = [steps[j] for j in rows.tolist()]
+        # Per block start: the block's non-identity rows and their descriptions.
+        self._moved: dict[int, tuple[np.ndarray, tuple]] = {}
+        self._layers: dict[tuple[int, bool], cliff.CliffordLayer] = {}
+        if plan.strategy == "hash":
             xi = _SparseRows(
                 dim,
-                [step.phase for step in hashed],
-                [step.hash_state.support for step in hashed],
-                [step.hash_state.amplitudes() for step in hashed],
+                [step.phase for step in steps],
+                [step.hash_state.support for step in steps],
+                [step.hash_state.amplitudes() for step in steps],
             )
-            self.rotations = _PlanarRotations(w, xi, rows)
-        identity = cliff.identity_desc(plan.params.n)
-        rows = [
-            j for j, step in enumerate(steps)
-            if step.kind == "clifford" and step.desc is not identity
-        ]
-        self.clifford_rows = _read_only(np.array(rows, dtype=np.intp))
-        self._descs = tuple(steps[j].desc for j in rows)
-        self._layers: dict[bool, cliff.CliffordLayer] = {}
+            self.rotations = _PlanarRotations(_SignRows(self.sign_bits, 1.0 / math.sqrt(dim)), xi)
+        else:
+            identity = cliff.identity_desc(plan.params.n)
+            for b in self.blocks:
+                rows = [j for j in range(b.start, b.stop) if steps[j].desc is not identity]
+                if rows:
+                    local = _read_only(np.array(rows, dtype=np.intp) - b.start)
+                    self._moved[b.start] = (local, tuple(steps[j].desc for j in rows))
         self.prepared: np.ndarray | None = None
 
-    def layer(self, invert: bool) -> cliff.CliffordLayer:
-        """The non-identity step rows compiled into one layer, per direction."""
-        layer = self._layers.get(invert)
-        if layer is None:
-            layer = self._layers[invert] = cliff.CliffordLayer(self._descs, invert)
-        return layer
+    def steps(self, block: np.ndarray, b: slice, invert: bool, buf) -> None:
+        """The step layer (or its inverse) on block, rows b of a state, in
+        place; buf is the rotation layer's buffer, None for Clifford steps."""
+        if self.rotations is not None:
+            self.rotations.rotate(block, b, self.rotations.frames(b, buf), invert, buf[0])
+        elif b.start in self._moved:
+            rows, descs = self._moved[b.start]
+            layer = self._layers.get((b.start, invert))
+            if layer is None:
+                layer = self._layers[b.start, invert] = cliff.CliffordLayer(descs, invert)
+            block[rows] = layer(block[rows])
 
 
 def _plan_circuit(plan: SynthesisPlan) -> _PlanCircuit:
@@ -395,8 +397,8 @@ class PostselectCircuit:
     z_register derives it from query_count.
 
     Each instance checks its oracle against the plan and counts its own
-    queries; the gates, signs, rotations and compiled step layers come from
-    the plan's shared, once-built _PlanCircuit.
+    queries; the gates, signs, blocks and step layer come from the plan's
+    shared, once-built _PlanCircuit.
     """
 
     def __init__(self, plan: SynthesisPlan, oracle: OracleSpec) -> None:
@@ -473,31 +475,32 @@ class PostselectCircuit:
     def _unload(self, state: np.ndarray) -> np.ndarray:
         return self._gate_index(state, self._parts.gates_t, self.dim)
 
-    def _query(self, state: np.ndarray) -> np.ndarray:
-        """The oracle's phase kickback, in place, a block of rows at a time:
-        each amplitude times its float64 +-1 sign."""
+    def _pass(self, state: np.ndarray, inverse: bool) -> np.ndarray:
+        """The row-local stages of A on state, in place, a block of rows
+        (from _PlanCircuit.blocks) at a time: the target H, the oracle's
+        phase kickback (each amplitude times its float64 +-1 sign) and the
+        step layer, or for A^dagger the inverse step layer, the signs and H.
+        One query.  Each stage acts on every row alone, so blocking gives
+        each amplitude the operations and operands of whole-state stages."""
         self.query_count += 1
-        bits = self._parts.sign_bits
-        for b in _blocks(*state.shape):
+        parts = self._parts
+        buf = None if parts.rotations is None else parts.rotations.buffer()
+        for b in parts.blocks:
             block = state[b]
-            np.multiply(block, cliff.signs_from_bits(bits[b]), out=block)
-        return state
-
-    def _steps(self, state: np.ndarray, invert: bool) -> np.ndarray:
-        if self._parts.rotations is not None:
-            self._parts.rotations(state, invert)
-        rows = self._parts.clifford_rows
-        if rows.size:
-            state[rows] = self._parts.layer(invert)(state[rows])
+            if inverse:
+                parts.steps(block, b, True, buf)
+            else:
+                _hadamard_target(block, self.n)
+            np.multiply(block, cliff.signs_from_bits(parts.sign_bits[b]), out=block)
+            if inverse:
+                _hadamard_target(block, self.n)
+            else:
+                parts.steps(block, b, False, buf)
         return state
 
     def _forward(self, state: np.ndarray) -> np.ndarray:
         """A |state>, overwriting state: one query."""
-        state = self._load(state)
-        state = _hadamard_target(state, self.n)
-        state = self._query(state)
-        state = self._steps(state, invert=False)
-        return self._unload(state)
+        return self._unload(self._pass(self._load(state), inverse=False))
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """A |state>: one query."""
@@ -505,11 +508,7 @@ class PostselectCircuit:
 
     def apply_dagger(self, state: np.ndarray) -> np.ndarray:
         """A^dagger |state>: one query."""
-        state = self._load(state.copy())
-        state = self._steps(state, invert=True)
-        state = self._query(state)
-        state = _hadamard_target(state, self.n)
-        return self._unload(state)
+        return self._unload(self._pass(self._load(state.copy()), inverse=True))
 
     def prepare(self) -> np.ndarray:
         """A |0..0>, read-only: one query.  The plan's first call computes
@@ -600,19 +599,30 @@ class PreparedCircuit:
         return designed
 
     @cached_property
-    def _ideal_rotation(self) -> _PlanarRotations:
+    def _ideal_rotation(self) -> tuple:
         """|0..0> -> A^dagger |designed>, so that A after it prepares the
-        designed state: one row over the flattened register.  Its
-        construction applies A^dagger once."""
+        designed state: one row over the flattened register, with its frames
+        g and xi_perp, built once.  Its construction applies A^dagger once."""
         xi = self.circuit.apply_dagger(self.designed).reshape(1, -1)
         e0 = _SparseRows(xi.shape[1], [1.0], [[0]], [[1.0]])
-        return _PlanarRotations(e0, _DenseRows(xi), np.zeros(1, dtype=np.intp))
+        rotation = _PlanarRotations(e0, _DenseRows(xi))
+        (_, g), (_, xi_perp) = rotation.frames(slice(0, 1), rotation.buffer())
+        return rotation, g, xi_perp
+
+    def _rotate(self, flat: np.ndarray, inverse: bool) -> None:
+        """The ideal-mode rotation (or its inverse) on a (1, rows 2^n) view
+        of a state, in place.  w = e0 is made for the call, not kept."""
+        rotation, g, xi_perp = self._ideal_rotation
+        row = slice(0, 1)
+        w, xi = rotation.sources(row, [np.empty_like(g)])
+        rotation.rotate(flat, row, ((w, g), (xi, xi_perp)), inverse, np.empty_like(g))
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """A |state>, A composed with the ideal-mode rotation in ideal mode."""
         if self.ideal:
-            rotated = self._ideal_rotation(state.reshape(1, -1).copy(), inverse=False)
-            state = rotated.reshape(state.shape)
+            flat = state.reshape(1, -1).copy()
+            self._rotate(flat, inverse=False)
+            state = flat.reshape(state.shape)
         return self.circuit.apply(state)
 
     def apply_dagger(self, state: np.ndarray) -> np.ndarray:
@@ -620,5 +630,5 @@ class PreparedCircuit:
         state = self.circuit.apply_dagger(state)
         if self.ideal:
             # The circuit's output is a fresh array: rotate it in place.
-            self._ideal_rotation(state.reshape(1, -1), inverse=True)
+            self._rotate(state.reshape(1, -1), inverse=True)
         return state

@@ -377,6 +377,9 @@ class SynthesisPlan:
         count = len(self.steps)
         if count == 0 or count & (count - 1):
             raise ValueError(f"step count must be a positive power of two, got {count}")
+        kinds = {step.kind for step in self.steps}
+        if len(kinds) != 1:
+            raise ValueError(f"a plan's steps must be of one kind, got {sorted(kinds)}")
 
     @cached_property
     def desc_section(self) -> bytes:
@@ -464,12 +467,12 @@ def _plan_steps(
             hs = HashState._built(
                 None, n=n, k=hs.k, matrix=hs.matrix, support=hs.support, signs=tuple(signs)
             )
-        signs = np.array(hs.signs)
+        amps = hs.amplitudes()
         bits = np.zeros(1 << n, dtype=np.uint8)
-        bits[support] = signs < 0
-        # The real part of hs.state_vector(), from the arrays at hand.
+        bits[support] = amps < 0.0
+        # The real part of hs.state_vector().
         state = np.zeros(1 << n)
-        state[support] = signs * 2.0 ** (-hs.k / 2.0)
+        state[support] = amps
         return PlanStep("hash", coeff, phase, SignPattern(n, bits), hash_state=hs), state
 
     # A track is [residual, phase, scale, current residual norm].

@@ -115,7 +115,7 @@ def test_full_h_round_builds_uniform_superposition():
 
 def _butterfly_reference(amps: np.ndarray, n: int, i: int) -> None:
     """The out-of-place all-rows butterfly: the bit-for-bit reference for
-    `clifford._butterfly(..., None, scratch)`, in place or not."""
+    `clifford._butterfly` on all rows or on a subset of them."""
     view = amps.reshape(amps.shape[0], 1 << i, 2, 1 << (n - 1 - i))
     a0 = view[:, :, 0].copy()
     a1 = view[:, :, 1]
@@ -131,20 +131,22 @@ def test_all_row_butterfly_matches_reference_bit_for_bit():
             amps[::2, ::3] = -0.0
             amps[1::3, 1::4] = complex(-0.0, 2.5)
             amps[:, -1] = complex(0.0, -0.0)
+            rows = np.flatnonzero(rng.integers(0, 2, k))
             want = amps.copy()
-            out_of_place = amps.copy()
-            # The in-place form, forced at every size: one scratch buffer
-            # serves every qubit, as in the callers.
-            scratch = np.empty(amps.size // 2, dtype=np.complex128)
+            want_rows = amps.copy()
+            some_rows = amps.copy()
             for i in range(n):
                 _butterfly_reference(want, n, i)
-                clifford._butterfly(amps, n, i, None, scratch)
-                clifford._butterfly(out_of_place, n, i, None, None)
-                for got in (amps, out_of_place):
-                    assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, k, i)
-    # Large states get the scratch buffer, small ones the out-of-place form.
-    assert clifford._butterfly_scratch(np.empty((2048, 256), dtype=complex)).size == 1 << 18
-    assert clifford._butterfly_scratch(np.empty((256, 64), dtype=complex)) is None
+                clifford._butterfly(amps, n, i, None)
+                # The row-subset form moves the given rows and no other.
+                sub = want_rows[rows]
+                _butterfly_reference(sub, n, i)
+                want_rows[rows] = sub
+                clifford._butterfly(some_rows, n, i, rows)
+                assert np.array_equal(amps.view(np.uint64), want.view(np.uint64)), (n, k, i)
+                assert np.array_equal(
+                    some_rows.view(np.uint64), want_rows.view(np.uint64)
+                ), (n, k, i)
 
 
 def _layer_ops_reference(descs, invert: bool) -> list:

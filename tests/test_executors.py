@@ -39,7 +39,6 @@ from statesynth.executors import common
 from statesynth.executors.common import (
     PreparedCircuit,
     _DenseRows,
-    _hadamard_target,
     _PlanarRotations,
     _SignRows,
     _SparseRows,
@@ -105,38 +104,70 @@ def test_postselect_haar_targets():
         assert abs(report.success_amplitude - plan.params.gamma) <= EPS
 
 
-def _per_row_reference(circuit: PostselectCircuit, state: np.ndarray, dagger: bool) -> np.ndarray:
-    """The circuit with its step layer applied one row at a time, by k = 1
-    clifford.apply / apply_inverse calls."""
+def _target_h_reference(state: np.ndarray, n: int) -> np.ndarray:
+    """H on every target qubit of a (rows, 2^n) state, the whole state at
+    once and into fresh arrays: the reference for the circuit's target H."""
+    for i in range(n):
+        view = state.reshape(state.shape[0], 1 << i, 2, 1 << (n - 1 - i))
+        a0 = view[:, :, 0].copy()
+        a1 = view[:, :, 1]
+        view[:, :, 0] = (a0 + a1) * cliff._INV_SQRT2
+        view[:, :, 1] = (a0 - a1) * cliff._INV_SQRT2
+    return state
+
+
+def _query_reference(circuit: PostselectCircuit, state: np.ndarray) -> np.ndarray:
+    """The oracle's phase kickback on the whole state: each amplitude times
+    its float64 sign 1 - 2 bit, read from the oracle's sign table."""
+    return state * (1.0 - 2.0 * circuit.oracle.sign_rows())
+
+
+def _step_layer_reference(plan, state: np.ndarray, inverse: bool) -> np.ndarray:
+    """The plan's step layer one row at a time, in place: k = 1
+    clifford.apply / apply_inverse calls, or each hash step's
+    _PlanarRotationReference from its sign state to its phased hash state."""
+    n = plan.params.n
+    for j, step in enumerate(plan.steps):
+        if step.kind == "clifford":
+            move = cliff.apply_inverse if inverse else cliff.apply
+            state[j] = move(step.desc, PureState(n, state[j])).amps
+        else:
+            w = (1.0 - 2.0 * step.signs.bits) * (1.0 / math.sqrt(1 << n))
+            xi = np.multiply(step.phase, step.hash_state.state_vector())
+            state[j] = _PlanarRotationReference(w, xi).map(state[j], inverse)
+    return state
+
+
+def _circuit_reference(circuit: PostselectCircuit, state: np.ndarray, dagger: bool) -> np.ndarray:
+    """A (or A^dagger) with every stage run over the whole state: the index
+    gates, the target H, the query and the step layer one row at a time."""
     n = circuit.n
-    move = cliff.apply_inverse if dagger else cliff.apply
-    state = circuit._load(state.copy())
+    state = _gates_reference(circuit, state, False)
     if not dagger:
-        state = circuit._query(_hadamard_target(state, n))
-    for j, step in enumerate(circuit.plan.steps):
-        state[j] = move(step.desc, PureState(n, state[j])).amps
+        state = _query_reference(circuit, _target_h_reference(state, n))
+    state = _step_layer_reference(circuit.plan, state, dagger)
     if dagger:
-        state = _hadamard_target(circuit._query(state), n)
-    return circuit._unload(state)
+        state = _target_h_reference(_query_reference(circuit, state), n)
+    return _gates_reference(circuit, state, True)
 
 
 def test_batched_step_layer_matches_per_row():
     rng = np.random.default_rng(23)
-    for n in range(1, 7):
+    for n, strategy in itertools.product(range(1, 7), ("clifford", "hash")):
         psi = haar_random_state(n, 40 + n)
-        plan = build_plan(psi, derive_params(n, EPS, t_override=3), seed=n)
+        derive = derive_hash_params if strategy == "hash" else derive_params
+        plan = build_plan(psi, derive(n, EPS, t_override=3), strategy=strategy, seed=n)
         oracle = plan_to_oracle(plan)
         circuit = PostselectCircuit(plan, oracle)
-        reference = PostselectCircuit(plan, oracle)
         shape = (circuit.rows, circuit.dim)
         state = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for dagger in (False, True):
             run = circuit.apply_dagger if dagger else circuit.apply
             # Twice, so the second call runs the already compiled layer.
             for _ in range(2):
-                assert np.array_equal(run(state), _per_row_reference(reference, state, dagger))
-        assert circuit.query_count == reference.query_count == 4
-        assert circuit.z_register == reference.z_register == bytes(len(plan.z))
+                assert _same_bits(run(state), _circuit_reference(circuit, state, dagger))
+        assert circuit.query_count == 4
+        assert circuit.z_register == bytes(len(plan.z))
 
 
 def test_postselect_oracle_mismatch_detected():
@@ -203,9 +234,9 @@ def test_hash_rotations_built_once_per_plan(monkeypatch):
     built = []
 
     class CountingRotations(_PlanarRotations):
-        def __init__(self, w, xi, rows):
+        def __init__(self, w, xi):
             built.append(w.shape[0])
-            super().__init__(w, xi, rows)
+            super().__init__(w, xi)
 
     monkeypatch.setattr(common, "_PlanarRotations", CountingRotations)
     run_postselect(plan, oracle)
@@ -213,7 +244,7 @@ def test_hash_rotations_built_once_per_plan(monkeypatch):
     # One stacked layer per plan, one row per hash step.
     assert built == [len(plan.steps)]
     circuit = PostselectCircuit(plan, oracle)
-    assert circuit._parts.rotations.rows.tolist() == list(range(len(plan.steps)))
+    assert circuit._parts.rotations.w.shape == (len(plan.steps), circuit.dim)
     assert built == [len(plan.steps)]
 
 
@@ -252,6 +283,21 @@ def test_hash_circuit_memory_stays_compact():
     peak, kept = traced_memory(run_postselect, plan, oracle)
     assert peak <= 10 << 20
     assert kept <= 8 << 20
+
+
+def test_clifford_circuit_memory_stays_blocked():
+    """The Clifford step layer runs a block of rows at a time like every
+    other stage of A, through per-block layers over each block's
+    non-identity rows: on a 1024 x 256 register (4 MiB a state, 241
+    non-identity rows) run_postselect peaks under 8.5 MiB.  A step layer
+    that gathers its rows whole peaks near 9.9 MiB."""
+    plan = build_plan(haar_random_state(8, 3), derive_params(8, 0.01), seed=0)
+    oracle = plan_to_oracle(plan)
+    assert (plan.t_register, len(plan.steps)) == (10, 1024)
+    identity = cliff.identity_desc(8)
+    assert sum(step.desc is not identity for step in plan.steps) == 241
+    peak, _kept = traced_memory(run_postselect, plan, oracle)
+    assert peak <= 8.5 * (1 << 20)
 
 
 def test_prepared_state_built_once_per_plan(monkeypatch):
@@ -521,19 +567,26 @@ def test_planar_rotation_inverse_undoes_apply():
             else:
                 xi = c * w
             rot = _PlanarRotations(
-                _DenseRows(w[None].astype(complex)),
-                _DenseRows(xi[None].astype(complex)),
-                np.zeros(1, dtype=np.intp),
+                _DenseRows(w[None].astype(complex)), _DenseRows(xi[None].astype(complex))
             )
             assert bool(rot.degenerate) == (c is not None)
 
             def apply(v, inverse=False):
-                return rot(v[None].astype(complex), inverse)[0]
+                return _rotate_layer(rot, v[None].astype(complex), inverse)[0]
 
             assert np.max(np.abs(apply(w) - xi)) <= 1e-12
             x = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             assert np.max(np.abs(apply(apply(x), inverse=True) - x)) <= 1e-12
             assert np.max(np.abs(apply(apply(x, inverse=True)) - x)) <= 1e-12
+
+
+def _rotate_layer(layer: _PlanarRotations, state: np.ndarray, inverse: bool) -> np.ndarray:
+    """The layer (or its inverse) on every row of state, in place, a block
+    of rows at a time as the circuit's pass runs it."""
+    buf = layer.buffer()
+    for b in common._blocks(*layer.w.shape):
+        layer.rotate(state[b], b, layer.frames(b, buf), inverse, buf[0])
+    return state
 
 
 class _PlanarRotationReference:
@@ -566,8 +619,8 @@ class _PlanarRotationReference:
 def test_planar_rotations_match_per_row(monkeypatch):
     """Every bit, -0.0 included, of the four frames a block of rows
     rebuilds and of both directions equals the per-row reference, over 12
-    of 16 state rows in shuffled order, in one block of rows and in blocks
-    of 5, 5 and 2.  Compact sources (sign rows to phased sparse rows, as
+    state rows in one block of rows and in blocks of 5, 5 and 2.  Compact
+    sources (sign rows to phased sparse rows, as
     the plan's hash steps are held) map sign states to phased hash states,
     to phased real vectors on a random support and, degenerately, to
     themselves times -1 or -i; dense sources replace the second kind by
@@ -576,11 +629,10 @@ def test_planar_rotations_match_per_row(monkeypatch):
     for n, block_rows, compact in itertools.product(range(1, 9), (12, 5), (True, False)):
         dim = 1 << n
         monkeypatch.setattr(common, "_BLOCK_AMPS", block_rows * dim)
-        rows = rng.permutation(16)[:12]
-        bits = rng.integers(0, 2, (16, dim)).astype(np.uint8)
+        bits = rng.integers(0, 2, (12, dim)).astype(np.uint8)
         signs = 1.0 - 2.0 * bits
         scale = 1.0 / math.sqrt(dim)
-        ws = signs[rows] * scale
+        ws = signs * scale
         phases, supports, values, xis = [], [], [], []
         for r in range(12):
             if r < 6 or (r < 10 and compact):
@@ -608,19 +660,18 @@ def test_planar_rotations_match_per_row(monkeypatch):
             values.append(value)
         if compact:
             layer = _PlanarRotations(
-                _SignRows(bits, rows, scale), _SparseRows(dim, phases, supports, values), rows
+                _SignRows(bits, scale), _SparseRows(dim, phases, supports, values)
             )
         else:
             layer = _PlanarRotations(
                 _DenseRows(ws.astype(np.complex128)),
                 _DenseRows(np.array(xis, dtype=np.complex128)),
-                rows,
             )
         refs = [_PlanarRotationReference(w, xi) for w, xi in zip(ws, xis)]
         assert [i for i, _ in layer.degenerate] == [
             i for i, ref in enumerate(refs) if ref.frames is None
         ]
-        buf = layer._buffer()
+        buf = layer.buffer()
         for b in common._blocks(12, dim):
             frames = layer.frames(b, buf)
             for i, ref in enumerate(refs[b], start=b.start):
@@ -628,13 +679,11 @@ def test_planar_rotations_match_per_row(monkeypatch):
                     for got, want in zip(frames, ref.frames):
                         assert _same_bits(got[0][i - b.start], want[0])
                         assert _same_bits(got[1][i - b.start], want[1])
-        state = rng.standard_normal((16, dim)) + 1j * rng.standard_normal((16, dim))
+        state = rng.standard_normal((12, dim)) + 1j * rng.standard_normal((12, dim))
         state[:, : dim // 2] *= 0.0  # signed zeros: -0.0 where the draw was negative
         for inverse in (False, True):
-            want = state.copy()
-            for i, ref in enumerate(refs):
-                want[rows[i]] = ref.map(state[rows[i]], inverse)
-            got = layer(state.copy(), inverse)
+            want = np.array([ref.map(row, inverse) for ref, row in zip(refs, state)])
+            got = _rotate_layer(layer, state.copy(), inverse)
             assert _same_bits(got, want)
 
 
@@ -699,12 +748,9 @@ def test_index_register_gates_match_reference_bit_for_bit():
             assert _same_bits(circuit._load(state.copy()), _gates_reference(circuit, state, False))
             assert _same_bits(circuit._unload(state.copy()), _gates_reference(circuit, state, True))
 
-        reference = PostselectCircuit(plan, plan_to_oracle(plan))
-        want = _hadamard_target(_gates_reference(reference, reference.zero_state(), False), 3)
-        want = reference._steps(reference._query(want), invert=False)
-        want = _gates_reference(reference, want, True)
+        want = _circuit_reference(circuit, zero, dagger=False)
         assert _same_bits(circuit.prepare(), want)
-        assert circuit.query_count == reference.query_count == 1
+        assert circuit.query_count == 1
 
         before = signed.copy()
         circuit.apply(signed)

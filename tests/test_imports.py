@@ -1,6 +1,7 @@
 """Source hygiene: every module-level import in src/ and tests/ is used,
-every module-level private function or class in src/ is referenced, and
-importing the CLI leaves the process-pool modules unimported.
+every module-level private function, class or constant in src/ is
+referenced, and importing the CLI leaves the process-pool modules
+unimported.
 
 Package ``__init__.py`` files are exempt: their imports are re-exports.
 """
@@ -49,19 +50,32 @@ def _is_private(name: str) -> bool:
     return name.startswith("_") and not name.endswith("__")
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function or class, or
+    the plain names an assignment binds."""
+    if isinstance(node, _DEFINITIONS):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [target.id for target in node.targets if isinstance(target, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def test_no_unreferenced_private_definitions():
-    # A refactor that stops calling a private helper must delete it too.  A
-    # reference is a name, an attribute or a string (as monkeypatch takes).
+    # A refactor that stops calling a private helper or reading a private
+    # constant must delete it too.  A reference is a name that is loaded,
+    # an attribute or a string (as monkeypatch takes).
     definitions: dict[str, str] = {}
     referenced: set[str] = set()
     for path in _python_files("src", "tests"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         if path.parts[len(ROOT.parts)] == "src":
             for node in tree.body:
-                if isinstance(node, _DEFINITIONS) and _is_private(node.name):
-                    definitions[node.name] = f"{path.relative_to(ROOT)}:{node.lineno}"
+                for name in filter(_is_private, _defined_names(node)):
+                    definitions[name] = f"{path.relative_to(ROOT)}:{node.lineno}"
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)

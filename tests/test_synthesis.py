@@ -247,6 +247,21 @@ def test_build_plan_input_validation():
         build_plan(_uniform_state(2), params, mode="sloppy")
 
 
+def test_plan_steps_must_be_of_one_kind():
+    """A plan holds one step family: the query circuit builds either the
+    hash steps' rotation layer or the Clifford step layers, never both."""
+    psi = haar_random_state(2, 4)
+    clifford_plan = build_plan(psi, derive_params(2, 0.25), seed=4)
+    hash_plan = build_plan(psi, derive_hash_params(2, 0.25), strategy="hash", seed=4)
+    steps = (clifford_plan.steps[0], hash_plan.steps[0])
+    assert [step.kind for step in steps] == ["clifford", "hash"]
+    with pytest.raises(ValueError, match="one kind"):
+        dataclasses.replace(clifford_plan, steps=steps)
+    # Either family alone still makes a plan.
+    for plan in (clifford_plan, hash_plan):
+        assert dataclasses.replace(plan, steps=plan.steps[:2]).steps == plan.steps[:2]
+
+
 def test_build_plan_perturbed_stays_within_budget():
     params = derive_params(2, 0.25)
     for seed in (0, 1, 2):
