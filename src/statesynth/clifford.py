@@ -22,16 +22,17 @@ w = C^dagger eta with the description: the sign table is read off w
 (<eta|C|x> is conj(w[x])), so a planner never applies C^dagger again.
 
 Most searches stop at trial 0, the identity, so that trial costs next to
-nothing: `identity_desc(n)` is one shared immutable object per n, its
-compiled (empty) layer and its serialized bytes are cached per n, and the
-search builds its random substream only when it reaches trial 1.  A random
-trial costs about what its draws cost: `random_clifford_from` draws a block
-of digits for every round with one candidate per C round, and draws again
-only when rejected GL_n(F2) candidates leave the parse short, then just the
-digits the rounds left still need, so the values and the stream state are
+nothing: `identity_desc(n)` is one shared immutable object per n, applying
+it in either direction is a copy, its serialized bytes are cached per n, and
+the search builds its random substream only when it reaches trial 1.  A random
+trial costs about what its draws cost: `random_clifford_from` saves the
+stream state, draws one block of digits sized for twice the expected
+GL_n(F2) candidates of every C round, parses it, then restores the state and
+draws again just the digits it used, so the values and the stream state are
 those of a sampler drawing round by round and equal seeds give equal
-descriptions; `f2linalg.invertible_pair` accepts or rejects each candidate,
-from a memo up to n = 3.  A layer whose rows all hold one description (so
+descriptions.  `f2linalg.invertible_pair` accepts or rejects each candidate,
+from a memo up to n = 3, so a sampled description skips the constructor's
+check.  A layer whose rows all hold one description (so
 every one-description layer) compiles that one row, whose ops broadcast
 over the others, and each round takes a short branch: the set H bits, one
 P row, one CNOT index map.  Up to n = 3 a P row's S-power table and a CNOT
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import f2linalg
 from .f2linalg import F2Matrix
-from .numerics import PureState
+from .numerics import PureState, _unchecked
 from .rng import substream
 
 #: Fixed round pattern; position p of a description holds a round of this kind.
@@ -159,17 +160,22 @@ def sr(c: complex) -> int:
 
 @dataclass(frozen=True)
 class SignPattern:
-    """2^n sign bits; bit 1 means phase -1."""
+    """2^n sign bits, a read-only uint8 array; bit 1 means phase -1."""
 
     n: int
     bits: np.ndarray
 
     def __post_init__(self) -> None:
-        bits = np.asarray(self.bits, dtype=np.uint8)
+        # A read-only copy, so the caller's array keeps its own flags; bool
+        # input is 0 and 1 by its type.
+        bits = np.asarray(self.bits)
+        boolean = bits.dtype == np.bool_
+        bits = bits.astype(np.uint8)
         if bits.shape != (1 << self.n,):
             raise ValueError(f"expected {1 << self.n} sign bits, got shape {bits.shape}")
-        if bits.max(initial=0) > 1:
+        if not boolean and bits.max(initial=0) > 1:
             raise ValueError("sign bits must be 0 or 1")
+        bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
 
     def signs(self) -> np.ndarray:
@@ -194,7 +200,7 @@ def identity_desc(n: int) -> CliffordDesc:
     """The canonical description of the identity (all rounds trivial).
 
     One shared object per n: descriptions are immutable, and `_apply_amps`
-    recognizes this object to reuse its compiled (empty) layer.
+    recognizes this object and copies its input, as its (empty) layer would.
     """
     eye = F2Matrix.identity(n)
     rounds: list[Round] = []
@@ -366,32 +372,26 @@ class CliffordLayer:
         return work
 
 
-@functools.lru_cache(maxsize=None)
-def _identity_layer(n: int, invert: bool) -> CliffordLayer:
-    """The compiled layer of `identity_desc(n)`: no ops, it only copies."""
-    return CliffordLayer([identity_desc(n)], invert)
-
-
 def _apply_amps(d: CliffordDesc, amps: np.ndarray, invert: bool) -> np.ndarray:
-    """The described unitary (or its inverse) acting on a dense vector."""
-    layer = (
-        _identity_layer(d.n, invert) if d is identity_desc(d.n) else CliffordLayer([d], invert)
-    )
-    return layer(np.reshape(amps, (1, -1)))[0]
+    """The described unitary (or its inverse) acting on a dense vector; a new
+    array, which for the shared identity description is a copy."""
+    if d is identity_desc(d.n):
+        return amps.astype(np.complex128)
+    return CliffordLayer([d], invert)(np.reshape(amps, (1, -1)))[0]
 
 
 def apply(d: CliffordDesc, v: PureState) -> PureState:
     """Apply the described Clifford: rounds compose right-to-left as written."""
     if d.n != v.n:
         raise ValueError(f"dimension mismatch: description n={d.n}, state n={v.n}")
-    return PureState(d.n, _apply_amps(d, v.amps, invert=False))
+    return _unchecked(PureState, n=d.n, amps=_apply_amps(d, v.amps, invert=False))
 
 
 def apply_inverse(d: CliffordDesc, v: PureState) -> PureState:
     """Apply the inverse Clifford (P digits negated mod 4, (M, M^-1) swapped)."""
     if d.n != v.n:
         raise ValueError(f"dimension mismatch: description n={d.n}, state n={v.n}")
-    return PureState(d.n, _apply_amps(d, v.amps, invert=True))
+    return _unchecked(PureState, n=d.n, amps=_apply_amps(d, v.amps, invert=True))
 
 
 def to_matrix(d: CliffordDesc) -> np.ndarray:
@@ -412,59 +412,53 @@ def random_clifford_from(rng: np.random.Generator, n: int) -> CliffordDesc:
     `rng.integers(0, 4)` digit and an H bit or matrix entry is `digit >> 1`:
     at a power-of-two range each value takes one 32-bit draw and the bit is
     that draw's top bit, as `rng.integers(0, 2)` would give.  So a block of
-    digits is the same digits drawn one by one, and the sampler draws them in
-    as few blocks as it can without drawing past the description: first
-    6n + 5n^2 digits (every round, one candidate each), and when a rejected
-    candidate leaves the parse short of digits, the fewest that the rounds
-    left still need, counting the candidate at hand.  The values and the
-    stream state are those of a sampler drawing each round (and each
+    digits is the same digits drawn one by one.  The sampler saves the
+    stream state, draws one block with room for twice the expected GL_n(F2)
+    candidates of every C round, and parses it; in the rare case that
+    rejected candidates use it up, it saves the state again and draws
+    another block.  Then it restores the state saved before the last block
+    and draws again just the digits the parse used from it.  The values and
+    the stream state are those of a sampler drawing each round (and each
     candidate) on its own.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    gen = rng.bit_generator
     # Every round is a whole number of n-digit chunks, so a round starts at
-    # a chunk; each chunk is read as digits, bits or a packed matrix row.
-    # A 0/1 row times the weights 2^c is its packed int.
+    # a chunk; a chunk is read as digits, bits or a packed matrix row (a 0/1
+    # row times the weights 2^c).  A candidate is invertible with
+    # probability prod_i (1 - 2^-i).
+    accepted = math.prod(1.0 - 0.5**i for i in range(1, n + 1))
+    block = n * (len(ROUND_PATTERN) + ROUND_PATTERN.count("C") * (n * math.ceil(2 / accepted) - 1))
     weights = 1 << np.arange(n, dtype=np.int64)
-    digit_rows: list[list[int]] = []
-    bit_rows: list[list[int]] = []
     packed: list[int] = []
-
-    def refill(pos: int, i: int) -> None:
-        # From chunk i on, rounds pos..10 take one chunk per H or P round and
-        # n per C round (one candidate each); draw those not drawn yet.
-        left = ROUND_PATTERN[pos:]
-        need = i + len(left) + (n - 1) * left.count("C") - len(packed)
-        chunks = rng.integers(0, 4, size=need * n).reshape(-1, n)
-        bits = chunks >> 1
-        digit_rows.extend(chunks.tolist())
-        bit_rows.extend(bits.tolist())
-        packed.extend((bits @ weights).tolist())
-
-    # The first refill, at round 0, draws every round's digits; rejected
-    # candidates use up digits of later rounds, so any round may find the
-    # parse short.
     rounds: list[Round] = []
     i = 0
-    for pos, kind in enumerate(ROUND_PATTERN):
-        if kind == "C":
-            while True:
-                if i + n > len(packed):
-                    refill(pos, i)
-                if (pair := f2linalg.invertible_pair(tuple(packed[i : i + n]))) is not None:
-                    break
-                i += n
-            rounds.append(CRound(*pair))
+    for kind in ROUND_PATTERN:
+        size = n if kind == "C" else 1
+        while True:
+            if i + size > len(packed):
+                # A block after those drawn, and the stream state before it.
+                saved, start = gen.state, len(packed)
+                more = rng.integers(0, 4, size=block).reshape(-1, n)
+                chunks = np.concatenate([chunks, more]) if start else more
+                packed += ((more >> 1) @ weights).tolist()
+            if kind != "C" or (pair := f2linalg.invertible_pair(tuple(packed[i : i + n]))):
+                break
             i += n
-            continue
-        if i == len(packed):
-            refill(pos, i)
-        if kind == "H":
-            rounds.append(HRound(tuple(bit_rows[i])))
+        if kind == "C":
+            rounds.append(CRound(*pair))
+        elif kind == "H":
+            rounds.append(HRound(tuple(d >> 1 for d in chunks[i].tolist())))
         else:
-            rounds.append(PRound(tuple(digit_rows[i])))
-        i += 1
-    return CliffordDesc(n, tuple(rounds))
+            rounds.append(PRound(tuple(chunks[i].tolist())))
+        i += size
+    # Back to the state before the last block, and draw what was used of it.
+    gen.state = saved
+    rng.integers(0, 4, size=(i - start) * n)
+    # Every round fits ROUND_PATTERN on n qubits and every C round comes from
+    # invertible_pair, so the constructor's check could not fail.
+    return _unchecked(CliffordDesc, n=n, rounds=tuple(rounds))
 
 
 def random_clifford(n: int, seed: int) -> CliffordDesc:
@@ -520,7 +514,7 @@ def find_overlap_clifford(
     nrm = float(np.linalg.norm(eta.amps))
     if nrm == 0.0:
         raise ValueError("zero residual has no overlap certificate")
-    scale = np.sqrt(1 << eta.n) * nrm
+    scale = math.sqrt(1 << eta.n) * nrm
     rng = None
     best = -np.inf
     for trial in range(max_trials):
@@ -531,7 +525,7 @@ def find_overlap_clifford(
                 rng = substream(seed, f"clifford-search-{eta.n}")
             desc = random_clifford_from(rng, eta.n)
         w = apply_inverse(desc, eta).amps
-        achieved = float(np.sum(np.abs(w.real)) / scale)
+        achieved = float(np.abs(w.real).sum()) / scale
         if achieved >= alpha:
             return desc, achieved, w
         best = max(best, achieved)

@@ -129,19 +129,21 @@ def mul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
 
 
 def rank(m: F2Matrix) -> int:
-    """GF(2) rank by Gaussian elimination on packed rows."""
-    rows = list(m.row_bits)
-    r = 0
-    for c in range(m.cols):
-        pivot = next((i for i in range(r, len(rows)) if (rows[i] >> c) & 1), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        for i in range(len(rows)):
-            if i != r and (rows[i] >> c) & 1:
-                rows[i] ^= rows[r]
-        r += 1
-    return r
+    """GF(2) rank by elimination on packed rows.
+
+    Each row is reduced by the basis rows in the order they joined:
+    min(row, row ^ b) clears b's highest bit from row when it is set and
+    leaves row as it is otherwise.  A basis row's highest bit is clear in
+    every row that joined after it, so a reduced row has none of them set,
+    and one left nonzero joins the basis.
+    """
+    basis: list[int] = []
+    for row in m.row_bits:
+        for b in basis:
+            row = min(row, row ^ b)
+        if row:
+            basis.append(row)
+    return len(basis)
 
 
 def _inverse_rows(rows: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -240,14 +242,16 @@ def apply_to_all(m: F2Matrix) -> np.ndarray:
     its set bits.  Input bit b (coordinate cols-1-b) has the column image
     with output bit (rows-1-r) set for each row r holding entry (r, cols-1-b).
     Taking the input bits from the lowest up, the images of 0..2^b-1 are
-    doubled into those of 0..2^(b+1)-1 by XORing in column b's image, so the
-    whole table costs 2^cols integer XORs.  Works for any rows x cols shape;
-    with no rows every image is 0.
+    doubled into those of 0..2^(b+1)-1 by XORing in column b's image, one
+    array operation per column, so the whole table costs 2^cols integer
+    XORs.  Works for any rows x cols shape; with no rows every image is 0.
     """
-    images = [0]
+    images = np.zeros(1 << m.cols, dtype=np.int64)
+    size = 1
     for c in range(m.cols - 1, -1, -1):
         img = 0
         for bits in m.row_bits:
             img = (img << 1) | ((bits >> c) & 1)
-        images += [p ^ img for p in images]
-    return np.array(images, dtype=np.int64)
+        np.bitwise_xor(images[:size], img, out=images[size : 2 * size])
+        size *= 2
+    return images

@@ -29,6 +29,16 @@ class EigensolverError(RuntimeError):
     """Raised when Jacobi sweeps fail to converge within the sweep cap."""
 
 
+def _unchecked(cls: type, **fields):
+    """An instance of the frozen dataclass cls holding these fields, made
+    without its __post_init__ check: for values whose maker guarantees what
+    the check tests, such as the Clifford kernel's outputs (complex128, 2^n
+    amplitudes), the planner's own vectors and sampled descriptions."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class PureState:
     """An n-qubit amplitude vector.

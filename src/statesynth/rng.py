@@ -20,10 +20,22 @@ def derive_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest, "little") >> 1
 
 
+def _entropy_words(value: int) -> bytes:
+    """The 32-bit words SeedSequence splits an int of its entropy into: the
+    fewest that hold it (one for 0), lowest first, as little-endian bytes."""
+    if value < 0:
+        raise ValueError("expected non-negative integer")
+    return value.to_bytes(4 * max(1, -(-value.bit_length() // 32)), "little")
+
+
 def _seed_sequence(seed: int, label: str) -> np.random.SeedSequence:
+    """SeedSequence([seed, label key]), the key a 64-bit blake2b digest of the
+    label, with the entropy handed over as the uint32 array it would make of
+    that list, which skips its conversion of each int."""
     digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
     label_key = int.from_bytes(digest, "little")
-    return np.random.SeedSequence([int(seed), label_key])
+    words = _entropy_words(int(seed)) + _entropy_words(label_key)
+    return np.random.SeedSequence(np.frombuffer(words, dtype="<u4"))
 
 
 def substream(seed: int, label: str) -> np.random.Generator:

@@ -47,7 +47,7 @@ from . import clifford as cliff
 from . import f2linalg
 from .clifford import CliffordDesc, SearchExhaustedError, SignPattern, sr
 from .f2linalg import F2Matrix
-from .numerics import PureState
+from .numerics import PureState, _unchecked
 from .rng import derive_seed, first_uniforms, substream
 
 #: Oracle file magic bytes.
@@ -166,22 +166,24 @@ def perturbed_sign(value: complex, bound: float, address: int, seed: int) -> int
     return sr(complex(value) + radius * complex(math.cos(angle), math.sin(angle)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HashState:
     """Uniform-magnitude signed state over a support hashed injectively.
 
     support holds 2^k basis indices (ascending) on which the k x n matrix
     is one-to-one; signs[i] is the +-1 sign of amplitude 2^(-k/2) at
-    support[i].  The constructor checks all of it, computing the matrix's
-    image table; the planner runs the same check fed the table its search
-    already built.
+    support[i].  They are read-only arrays, int64 and int8, made from any
+    sequences given, and states are equal when all their fields are.  The
+    constructor checks all of it with array operations, computing the
+    matrix's image table; the planner runs the same check fed the table its
+    search already built.
     """
 
     n: int
     k: int
     matrix: F2Matrix
-    support: tuple[int, ...]
-    signs: tuple[int, ...]
+    support: np.ndarray
+    signs: np.ndarray
 
     def __post_init__(self) -> None:
         self._check(f2linalg.apply_to_all(self.matrix))
@@ -189,39 +191,50 @@ class HashState:
     def _check(self, images: np.ndarray | None) -> None:
         """Every invariant, given images, the matrix's image table
         (`f2linalg.apply_to_all`), or None when this support was already
-        found one-to-one on this matrix (a checked state with new signs)."""
-        if len(self.support) != 1 << self.k or len(self.signs) != 1 << self.k:
+        found one-to-one on this matrix (a checked state with new signs);
+        then the support and signs are stored as read-only int64 and int8
+        arrays."""
+        support, signs = np.asarray(self.support), np.asarray(self.signs)
+        if support.shape != (1 << self.k,) or signs.shape != (1 << self.k,):
             raise ValueError(f"support and signs must have exactly 2^{self.k} entries")
         if self.matrix.rows != self.k or self.matrix.cols != self.n:
             raise ValueError(f"matrix must be {self.k}x{self.n}")
-        if any(s not in (-1, 1) for s in self.signs):
+        if (np.abs(signs) != 1).any():
             raise ValueError("signs must be +-1")
-        if list(self.support) != sorted(set(self.support)):
+        if support.dtype.kind not in "iu":
+            raise ValueError("support indices must be integers")
+        if (support[1:] <= support[:-1]).any():
             raise ValueError("support must be strictly ascending")
-        if self.support and (self.support[0] < 0 or self.support[-1] >= 1 << self.n):
+        if int(support[0]) < 0 or int(support[-1]) >= 1 << self.n:
             raise ValueError("support index out of range")
-        if images is None:
-            return
-        if _distinct_images(images[list(self.support)], self.k) != len(self.support):
+        support, signs = support.astype(np.int64), signs.astype(np.int8)
+        if images is not None and _distinct_images(images[support], self.k) != len(support):
             raise ValueError("hash matrix is not one-to-one on the support")
+        support.flags.writeable = signs.flags.writeable = False
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "signs", signs)
 
     @classmethod
     def _built(cls, images: np.ndarray | None, **fields) -> HashState:
         """A state with these fields, checked by _check(images) in place of
         the constructor's full check: for the planner, which holds images."""
-        state = object.__new__(cls)
-        for name, value in fields.items():
-            object.__setattr__(state, name, value)
+        state = _unchecked(cls, **fields)
         state._check(images)
         return state
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, HashState):
+            return NotImplemented
+        arrays = np.array_equal(self.support, other.support) and np.array_equal(self.signs, other.signs)
+        return arrays and (self.n, self.k, self.matrix) == (other.n, other.k, other.matrix)
+
     def amplitudes(self) -> np.ndarray:
         """The signed amplitudes +-2^(-k/2) on the support, in its order."""
-        return np.array(self.signs, dtype=np.float64) * 2.0 ** (-self.k / 2.0)
+        return self.signs * 2.0 ** (-self.k / 2.0)
 
     def state_vector(self) -> np.ndarray:
         amps = np.zeros(1 << self.n, dtype=np.complex128)
-        amps[list(self.support)] = self.amplitudes()
+        amps[self.support] = self.amplitudes()
         return amps
 
 
@@ -277,7 +290,7 @@ def hash_state_for(
     target's amplitude signs (zero counts as +).
     """
     amps = psi_real.amps
-    if np.any(amps.imag != 0.0):
+    if amps.imag.any():
         raise ValueError("hash states require a real-amplitude target")
     nrm = float(np.linalg.norm(amps))
     if nrm == 0.0:
@@ -293,21 +306,18 @@ def hash_state_for(
     jstar = int(np.argmax(scores)) + 1
     mu = float(scores[jstar - 1])
     k = jstar.bit_length() - 1
-    s_array = np.sort(order[: 1 << k])
+    s_array = order[: 1 << k]
     matrix, images = find_hash_matrix(s_array, k, n, max_trials=max_trials, seed=seed)
-    # The matrix has full rank k, so every y in [0, 2^k) has the same number
-    # of preimages, 2^(n-k): a stable sort of the images lists them y by y,
-    # each y's lowest preimage first.
-    chosen = np.argsort(images, kind="stable")[:: 1 << (n - k)]
-    hit, first_in_S = np.unique(images[s_array], return_index=True)
-    chosen[hit] = s_array[first_in_S]
-    support = np.sort(chosen)
+    # Each y takes its lowest preimage in S, else its lowest overall: the
+    # lowest cost over the preimages, where x costs x in S and dim + x
+    # outside it.
+    cost = np.arange(dim, 2 * dim)
+    cost[s_array] -= dim
+    lowest = np.full(1 << k, 2 * dim)
+    np.minimum.at(lowest, images, cost)
+    support = np.sort(lowest & (dim - 1))
     signs = np.where(reals[support] >= 0.0, 1, -1)
-    hs = HashState._built(
-        images, n=n, k=k, matrix=matrix,
-        support=tuple(support.tolist()), signs=tuple(signs.tolist()),
-    )
-    return hs, mu
+    return HashState._built(images, n=n, k=k, matrix=matrix, support=support, signs=signs), mu
 
 
 def trivial_hash_state(n: int) -> HashState:
@@ -351,8 +361,10 @@ class PlanStep:
         """The unit vector phi this step contributes (phase excluded)."""
         if self.kind == "clifford":
             assert self.desc is not None
-            base = self.signs.signs().astype(np.complex128) / math.sqrt(len(self.signs.bits))
-            return cliff.apply(self.desc, PureState(self.signs.n, base)).amps
+            # +-2^(-n/2) + 0j: the bytes of signs / sqrt(2^n) in complex128.
+            a = 1.0 / math.sqrt(len(self.signs.bits))
+            base = np.where(self.signs.bits, complex(-a), complex(a))
+            return cliff.apply(self.desc, _unchecked(PureState, n=self.signs.n, amps=base)).amps
         assert self.hash_state is not None
         return self.hash_state.state_vector()
 
@@ -442,7 +454,7 @@ def _plan_steps(
             desc, w = cliff.identity_desc(n), eta
         else:
             desc, _, w = cliff.find_overlap_clifford(
-                PureState(n, eta), params.alpha, max_trials=max_trials, seed=step_seed
+                _unchecked(PureState, n=n, amps=eta), params.alpha, max_trials, step_seed
             )
         if bound == 0.0:
             bits = w.real < 0.0
@@ -457,23 +469,18 @@ def _plan_steps(
             hs = trivial_hash_state(n)
         else:
             hs, _mu = hash_state_for(
-                PureState(n, (eta / norm).astype(np.complex128)),
+                _unchecked(PureState, n=n, amps=(eta / norm).astype(np.complex128)),
                 max_trials=max_trials,
                 seed=step_seed,
             )
-        support = np.array(hs.support)
+        support = hs.support
         if bound != 0.0:
-            signs = _perturbed_signs(eta[support], hs.support, bound, index, n, seed)
-            hs = HashState._built(
-                None, n=n, k=hs.k, matrix=hs.matrix, support=hs.support, signs=tuple(signs)
-            )
-        amps = hs.amplitudes()
-        bits = np.zeros(1 << n, dtype=np.uint8)
-        bits[support] = amps < 0.0
-        # The real part of hs.state_vector().
+            signs = np.array(_perturbed_signs(eta[support], support, bound, index, n, seed))
+            hs = HashState._built(None, n=n, k=hs.k, matrix=hs.matrix, support=support, signs=signs)
+        # The real part of hs.state_vector(), negative where the signs are.
         state = np.zeros(1 << n)
-        state[support] = amps
-        return PlanStep("hash", coeff, phase, SignPattern(n, bits), hash_state=hs), state
+        state[support] = hs.amplitudes()
+        return PlanStep("hash", coeff, phase, SignPattern(n, state < 0.0), hash_state=hs), state
 
     # A track is [residual, phase, scale, current residual norm].
     if strategy == "clifford":
@@ -575,8 +582,8 @@ def step_record_bytes(step: PlanStep) -> bytes:
     out = bytearray(b"\x02")
     out += hs.k.to_bytes(2, "little")
     out += hs.matrix.to_bytes()
-    out += np.array(hs.support, dtype="<u8").tobytes()
-    out += np.packbits(np.array(hs.signs) < 0, bitorder="little").tobytes()
+    out += hs.support.astype("<u8").tobytes()
+    out += np.packbits(hs.signs < 0, bitorder="little").tobytes()
     return bytes(out)
 
 
@@ -593,11 +600,10 @@ def _hash_record(record: bytes, n: int, k: int) -> HashState:
     """A hash step record (tag, k, k x n matrix, support, signs) whose length
     and matrix header were checked."""
     matrix, offset = F2Matrix.from_bytes(record, 3)
-    support = tuple(np.frombuffer(record, "<u8", 1 << k, offset).tolist())
+    support = np.frombuffer(record, "<u8", 1 << k, offset)
     packed = np.frombuffer(record[offset + 8 * (1 << k) :], dtype=np.uint8)
     bits = np.unpackbits(packed, count=1 << k, bitorder="little")
-    signs = tuple((1 - 2 * bits.astype(np.int64)).tolist())
-    return HashState(n, k, matrix, support, signs)
+    return HashState(n, k, matrix, support, 1 - 2 * bits.astype(np.int64))
 
 
 class OracleFormatError(ValueError):

@@ -341,14 +341,20 @@ def _round_at_a_time(rng: np.random.Generator, n: int) -> CliffordDesc:
 
 def test_random_clifford_from_matches_round_at_a_time_draws():
     # The block sampler gives the descriptions, and leaves the stream in the
-    # state, of the reference, also between other draws on the same stream.
+    # state, of the reference, also between other draws on the same stream:
+    # 300 seeds at n <= 5 and 40 at n = 6..8, three draws each.  Some
+    # descriptions use up their first block and draw a second.
+    calls = draws = 0
     for n in range(1, 9):
-        for seed in range(40):
-            block = np.random.default_rng([seed, n])
+        for seed in range(300 if n <= 5 else 40):
+            block = _CountingRng(np.random.default_rng([seed, n]))
             reference = np.random.default_rng([seed, n])
             for call in range(3):
+                before = block.integers_calls
                 assert random_clifford_from(block, n) == _round_at_a_time(reference, n)
                 assert block.bit_generator.state == reference.bit_generator.state
+                calls += block.integers_calls - before
+                draws += 1
                 # Other draws in between: a 64-bit double, a rejecting range
                 # and an odd number of 32-bit values.
                 for rng in (block, reference):
@@ -356,6 +362,9 @@ def test_random_clifford_from_matches_round_at_a_time_draws():
                     rng.integers(0, 7, size=call + 1)
                     rng.integers(0, 2, size=2 * call + 1)
                 assert block.bit_generator.state == reference.bit_generator.state
+    # Two calls a description (a block, then the digits used of it) and one
+    # more per extra block.
+    assert calls > 2 * draws
 
 
 class _CountingRng:
@@ -365,19 +374,23 @@ class _CountingRng:
         self.rng = rng
         self.integers_calls = 0
 
+    def __getattr__(self, name: str):
+        return getattr(self.rng, name)
+
     def integers(self, *args, **kwargs):
         self.integers_calls += 1
         return self.rng.integers(*args, **kwargs)
 
 
 def test_random_clifford_from_draws_in_few_calls():
-    # A description takes one block of digits, and another only when
-    # rejected candidates leave the parse short: about 6 calls at n = 3,
-    # where one call per rejected candidate took about 11.
+    # A description takes one block of digits and one redraw of the digits
+    # it used, and another block only when rejected candidates use one up:
+    # 2 calls at n = 3, where refilling the parse as it ran short took
+    # about 6 and one call per rejected candidate about 11.
     rng = _CountingRng(np.random.default_rng(0))
     for _ in range(200):
         random_clifford_from(rng, 3)
-    assert rng.integers_calls / 200 <= 7
+    assert rng.integers_calls / 200 <= 2.05
 
 
 def test_random_clifford_from_refuses_n_below_one():

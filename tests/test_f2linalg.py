@@ -93,6 +93,21 @@ def test_rank_matches_span_enumeration():
         assert rank(_from_array(a)) == _span_rank(a)
 
 
+def test_rank_matches_span_enumeration_on_every_shape():
+    # Wide, square and tall matrices, half of them with a row that is the
+    # XOR of two others, so the elimination meets dependent rows at every
+    # position.
+    rng = np.random.default_rng(11)
+    for rows in range(1, 6):
+        for cols in range(1, 8):
+            for trial in range(6):
+                a = rng.integers(0, 2, (rows, cols)).astype(np.uint8)
+                if trial % 2 and rows >= 3:
+                    i, j, k = rng.permutation(rows)[:3]
+                    a[k] = a[i] ^ a[j]
+                assert rank(_from_array(a)) == _span_rank(a), (rows, cols, trial)
+
+
 def test_rank_invariant_under_row_permutation():
     rng = np.random.default_rng(7)
     for _ in range(30):

@@ -140,6 +140,30 @@ def test_first_uniforms_are_the_generator_draws():
             assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
+def test_substream_is_the_seed_sequence_generator():
+    # substream and first_uniforms hand SeedSequence the entropy [seed, label
+    # key] as the uint32 words it would split the list into: the PCG64 state
+    # must be the one built from the list, for every label the package draws
+    # from.
+    labels = [f"sign-perturbation-{a}" for a in (0, 1, 4095, 2**40)]
+    for n in range(1, 11):
+        labels += [f"clifford-search-{n}", f"clifford-{n}", f"gl2-random-{n}", f"haar-state-{n}"]
+        labels += [f"hash-matrix-{k}x{n}" for k in range(n + 1)]
+    seeds = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5]
+    seeds += [derive_seed(7, f"{s}-step-{j}") for s in ("clifford", "hash") for j in range(8)]
+    for label in labels:
+        digest = hashlib.blake2b(label.encode("utf-8"), digest_size=8).digest()
+        key = int.from_bytes(digest, "little")
+        for seed in seeds:
+            want = np.random.PCG64(np.random.SeedSequence([seed, key]))
+            assert substream(seed, label).bit_generator.state == want.state
+            raw = want.random_raw(3).tolist()
+            assert first_uniforms(seed, label, 3) == [(r >> 11) * 2.0**-53 for r in raw]
+    for fn in (substream, lambda seed, label: first_uniforms(seed, label, 1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            fn(-1, "clifford-search-2")
+
+
 def test_perturbed_sign_matches_generator_reference():
     def reference(value, bound, address, seed):
         rng = substream(seed, f"sign-perturbation-{address}")
@@ -386,13 +410,14 @@ def test_hash_record_matches_per_index_reference():
     for step in plan.steps:
         hs = step.hash_state
         reference = b"\x02" + hs.k.to_bytes(2, "little") + hs.matrix.to_bytes()
-        reference += b"".join(idx.to_bytes(8, "little") for idx in hs.support)
-        sign_bits = sum(1 << i for i, sign in enumerate(hs.signs) if sign < 0)
+        reference += b"".join(idx.to_bytes(8, "little") for idx in hs.support.tolist())
+        sign_bits = sum(1 << i for i, sign in enumerate(hs.signs.tolist()) if sign < 0)
         reference += sign_bits.to_bytes(((1 << hs.k) + 7) // 8, "little")
         assert step_record_bytes(step) == reference
         (parsed,) = parse_desc_section(reference, 4, 1)
         assert parsed == hs
-        assert all(type(v) is int for v in parsed.support + parsed.signs)
+        assert (parsed.support.dtype, parsed.signs.dtype) == (np.int64, np.int8)
+        assert not (parsed.support.flags.writeable or parsed.signs.flags.writeable)
 
 
 def test_oracle_z_region_addressing():
@@ -586,7 +611,7 @@ def test_hash_state_for_first_preimage_rule():
         order = np.lexsort((np.arange(1 << n), -mags))
         S = {int(x) for x in order[: 1 << hs.k]}
         images = np.array([apply_to_index(hs.matrix, x) for x in range(1 << n)])
-        assert (hs.support, hs.signs) == _first_preimage_support(
+        assert (tuple(hs.support.tolist()), tuple(hs.signs.tolist())) == _first_preimage_support(
             psi.amps.real, S, images, hs.k
         )
 
@@ -626,6 +651,53 @@ def test_hash_state_validation():
     for support in ((-1, 0), (0, 4)):
         with pytest.raises(ValueError, match="out of range"):
             HashState(2, 1, m, support, (1, 1))
+
+
+#: (message, matrix, support, signs) for each fault of a k = 1 hash state on
+#: n = 2 qubits; the 1 x 2 matrix (1,) reads the high bit: 0, 1 -> 0; 2, 3 -> 1.
+_HASH_STATE_FAULTS = [
+    ("exactly 2\\^1 entries", (1,), (0,), (1,)),
+    ("exactly 2\\^1 entries", (1,), (0, 2, 3), (1, 1, 1)),
+    ("exactly 2\\^1 entries", (1,), (0, 2), (1,)),
+    ("matrix must be 1x2", (1, 2), (0, 2), (1, 1)),
+    ("signs must be", (1,), (0, 2), (1, 0)),
+    ("signs must be", (1,), (0, 2), (-1, 2)),
+    ("integers", (1,), (0.0, 2.0), (1, 1)),
+    ("strictly ascending", (1,), (2, 0), (1, 1)),
+    ("strictly ascending", (1,), (2, 2), (1, 1)),
+    ("out of range", (1,), (-1, 2), (1, 1)),
+    ("out of range", (1,), (0, 4), (1, 1)),
+    ("one-to-one", (1,), (0, 1), (1, 1)),
+]
+
+
+def test_hash_state_checks_fire_from_every_entry_point():
+    """Every fault the HashState check names raises ValueError from the
+    public constructor, with tuple and array fields alike, and each fault a
+    record's bytes can hold raises OracleFormatError from parse_desc_section.
+    A record holds one sign bit per entry and k x n is read from its header,
+    so its signs are always +-1 and a bad count or shape is refused by the
+    parser's own length and header checks."""
+    for message, rows, support, signs in _HASH_STATE_FAULTS:
+        matrix = F2Matrix(len(rows), 2, rows)
+        for fields in ((support, signs), (np.array(support), np.array(signs))):
+            with pytest.raises(ValueError, match=message):
+                HashState(2, 1, matrix, *fields)
+    good = _hand_hash_record(2, 1, (1,), (0, 2), (1, -1))
+    records = [
+        ("strictly ascending", _hand_hash_record(2, 1, (1,), (2, 0), (1, 1))),
+        ("strictly ascending", _hand_hash_record(2, 1, (1,), (2, 2), (1, 1))),
+        ("out of range", _hand_hash_record(2, 1, (1,), (0, 4), (1, 1))),
+        ("out of range", _hand_hash_record(2, 1, (1,), (0, 2**64 - 1), (1, 1))),
+        ("out of range", _hand_hash_record(2, 0, (), (2**63,), (1,))),
+        ("one-to-one", _hand_hash_record(2, 1, (1,), (0, 1), (1, -1))),
+        ("not a k x 2 matrix", _hand_hash_record(3, 1, (1,), (0, 2), (1, 1))),
+        ("record needs", good[:-1]),
+    ]
+    for message, record in records:
+        with pytest.raises(OracleFormatError, match=message) as info:
+            parse_desc_section(good + record, 2, 2)
+        assert info.value.offset == len(good)
 
 
 def _hand_hash_record(n: int, k: int, rows: tuple[int, ...], support, signs) -> bytes:
@@ -922,3 +994,42 @@ def test_oracle_bytes_pinned(key):
 )
 def test_residual_trace_pinned(key):
     assert _pinned_digests(key)[1] == _RESIDUAL_DIGESTS[key]
+
+
+#: sha256 of the raw output bytes of `_kernel_and_step_state_bytes`, recorded
+#: at commit 8b10d67, before the sampler and the planner step were reworked.
+_KERNEL_DIGEST = "6774345627ad4cf583ef89d6d959ff758f425c35dfad975ffbfa297d4dd0cfd6"
+
+
+def _kernel_and_step_state_bytes():
+    """`apply`, `apply_inverse` and a Clifford `PlanStep.step_state` on the
+    identity and 60 sampler descriptions per n in 1..5, each on a Gaussian
+    vector, a +-2^(-n/2) sign vector (whose H butterflies make exact zeros)
+    and an all -0.0 vector; a step's sign bits are those of the input's
+    real part."""
+    for n in range(1, 6):
+        dim = 1 << n
+        rng = np.random.default_rng([n, 21])
+        descs = [identity_desc(n)] + [cliff.random_clifford_from(rng, n) for _ in range(60)]
+        for d in descs:
+            gauss = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            flips = rng.integers(0, 2, size=dim)
+            signs = np.where(flips == 1, -(2.0 ** (-n / 2)), 2.0 ** (-n / 2)) + 0j
+            zeros = np.full(dim, complex(-0.0, -0.0))
+            for v in (gauss, signs, zeros):
+                state = PureState(n, v)
+                yield cliff.apply(d, state).amps.tobytes()
+                yield cliff.apply_inverse(d, state).amps.tobytes()
+                bits = (v.real < 0.0).astype(np.uint8)
+                step = synthesis.PlanStep(
+                    "clifford", 0.5, 1 + 0j, cliff.SignPattern(n, bits), desc=d
+                )
+                yield step.step_state().tobytes()
+
+
+def test_kernel_and_step_state_bits_pinned():
+    # The oracle and residual pins cannot see a signed zero; this one can.
+    digest = hashlib.sha256()
+    for chunk in _kernel_and_step_state_bytes():
+        digest.update(chunk)
+    assert digest.hexdigest() == _KERNEL_DIGEST
