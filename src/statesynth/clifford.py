@@ -50,7 +50,7 @@ import numpy as np
 
 from . import f2linalg
 from .f2linalg import F2Matrix
-from .numerics import PureState, _unchecked
+from .numerics import PureState, _fields_equal, _unchecked
 from .rng import substream
 
 #: Fixed round pattern; position p of a description holds a round of this kind.
@@ -158,7 +158,7 @@ def sr(c: complex) -> int:
     return 1 if c.real >= 0.0 else -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignPattern:
     """2^n sign bits, a read-only uint8 array; bit 1 means phase -1."""
 
@@ -177,6 +177,8 @@ class SignPattern:
             raise ValueError("sign bits must be 0 or 1")
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
+
+    __eq__ = _fields_equal
 
     def signs(self) -> np.ndarray:
         """The bits as floats +1.0 / -1.0."""

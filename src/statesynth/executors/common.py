@@ -619,11 +619,12 @@ class PreparedCircuit:
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """A |state>, A composed with the ideal-mode rotation in ideal mode."""
-        if self.ideal:
-            flat = state.reshape(1, -1).copy()
-            self._rotate(flat, inverse=False)
-            state = flat.reshape(state.shape)
-        return self.circuit.apply(state)
+        if not self.ideal:
+            return self.circuit.apply(state)
+        # One copy: A runs in place on the rotated copy, as in apply_dagger.
+        flat = state.reshape(1, -1).copy()
+        self._rotate(flat, inverse=False)
+        return self.circuit._forward(flat.reshape(state.shape))
 
     def apply_dagger(self, state: np.ndarray) -> np.ndarray:
         """A^dagger |state>, the exact inverse of apply."""

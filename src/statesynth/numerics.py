@@ -13,7 +13,7 @@ integer, i.e. qubit 0 is the most significant bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -29,17 +29,27 @@ class EigensolverError(RuntimeError):
     """Raised when Jacobi sweeps fail to converge within the sweep cap."""
 
 
-def _unchecked(cls: type, **fields):
-    """An instance of the frozen dataclass cls holding these fields, made
+def _unchecked(cls: type, **values):
+    """An instance of the frozen dataclass cls holding these field values, made
     without its __post_init__ check: for values whose maker guarantees what
     the check tests, such as the Clifford kernel's outputs (complex128, 2^n
     amplitudes), the planner's own vectors and sampled descriptions."""
     obj = object.__new__(cls)
-    vars(obj).update(fields)
+    vars(obj).update(values)
     return obj
 
 
-@dataclass(frozen=True)
+def _fields_equal(self, other: object) -> bool:
+    """__eq__ for a frozen dataclass with array fields: same type and equal
+    fields, arrays compared by np.array_equal (the generated __eq__ would
+    raise on them)."""
+    if type(other) is not type(self):
+        return NotImplemented
+    pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+
+@dataclass(frozen=True, eq=False)
 class PureState:
     """An n-qubit amplitude vector.
 
@@ -60,12 +70,14 @@ class PureState:
             )
         object.__setattr__(self, "amps", amps)
 
+    __eq__ = _fields_equal
+
     @property
     def dim(self) -> int:
         return 1 << self.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """An n-qubit density matrix (Hermitian, unit trace, PSD within tolerance)."""
 
@@ -82,6 +94,8 @@ class DensityMatrix:
                 f"expected {dim}x{dim} matrix for n={self.n}, got shape {entries.shape}"
             )
         object.__setattr__(self, "entries", entries)
+
+    __eq__ = _fields_equal
 
     @property
     def dim(self) -> int:
@@ -119,13 +133,18 @@ def _jacobi_eigvalsh(mat: np.ndarray) -> np.ndarray:
     digits of the one-query error, which is small enough that Jacobi
     rounding shows in those digits, and the pinned report tests keep full
     precision.  Only IEEE-exact real scalar
-    operations (+, -, *, /, sqrt, copysign) may move from numpy to `math`;
-    complex scalar arithmetic, abs and division stay in numpy.  Each
-    product keeps the coefficient as its left operand: numpy's complex
-    multiply rounds x * k differently from k * x.
+    operations (+, -, *, /, sqrt, copysign) may move from numpy to Python
+    floats and `math`; complex scalar arithmetic, abs and division stay in
+    numpy.  Each product keeps the coefficient as its left operand: numpy's
+    complex multiply rounds x * k differently from k * x.
 
-    Two rules keep the per-rotation overhead down without moving a bit:
+    Three rules keep the per-rotation overhead down without moving a bit:
 
+    - The real scalar path runs on Python floats: |a[p, q]| is taken by
+      numpy and converted, and the diagonal entries are read as floats from
+      a view of the real diagonal, so tau, t, c and s are computed without
+      a numpy scalar.  The phase a[p, q] / |a[p, q]|, its conjugate and the
+      coefficient products stay numpy complex scalar arithmetic.
     - The six coefficients (c, s and their products with the phase and its
       conjugate) reach the ufuncs as preallocated 0-d complex128 arrays,
       written per rotation with ``k[()] = value``.  A Python float or numpy
@@ -144,6 +163,7 @@ def _jacobi_eigvalsh(mat: np.ndarray) -> np.ndarray:
         return a.diagonal().real.copy()
     scale = max(float(np.linalg.norm(a)), 1.0)
     rows, cols = list(a), list(a.T)
+    diag = a.real.diagonal()
     col_p, b0, b1, b2, b3 = np.empty((5, dim), dtype=np.complex128)
     off = np.empty_like(a)
     kc, ks, ksc, kcc, ksr, kcr = (np.empty((), dtype=np.complex128) for _ in range(6))
@@ -158,15 +178,14 @@ def _jacobi_eigvalsh(mat: np.ndarray) -> np.ndarray:
             copyto(col_p, cols[p])
             for q in range(p + 1, dim):
                 apq = row_p[q]
-                mag = abs(apq)
+                mag = float(abs(apq))
                 if mag == 0.0:
                     continue
-                app = row_p[p].real
-                aqq = rows[q][q].real
                 # Diagonalize the 2x2 Hermitian block [[app, apq], [conj, aqq]]
                 # with the unitary G = diag(1, e^{-i arg apq}) . (real Jacobi).
+                row_q, col_q = rows[q], cols[q]
                 phase = apq / mag
-                tau = (aqq - app) / (2.0 * mag)
+                tau = (diag.item(q) - diag.item(p)) / (2.0 * mag)
                 if tau != 0.0:
                     t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
                 else:
@@ -180,7 +199,6 @@ def _jacobi_eigvalsh(mat: np.ndarray) -> np.ndarray:
                 kcc[()] = c * phase_conj
                 ksr[()] = s * phase
                 kcr[()] = c * phase
-                row_q, col_q = rows[q], cols[q]
                 mul(kc, col_p, b0)
                 mul(ksc, col_q, b1)
                 mul(ks, col_p, b2)

@@ -33,13 +33,19 @@ adds a deterministic pseudo-random complex error of magnitude at most
 ``bound`` to each value before taking the sign, modeling bounded-precision
 amplitude estimation.  Step j's sign at basis string x is keyed by its
 oracle address j * 2^n + x.
+
+Checks: hash_state_for and find_hash_matrix refuse every bad argument,
+and a ``HashState`` or ``PureState`` made from caller input is checked by
+its constructor.  The hash planner's own values skip those checks, which
+their construction guarantees: its hash states (a perturbed step's too)
+and its float64 residual, handed to hash_state_for as a PureState.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -47,7 +53,7 @@ from . import clifford as cliff
 from . import f2linalg
 from .clifford import CliffordDesc, SearchExhaustedError, SignPattern, sr
 from .f2linalg import F2Matrix
-from .numerics import PureState, _unchecked
+from .numerics import PureState, _fields_equal, _unchecked
 from .rng import derive_seed, first_uniforms, substream
 
 #: Oracle file magic bytes.
@@ -175,8 +181,8 @@ class HashState:
     support[i].  They are read-only arrays, int64 and int8, made from any
     sequences given, and states are equal when all their fields are.  The
     constructor checks all of it with array operations, computing the
-    matrix's image table; the planner runs the same check fed the table its
-    search already built.
+    matrix's image table.  The states hash_state_for and the planner build
+    skip the check (`_built`): their construction guarantees it.
     """
 
     n: int
@@ -186,14 +192,6 @@ class HashState:
     signs: np.ndarray
 
     def __post_init__(self) -> None:
-        self._check(f2linalg.apply_to_all(self.matrix))
-
-    def _check(self, images: np.ndarray | None) -> None:
-        """Every invariant, given images, the matrix's image table
-        (`f2linalg.apply_to_all`), or None when this support was already
-        found one-to-one on this matrix (a checked state with new signs);
-        then the support and signs are stored as read-only int64 and int8
-        arrays."""
         support, signs = np.asarray(self.support), np.asarray(self.signs)
         if support.shape != (1 << self.k,) or signs.shape != (1 << self.k,):
             raise ValueError(f"support and signs must have exactly 2^{self.k} entries")
@@ -208,25 +206,31 @@ class HashState:
         if int(support[0]) < 0 or int(support[-1]) >= 1 << self.n:
             raise ValueError("support index out of range")
         support, signs = support.astype(np.int64), signs.astype(np.int8)
-        if images is not None and _distinct_images(images[support], self.k) != len(support):
+        images = f2linalg.apply_to_all(self.matrix)
+        if _distinct_images(images[support], self.k) != len(support):
             raise ValueError("hash matrix is not one-to-one on the support")
         support.flags.writeable = signs.flags.writeable = False
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "signs", signs)
 
     @classmethod
-    def _built(cls, images: np.ndarray | None, **fields) -> HashState:
-        """A state with these fields, checked by _check(images) in place of
-        the constructor's full check: for the planner, which holds images."""
-        state = _unchecked(cls, **fields)
-        state._check(images)
+    def _built(cls, **fields) -> HashState:
+        """A state with these fields, made without the constructor's check
+        for a maker that guarantees it: support an ascending, in-range int64
+        array on which the k x n matrix is one-to-one, signs an int8 array
+        of +-1.  Both arrays are made read-only in place.
+
+        The fields are set one by one, as the constructor sets them, so the
+        state keeps the compact instance layout (about 120 bytes) where
+        `numerics._unchecked` would give it a dict of its own (about 250):
+        a plan keeps every one of its states."""
+        fields["support"].flags.writeable = fields["signs"].flags.writeable = False
+        state = object.__new__(cls)
+        for name, value in fields.items():
+            object.__setattr__(state, name, value)
         return state
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, HashState):
-            return NotImplemented
-        arrays = np.array_equal(self.support, other.support) and np.array_equal(self.signs, other.signs)
-        return arrays and (self.n, self.k, self.matrix) == (other.n, other.k, other.matrix)
+    __eq__ = _fields_equal
 
     def amplitudes(self) -> np.ndarray:
         """The signed amplitudes +-2^(-k/2) on the support, in its order."""
@@ -288,21 +292,29 @@ def hash_state_for(
     maps to the lexicographically first preimage in S when one exists, else
     to the lexicographically first preimage overall.  Signs follow the
     target's amplitude signs (zero counts as +).
+
+    The amplitudes may be complex with zero imaginary parts, as a checked
+    PureState holds them, or a float64 vector (the planner's residual).  A
+    nonzero imaginary part, a zero norm and a norm above 1 + 1e-9 or NaN
+    are refused.  The state is made without HashState's check: the full-rank
+    matrix maps onto all 2^k values of y, so the support holds 2^k distinct
+    indices, one per y, and it is sorted.
     """
     amps = psi_real.amps
-    if amps.imag.any():
+    if np.iscomplexobj(amps) and amps.imag.any():
         raise ValueError("hash states require a real-amplitude target")
-    nrm = float(np.linalg.norm(amps))
+    reals = amps.real
+    # np.linalg.norm's own formula: the imaginary parts are zero.
+    nrm = math.sqrt(reals.dot(reals))
     if nrm == 0.0:
         raise ValueError("zero-norm target")
-    if nrm > 1.0 + 1e-9:
+    if not nrm <= 1.0 + 1e-9:  # NaN too
         raise ValueError(f"norm must be <= 1, got {nrm}")
     n = psi_real.n
     dim = 1 << n
-    reals = amps.real
     mags = np.abs(reals)
     order = np.argsort(-mags, kind="stable")
-    scores = mags[order] * np.sqrt(np.arange(1, dim + 1))
+    scores = mags[order] * _sqrt_ranks(dim)
     jstar = int(np.argmax(scores)) + 1
     mu = float(scores[jstar - 1])
     k = jstar.bit_length() - 1
@@ -316,8 +328,17 @@ def hash_state_for(
     lowest = np.full(1 << k, 2 * dim)
     np.minimum.at(lowest, images, cost)
     support = np.sort(lowest & (dim - 1))
-    signs = np.where(reals[support] >= 0.0, 1, -1)
-    return HashState._built(images, n=n, k=k, matrix=matrix, support=support, signs=signs), mu
+    signs = np.where(reals[support] >= 0.0, np.int8(1), np.int8(-1))
+    return HashState._built(n=n, k=k, matrix=matrix, support=support, signs=signs), mu
+
+
+@lru_cache(maxsize=None)
+def _sqrt_ranks(dim: int) -> np.ndarray:
+    """sqrt(1..dim), read-only; made on first use for each dimension, so
+    the memo holds one table per qubit count in use."""
+    out = np.sqrt(np.arange(1, dim + 1))
+    out.flags.writeable = False
+    return out
 
 
 def trivial_hash_state(n: int) -> HashState:
@@ -469,14 +490,14 @@ def _plan_steps(
             hs = trivial_hash_state(n)
         else:
             hs, _mu = hash_state_for(
-                _unchecked(PureState, n=n, amps=(eta / norm).astype(np.complex128)),
-                max_trials=max_trials,
-                seed=step_seed,
+                _unchecked(PureState, n=n, amps=eta / norm), max_trials=max_trials, seed=step_seed
             )
         support = hs.support
         if bound != 0.0:
-            signs = np.array(_perturbed_signs(eta[support], support, bound, index, n, seed))
-            hs = HashState._built(None, n=n, k=hs.k, matrix=hs.matrix, support=support, signs=signs)
+            signs = _perturbed_signs(eta[support], support, bound, index, n, seed)
+            hs = HashState._built(
+                n=n, k=hs.k, matrix=hs.matrix, support=support, signs=np.array(signs, np.int8)
+            )
         # The real part of hs.state_vector(), negative where the signs are.
         state = np.zeros(1 << n)
         state[support] = hs.amplitudes()
@@ -486,7 +507,7 @@ def _plan_steps(
     if strategy == "clifford":
         eta = psi.amps.copy()
         tracks = [[eta, 1 + 0j, 1.0, float(np.linalg.norm(eta))]]
-        family_step = clifford_step
+        family_step, norm_of = clifford_step, np.linalg.norm
     else:
         expected_alpha = _hash_alpha_floor(n)
         if params.alpha > expected_alpha + 1e-12:
@@ -503,7 +524,9 @@ def _plan_steps(
         # the order is fixed for the whole plan so step weights stay a tensor
         # product over the index register.
         tracks.sort(key=lambda tr: -tr[2])
-        family_step = hash_step
+        # A real track's norm by np.linalg.norm's own formula for a real
+        # vector, without its dispatch.
+        family_step, norm_of = hash_step, lambda v: math.sqrt(v.dot(v))
 
     def residual_norm() -> float:
         # A Clifford plan records its track's norm, a hash plan (one track or
@@ -526,7 +549,7 @@ def _plan_steps(
             except SearchExhaustedError as err:
                 raise err.at_step(index, norm) from err
             track[0] = eta = eta - coeff * state
-            track[3] = float(np.linalg.norm(eta))
+            track[3] = float(norm_of(eta))
             steps.append(step)
         norms.append(residual_norm())
     return steps, norms

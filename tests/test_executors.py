@@ -300,6 +300,30 @@ def test_clifford_circuit_memory_stays_blocked():
     assert peak <= 8.5 * (1 << 20)
 
 
+def test_ideal_apply_copies_the_state_once():
+    """Ideal-mode A rotates a copy of its input and runs A on that copy in
+    place: on a 256 x 64 register (256 KiB a state, R) one application
+    peaks near 3.0 R, the rotation's copy, w and scratch.  A second copy
+    for A, as before, peaked near 4.0 R.  The output is A of the rotated
+    state, one query."""
+    psi = haar_random_state(6, 3)
+    plan = build_plan(psi, derive_params(6, 0.25), seed=3)
+    prep = PreparedCircuit(plan, plan_to_oracle(plan), ideal=True)
+    state = prep.state
+    size = state.nbytes
+    assert size == 256 << 10
+    prep._ideal_rotation  # its frames cost one A^dagger, once
+    before = prep.circuit.query_count
+    out = prep.apply(state)
+    assert prep.circuit.query_count == before + 1
+    flat = state.reshape(1, -1).copy()
+    prep._rotate(flat, inverse=False)
+    want = PostselectCircuit(plan, plan_to_oracle(plan)).apply(flat.reshape(state.shape))
+    assert _same_bits(out, want)
+    peak, _kept = traced_memory(prep.apply, state)
+    assert peak <= 3.5 * size
+
+
 def test_prepared_state_built_once_per_plan(monkeypatch):
     """Every driver on one plan shares one read-only A|0..0>, computed by the
     first call; each call still counts its own query, and each output equals,

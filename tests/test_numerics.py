@@ -7,6 +7,8 @@ partial trace, and closed-form values for the distance functions.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,40 @@ def test_jacobi_matches_reference_bit_for_bit():
         _assert_same_bits(hermitian_eigenvalues(mat), _jacobi_reference(mat))
         # The solver works on its own copy: the caller's matrix is untouched.
         _assert_same_bits(mat, before)
+
+
+_JACOBI_DIGEST = "0e00944ef63bda2faf4dc119e407bd01aa052dce447d9856f0002835a7a7489c"
+
+
+def _jacobi_pin_matrices() -> list[np.ndarray]:
+    """Random Hermitian matrices at d 2..64, rank-3 differences shaped like
+    a one-query error (a near-target mixture minus the target's projector),
+    and a matrix whose couplings are exact zeros off two blocks."""
+    rng = np.random.default_rng(2024)
+    mats = [_random_hermitian(dim, rng) for dim in (2, 3, 5, 8, 13, 32, 64)]
+    for dim in (4, 16, 64):
+        psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        psi /= np.linalg.norm(psi)
+        near = psi + 1e-3 * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        near /= np.linalg.norm(near)
+        junk = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        junk /= np.linalg.norm(junk)
+        rho = 0.999 * np.outer(near, near.conj()) + 0.001 * np.outer(junk, junk.conj())
+        mats.append(rho - np.outer(psi, psi.conj()))
+    block = np.zeros((9, 9), dtype=complex)
+    block[:4, :4] = _random_hermitian(4, rng)
+    block[4:, 4:] = _random_hermitian(5, rng)
+    mats.append(block)
+    return mats
+
+
+def test_jacobi_eigenvalue_bits_pinned():
+    # The sha256 of the raw eigenvalue bytes, recorded before the solver's
+    # scalar path moved to Python floats; any change of rounding fails it.
+    digest = hashlib.sha256()
+    for mat in _jacobi_pin_matrices():
+        digest.update(numerics._jacobi_eigvalsh(mat).tobytes())
+    assert digest.hexdigest() == _JACOBI_DIGEST
 
 
 @pytest.mark.parametrize("bad", [np.inf, np.nan])

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import math
 
 import mpmath
@@ -16,9 +17,9 @@ from hypothesis import strategies as st
 
 from statesynth import clifford as cliff
 from statesynth import synthesis
-from statesynth.clifford import SearchExhaustedError, desc_to_bytes, identity_desc, sr
+from statesynth.clifford import SearchExhaustedError, SignPattern, desc_to_bytes, identity_desc, sr
 from statesynth.f2linalg import F2Matrix, apply_to_index
-from statesynth.numerics import PureState, haar_random_state
+from statesynth.numerics import PureState, haar_random_state, partial_trace_keep_first
 from statesynth.rng import derive_seed, first_uniforms, substream
 from statesynth.synthesis import (
     ORACLE_MAGIC,
@@ -255,6 +256,25 @@ def test_build_plan_deterministic():
     assert a.z == b.z
     assert a.residual_norms == b.residual_norms
     assert plan_to_oracle(a).to_bytes() == plan_to_oracle(b).to_bytes()
+
+
+def test_plans_and_steps_compare_by_value():
+    """Plans, steps and their states compare their arrays by value: two
+    builds with equal inputs are equal, another seed or strategy is not."""
+    psi = haar_random_state(2, 1)
+    a = build_plan(psi, derive_params(2, 0.25), seed=1)
+    b = build_plan(psi, derive_params(2, 0.25), seed=1)
+    assert a.steps[0] == b.steps[0] and a.steps[0].signs == b.steps[0].signs
+    assert a == b and a.target == b.target
+    assert a != build_plan(psi, derive_params(2, 0.25), seed=2)
+    hashed = build_plan(psi, derive_hash_params(2, 0.25), strategy="hash", seed=1)
+    assert hashed == build_plan(psi, derive_hash_params(2, 0.25), strategy="hash", seed=1)
+    assert hashed != build_plan(psi, derive_hash_params(2, 0.25), strategy="hash", seed=2)
+    assert hashed != a
+    assert psi != haar_random_state(2, 2) and psi != haar_random_state(3, 1)
+    rho = partial_trace_keep_first(psi, 1)
+    assert rho == partial_trace_keep_first(psi, 1) and rho != partial_trace_keep_first(psi, 2)
+    assert a.steps[0].signs != SignPattern(2, 1 - a.steps[0].signs.bits)
 
 
 def test_build_plan_input_validation():
@@ -637,8 +657,14 @@ def test_hash_state_for_input_validation():
         hash_state_for(PureState(1, np.array([0.6, 0.8j])))
     with pytest.raises(ValueError, match="zero-norm"):
         hash_state_for(PureState(1, np.zeros(2, dtype=complex)))
-    with pytest.raises(ValueError, match="norm"):
-        hash_state_for(PureState(1, np.array([1.2, 0.0], dtype=complex)))
+    # NaN was accepted, with mu = nan.
+    for norm in (1.2, 1.0 + 2e-9, np.inf, np.nan):
+        with pytest.raises(ValueError, match="norm must be <= 1"):
+            hash_state_for(PureState(1, np.array([norm, 0.0], dtype=complex)))
+    hs, _mu = hash_state_for(PureState(1, np.array([1.0 + 1e-10, 0.0])))
+    assert hs.support.tolist() == [0]
+    with pytest.raises(ValueError, match="max_trials"):
+        hash_state_for(PureState(3, np.full(8, 8 ** -0.5)), max_trials=-1)
 
 
 def test_hash_state_validation():
@@ -738,19 +764,25 @@ def test_malformed_records_rejected_through_the_parser():
 
 
 def test_planner_hash_states_pass_the_full_check():
-    """The planner checks each hash state with the image table its search
-    built; the public constructor, which builds the table itself, accepts
-    every one of them and gives an equal state."""
+    """The planner's hash states skip the constructor's check, which their
+    construction guarantees; the checked public constructor accepts every
+    one of them and gives an equal state, with the same read-only int64
+    support and int8 signs.  Complex (two-track) and real targets, exact
+    and perturbed signs, n = 1..8, three plan seeds each."""
     for n in range(1, 9):
         psi = haar_random_state(n, 70 + n)
-        for mode in ("exact", "perturbed"):
-            plan = build_plan(
-                psi, derive_hash_params(n, 0.25, t_override=3), strategy="hash",
-                mode=mode, perturb_bound=0.05, seed=n,
-            )
-            for step in plan.steps:
-                hs = step.hash_state
-                assert HashState(hs.n, hs.k, hs.matrix, hs.support, hs.signs) == hs
+        real = psi.amps.real / np.linalg.norm(psi.amps.real)
+        for target in (psi, PureState(n, real)):
+            for mode, seed in itertools.product(("exact", "perturbed"), (n, 100 + n, 7919)):
+                plan = build_plan(
+                    target, derive_hash_params(n, 0.25, t_override=4), strategy="hash",
+                    mode=mode, perturb_bound=0.05, seed=seed,
+                )
+                for step in plan.steps:
+                    hs = step.hash_state
+                    assert HashState(hs.n, hs.k, hs.matrix, hs.support, hs.signs) == hs
+                    for field, dtype in ((hs.support, np.int64), (hs.signs, np.int8)):
+                        assert field.dtype == dtype and not field.flags.writeable
 
 
 def test_trivial_hash_state():
@@ -776,8 +808,9 @@ def test_find_hash_matrix_cases():
         images = {apply_to_index(m, x) for x in S}
         assert len(images) > 8
 
-    with pytest.raises(ValueError):
-        find_hash_matrix({0, 1, 2}, 2, 4)
+    for S, k, n in (({0, 1, 2}, 2, 4), (set(range(8)), 3, 2), (np.arange(3), 1, 4)):
+        with pytest.raises(ValueError, match=r"need \|S\| = 2\^"):
+            find_hash_matrix(S, k, n)
     with pytest.raises(SearchExhaustedError) as info:
         find_hash_matrix({0, 1, 2, 3}, 2, 4, max_trials=0, seed=9)
     assert (info.value.trials, info.value.seed) == (0, 9)
