@@ -25,18 +25,23 @@ Most searches stop at trial 0, the identity, so that trial costs next to
 nothing: `identity_desc(n)` is one shared immutable object per n, applying
 it in either direction is a copy, its serialized bytes are cached per n, and
 the search builds its random substream only when it reaches trial 1.  A random
-trial costs about what its draws cost: `random_clifford_from` saves the
-stream state, draws one block of digits sized for twice the expected
-GL_n(F2) candidates of every C round, parses it, then restores the state and
-draws again just the digits it used, so the values and the stream state are
-those of a sampler drawing round by round and equal seeds give equal
+trial costs little more than reading its stream: one parser (`_Chunks`)
+turns blocks of phase digits into rounds, with the digits of each n-digit
+chunk and its packed bits keyed as arrays per block, and the H, P and C
+rounds interned by key up to n = 3.  A search feeds it its substream's raw
+32-bit halves (`rng.RawHalves`, a digit being a half's top two bits), block
+after block; `random_clifford_from` on a Generator saves the stream state,
+draws one block sized for twice the expected GL_n(F2) candidates of every C
+round, parses it, then restores the state and draws again just the digits
+it used.  Either way the values, and on a Generator the stream state, are
+those of a sampler drawing round by round, and equal seeds give equal
 descriptions.  `f2linalg.invertible_pair` accepts or rejects each candidate,
-from a memo up to n = 3, so a sampled description skips the constructor's
-check.  A layer whose rows all hold one description (so
-every one-description layer) compiles that one row, whose ops broadcast
-over the others, and each round takes a short branch: the set H bits, one
-P row, one CNOT index map.  Up to n = 3 a P row's S-power table and a CNOT
-index map come from memos of read-only arrays.
+so a sampled description skips the constructor's check.  A layer whose rows
+all hold one description (so every one-description layer) compiles that one
+row, whose ops broadcast over the others, and each round takes a short
+branch: the set H bits, one P row, one CNOT index map.  Up to n = 3 a P
+row's S-power table and a CNOT index map come from memos of read-only
+arrays.
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ import numpy as np
 
 from . import f2linalg
 from .f2linalg import F2Matrix
-from .numerics import PureState, _fields_equal, _unchecked
-from .rng import substream
+from .numerics import PureState, _fields_equal, _norm, _unchecked
+from .rng import RawHalves, substream
 
 #: Fixed round pattern; position p of a description holds a round of this kind.
 ROUND_PATTERN = "HCPCPCHPCPC"
@@ -405,6 +410,93 @@ def to_matrix(d: CliffordDesc) -> np.ndarray:
     return CliffordLayer([d] * dim)(np.eye(dim)).T.copy()
 
 
+class _Rounds(dict):
+    """Rounds of one kind on n qubits by key, each built by `build` on first
+    use and kept when asked (up to n = 3, where the keys recur); the round
+    of a singular C candidate is None."""
+
+    def __init__(self, build, keep: bool) -> None:
+        self.build, self.keep = build, keep
+
+    def __missing__(self, key: int | tuple[int, ...]) -> Round | None:
+        return self.setdefault(key, self.build(key)) if self.keep else self.build(key)
+
+
+@functools.cache
+def _sampling(n: int) -> tuple:
+    """What parsing n-qubit descriptions needs, made on first use: the block
+    size in chunks, a chunk's digit and bit weights, and the H, P and C
+    round tables.  A block has room for twice the expected GL_n(F2)
+    candidates of every C round; a candidate is invertible with probability
+    prod_i (1 - 2^-i)."""
+    accepted = math.prod(1.0 - 0.5**i for i in range(1, n + 1))
+    block = len(ROUND_PATTERN) + ROUND_PATTERN.count("C") * (n * math.ceil(2 / accepted) - 1)
+    # uint32 weights keep a reader's uint32 digits uint32 while 4^n fits.
+    bits = 1 << np.arange(n, dtype=np.uint32 if n <= 16 else np.int64)
+    h_round = lambda key: HRound(tuple((key >> c) & 1 for c in range(n)))
+    p_round = lambda key: PRound(tuple((key >> 2 * c) & 3 for c in range(n)))
+    c_round = lambda key: (pair := f2linalg.invertible_pair(key)) and CRound(*pair)
+    tables = (_Rounds(f, n <= _MEMO_MAX_N) for f in (h_round, p_round, c_round))
+    return block, bits * bits, bits, *tables
+
+
+class _Chunks:
+    """A stream of phase digits read as n-digit chunks, keyed a block at a time.
+
+    `draw(count)` returns the stream's next `count` digits.  Every round is a
+    whole number of chunks.  Per chunk the block holds its digits in base 4,
+    first digit lowest (the key of a P round there), and its bits
+    digit >> 1 packed, first lowest (the key of an H round there, or one
+    matrix row: the n rows from a chunk on are the key of the C candidate
+    there, a tuple as `f2linalg.invertible_pair` takes it).  `at` is the
+    first chunk not parsed yet and `start` the first of the last block.
+    Built on a search's private `RawHalves`, it is the reader that
+    `random_clifford_from` recognizes.
+    """
+
+    def __init__(self, n: int, draw) -> None:
+        self.n, self.draw, self.sampling = n, draw, _sampling(n)
+        self.at = self.start = 0
+        self.digits: list[int] = []
+        self.rows: list[int] = []
+
+    def more(self) -> None:
+        """Draw, key and append one more block."""
+        block, digit_weights, bit_weights = self.sampling[:3]
+        chunks = self.draw(block * self.n).reshape(-1, self.n)
+        self.start = len(self.digits)
+        self.digits += (chunks @ digit_weights).tolist()
+        self.rows += ((chunks >> 1) @ bit_weights).tolist()
+
+    def parse(self) -> CliffordDesc:
+        """The next description: rounds in written order, each C round the
+        first invertible candidate from where it starts."""
+        n = self.n
+        h_rounds, p_rounds, c_rounds = self.sampling[3:]
+        digits, rows = self.digits, self.rows
+        i = self.at
+        rounds: list[Round] = []
+        for kind in ROUND_PATTERN:
+            if kind == "C":
+                while True:
+                    if i + n > len(rows):
+                        self.more()
+                    rnd = c_rounds[tuple(rows[i : i + n])]
+                    i += n
+                    if rnd is not None:
+                        break
+            else:
+                if i >= len(rows):
+                    self.more()
+                rnd = h_rounds[rows[i]] if kind == "H" else p_rounds[digits[i]]
+                i += 1
+            rounds.append(rnd)
+        self.at = i
+        # Every round fits ROUND_PATTERN on n qubits and every C round comes
+        # from invertible_pair, so the constructor's check could not fail.
+        return _unchecked(CliffordDesc, n=n, rounds=tuple(rounds))
+
+
 def random_clifford_from(rng: np.random.Generator, n: int) -> CliffordDesc:
     """One description with every round sampled uniformly from the given stream.
 
@@ -414,53 +506,38 @@ def random_clifford_from(rng: np.random.Generator, n: int) -> CliffordDesc:
     `rng.integers(0, 4)` digit and an H bit or matrix entry is `digit >> 1`:
     at a power-of-two range each value takes one 32-bit draw and the bit is
     that draw's top bit, as `rng.integers(0, 2)` would give.  So a block of
-    digits is the same digits drawn one by one.  The sampler saves the
-    stream state, draws one block with room for twice the expected GL_n(F2)
-    candidates of every C round, and parses it; in the rare case that
-    rejected candidates use it up, it saves the state again and draws
-    another block.  Then it restores the state saved before the last block
-    and draws again just the digits the parse used from it.  The values and
-    the stream state are those of a sampler drawing each round (and each
-    candidate) on its own.
+    digits is the same digits drawn one by one, and one parser (`_Chunks`)
+    reads the rounds off per-chunk keys: the H, P and C rounds are interned
+    by key up to n = 3, and `f2linalg.invertible_pair` accepts or rejects
+    each candidate.  From a Generator the sampler saves the stream state,
+    draws one block with room for twice the expected GL_n(F2) candidates of
+    every C round, and parses it; in the rare case that rejected candidates
+    use it up, it saves the state again and draws another block.  Then it
+    restores the state saved before the last block and draws again just the
+    digits the parse used from it.  The values and the stream state are
+    those of a sampler drawing each round (and each candidate) on its own.
+    An overlap search hands over its private reader instead (a `_Chunks`,
+    recognized by its type, so anything else is used as a Generator), which
+    parses its substream's raw 32-bit halves as the same digits, block after
+    block, with nothing to restore.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
+    if isinstance(rng, _Chunks):
+        return rng.parse()
     gen = rng.bit_generator
-    # Every round is a whole number of n-digit chunks, so a round starts at
-    # a chunk; a chunk is read as digits, bits or a packed matrix row (a 0/1
-    # row times the weights 2^c).  A candidate is invertible with
-    # probability prod_i (1 - 2^-i).
-    accepted = math.prod(1.0 - 0.5**i for i in range(1, n + 1))
-    block = n * (len(ROUND_PATTERN) + ROUND_PATTERN.count("C") * (n * math.ceil(2 / accepted) - 1))
-    weights = 1 << np.arange(n, dtype=np.int64)
-    packed: list[int] = []
-    rounds: list[Round] = []
-    i = 0
-    for kind in ROUND_PATTERN:
-        size = n if kind == "C" else 1
-        while True:
-            if i + size > len(packed):
-                # A block after those drawn, and the stream state before it.
-                saved, start = gen.state, len(packed)
-                more = rng.integers(0, 4, size=block).reshape(-1, n)
-                chunks = np.concatenate([chunks, more]) if start else more
-                packed += ((more >> 1) @ weights).tolist()
-            if kind != "C" or (pair := f2linalg.invertible_pair(tuple(packed[i : i + n]))):
-                break
-            i += n
-        if kind == "C":
-            rounds.append(CRound(*pair))
-        elif kind == "H":
-            rounds.append(HRound(tuple(d >> 1 for d in chunks[i].tolist())))
-        else:
-            rounds.append(PRound(tuple(chunks[i].tolist())))
-        i += size
+    states = []
+
+    def draw(count: int) -> np.ndarray:
+        states.append(gen.state)
+        return rng.integers(0, 4, size=count)
+
+    chunks = _Chunks(n, draw)
+    desc = chunks.parse()
     # Back to the state before the last block, and draw what was used of it.
-    gen.state = saved
-    rng.integers(0, 4, size=(i - start) * n)
-    # Every round fits ROUND_PATTERN on n qubits and every C round comes from
-    # invertible_pair, so the constructor's check could not fail.
-    return _unchecked(CliffordDesc, n=n, rounds=tuple(rounds))
+    gen.state = states[-1]
+    rng.integers(0, 4, size=(chunks.at - chunks.start) * n)
+    return desc
 
 
 def random_clifford(n: int, seed: int) -> CliffordDesc:
@@ -504,28 +581,37 @@ def find_overlap_clifford(
     draws from the search's substream, which is only built when trial 1 is
     reached.  Each trial computes w = C^dagger eta on the residual as given
     (through `apply_inverse`) and scores the real overlap with the normalized
-    residual, sum |Re w| / (2^{n/2} ||eta||).  Returns the first qualifying
-    description, its achieved overlap and its w; an exhausted budget raises
-    SearchExhaustedError with the best overlap seen.  A negative budget or a
-    non-finite alpha is refused with ValueError before any trial.
+    residual, sum |Re w| / (2^{n/2} ||eta||), with ||eta|| by np.linalg.norm's
+    own formula, sqrt(re.re + im.im).  The random trials are the descriptions
+    `random_clifford_from` would draw one by one from
+    `substream(seed, f"clifford-search-{n}")`, parsed off that substream's
+    raw outputs by the search's private reader.  Returns the first
+    qualifying description, its achieved overlap and its w; an exhausted
+    budget raises SearchExhaustedError with the best overlap seen.  A
+    negative budget, a non-finite alpha, and a zero or non-finite (NaN or
+    infinite) residual norm, which no trial could score, are refused with
+    ValueError before any trial.
     """
     if max_trials < 0:
         raise ValueError(f"max_trials must be >= 0, got {max_trials}")
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    nrm = float(np.linalg.norm(eta.amps))
+    nrm = _norm(eta.amps)
     if nrm == 0.0:
         raise ValueError("zero residual has no overlap certificate")
+    if not math.isfinite(nrm):
+        raise ValueError(f"residual norm must be finite, got {nrm}")
     scale = math.sqrt(1 << eta.n) * nrm
-    rng = None
+    chunks = None
     best = -np.inf
     for trial in range(max_trials):
         if trial == 0:
             desc = identity_desc(eta.n)
         else:
-            if rng is None:
-                rng = substream(seed, f"clifford-search-{eta.n}")
-            desc = random_clifford_from(rng, eta.n)
+            if chunks is None:
+                reader = RawHalves(seed, f"clifford-search-{eta.n}")
+                chunks = _Chunks(eta.n, lambda count: reader.read(count) >> 30)
+            desc = random_clifford_from(chunks, eta.n)
         w = apply_inverse(desc, eta).amps
         achieved = float(np.abs(w.real).sum()) / scale
         if achieved >= alpha:

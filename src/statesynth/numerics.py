@@ -39,6 +39,14 @@ def _unchecked(cls: type, **values):
     return obj
 
 
+def _norm(amps: np.ndarray) -> float:
+    """np.linalg.norm of a vector by its own formula, without its dispatch:
+    sqrt(re.re + im.im), where a real vector's imaginary part adds 0.0."""
+    x = amps.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _fields_equal(self, other: object) -> bool:
     """__eq__ for a frozen dataclass with array fields: same type and equal
     fields, arrays compared by np.array_equal (the generated __eq__ would

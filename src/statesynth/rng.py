@@ -52,3 +52,29 @@ def first_uniforms(seed: int, label: str, count: int) -> list[float]:
     """
     raw = np.random.PCG64(_seed_sequence(seed, label)).random_raw(count)
     return [(r >> 11) * 2.0**-53 for r in raw.tolist()]
+
+
+class RawHalves:
+    """The uint32 halves of a fresh `substream(seed, label)`'s raw outputs.
+
+    A Generator draws a 32-bit value as the low half of its PCG64 bit
+    generator's next 64-bit output, then the high half, and
+    `integers(0, 2**b, size)` for b <= 32 keeps each value's top b bits
+    (Lemire's method, which never rejects at a power-of-two range).  So on a
+    fresh stream `half >> 30` reads `integers(0, 4, size)` and `half >> 31`
+    reads `integers(0, 2, size)`, without building the Generator or going
+    through its per-call set-up.  `read` hands out the halves in stream
+    order, as many as asked for; an odd count holds the next half back.
+    """
+
+    def __init__(self, seed: int, label: str) -> None:
+        self._random_raw = np.random.PCG64(_seed_sequence(seed, label)).random_raw
+        self._held = np.empty(0, dtype="<u4")
+
+    def read(self, count: int) -> np.ndarray:
+        """The next `count` halves as a uint32 array."""
+        held = self._held
+        fresh = self._random_raw((count - len(held) + 1) // 2).astype("<u8", copy=False)
+        halves = np.concatenate((held, fresh.view("<u4"))) if len(held) else fresh.view("<u4")
+        self._held = halves[count:]
+        return halves[:count]

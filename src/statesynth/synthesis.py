@@ -53,8 +53,8 @@ from . import clifford as cliff
 from . import f2linalg
 from .clifford import CliffordDesc, SearchExhaustedError, SignPattern, sr
 from .f2linalg import F2Matrix
-from .numerics import PureState, _fields_equal, _unchecked
-from .rng import derive_seed, first_uniforms, substream
+from .numerics import PureState, _fields_equal, _norm, _unchecked
+from .rng import RawHalves, derive_seed, first_uniforms
 
 #: Oracle file magic bytes.
 ORACLE_MAGIC = b"OSYN1"
@@ -247,6 +247,10 @@ def _distinct_images(images: np.ndarray, k: int) -> int:
     return int(np.count_nonzero(np.bincount(images, minlength=1 << k)))
 
 
+#: Hash candidates read per block of raw halves: a search takes about 1.5.
+_HASH_BLOCK = 4
+
+
 def find_hash_matrix(
     S: set[int] | np.ndarray, k: int, n: int, max_trials: int = 200, seed: int = 0
 ) -> tuple[F2Matrix, np.ndarray]:
@@ -254,10 +258,14 @@ def find_hash_matrix(
 
     S is a set of indices, or the same indices as an int64 array.
     Candidates are drawn until one passes the (directly evaluated) image-size
-    check; rank-deficient draws count against the trial budget too.  Returns
-    the matrix with its image table (`f2linalg.apply_to_all`, the image of
-    every index).  An exhausted budget raises SearchExhaustedError with the
-    trials and seed; a negative budget is refused with ValueError.
+    check; rank-deficient draws count against the trial budget too.  Trial t
+    takes the candidate `f2linalg.random_rows_from` would draw t-th from
+    `substream(seed, f"hash-matrix-{k}x{n}")`: its rows are read, a few
+    candidates at a time, off that substream's raw 32-bit halves
+    (`rng.RawHalves`, an entry being a half's top bit).  Returns the matrix
+    with its image table (`f2linalg.apply_to_all`, the image of every
+    index).  An exhausted budget raises SearchExhaustedError with the trials
+    and seed; a negative budget is refused with ValueError.
     """
     if max_trials < 0:
         raise ValueError(f"max_trials must be >= 0, got {max_trials}")
@@ -266,9 +274,13 @@ def find_hash_matrix(
     if k == 0:
         return F2Matrix(0, n, ()), np.zeros(1 << n, dtype=np.int64)
     s_array = S if isinstance(S, np.ndarray) else np.fromiter(sorted(S), dtype=np.int64)
-    rng = substream(seed, f"hash-matrix-{k}x{n}")
-    for _ in range(max_trials):
-        candidate = F2Matrix(k, n, f2linalg.random_rows_from(rng, k, n))
+    reader = RawHalves(seed, f"hash-matrix-{k}x{n}")
+    for trial in range(max_trials):
+        if trial % _HASH_BLOCK == 0:
+            bits = (reader.read(_HASH_BLOCK * k * n) >> 31).reshape(-1, n)
+            rows = (bits @ (1 << np.arange(n, dtype=np.int64))).tolist()
+        at = trial % _HASH_BLOCK * k
+        candidate = F2Matrix(k, n, tuple(rows[at : at + k]))
         if f2linalg.rank(candidate) != k:
             continue
         images = f2linalg.apply_to_all(candidate)
@@ -506,8 +518,8 @@ def _plan_steps(
     # A track is [residual, phase, scale, current residual norm].
     if strategy == "clifford":
         eta = psi.amps.copy()
-        tracks = [[eta, 1 + 0j, 1.0, float(np.linalg.norm(eta))]]
-        family_step, norm_of = clifford_step, np.linalg.norm
+        tracks = [[eta, 1 + 0j, 1.0, _norm(eta)]]
+        family_step = clifford_step
     else:
         expected_alpha = _hash_alpha_floor(n)
         if params.alpha > expected_alpha + 1e-12:
@@ -524,9 +536,7 @@ def _plan_steps(
         # the order is fixed for the whole plan so step weights stay a tensor
         # product over the index register.
         tracks.sort(key=lambda tr: -tr[2])
-        # A real track's norm by np.linalg.norm's own formula for a real
-        # vector, without its dispatch.
-        family_step, norm_of = hash_step, lambda v: math.sqrt(v.dot(v))
+        family_step = hash_step
 
     def residual_norm() -> float:
         # A Clifford plan records its track's norm, a hash plan (one track or
@@ -549,7 +559,7 @@ def _plan_steps(
             except SearchExhaustedError as err:
                 raise err.at_step(index, norm) from err
             track[0] = eta = eta - coeff * state
-            track[3] = float(norm_of(eta))
+            track[3] = _norm(eta)
             steps.append(step)
         norms.append(residual_norm())
     return steps, norms

@@ -68,3 +68,57 @@ def test_summarize_single_pair_and_no_pairs():
     assert wall["base"] == (2.0, 2.0, 2.0) and wall["change"] == (1.0, 1.0, 1.0)
     assert wall["won"] == 1
     assert ab_pairs.summarize([]) == []
+
+
+def _pairs(base_walls: list[float], change_walls: list[float]) -> list[tuple[dict, dict]]:
+    return [
+        (ab_pairs.parse_run(_stdout(b, 0.5, 67.0)), ab_pairs.parse_run(_stdout(c, 0.5, 67.0)))
+        for b, c in zip(base_walls, change_walls)
+    ]
+
+
+_BASE = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+
+
+@pytest.mark.parametrize("change, verdict", [
+    # 10 of 10 won, medians 0.2 apart against a base spread of about 0.03.
+    ([b - 0.2 for b in _BASE], "gain"),
+    # 9 of 10 won, one tie: ties count for neither side.
+    ([b - 0.2 for b in _BASE[:9]] + [_BASE[9]], "gain"),
+    # 8 of 10 won: no gain, however far apart the medians are.
+    ([b - 0.2 for b in _BASE[:8]] + [b + 0.01 for b in _BASE[8:]], "within bound"),
+    # 10 of 10 won by less than the base's quartile spread: no gain.
+    ([b - 0.005 for b in _BASE], "within bound"),
+    # Slower by 20 %, inside the 25 % bound.
+    ([1.2 * b for b in _BASE], "within bound"),
+    # Slower by 30 %, past the bound.
+    ([1.3 * b for b in _BASE], "WORSE"),
+])
+def test_summarize_verdicts(change, verdict):
+    rows = {r["metric"]: r for r in ab_pairs.summarize(_pairs(_BASE, change), {"wall_s": 0.25})}
+    assert rows["wall_s"]["verdict"] == verdict
+    # A metric with no bound is judged for a gain only.
+    assert rows["plan_s"]["verdict"] == ""
+    assert verdict in ab_pairs.format_rows(list(rows.values()))
+
+
+def test_summarize_unresolved_when_the_base_spreads_past_the_bound():
+    base = [1.0, 1.6, 0.7, 1.5, 0.8, 1.0, 1.4, 0.9, 1.2, 1.1]
+    # Medians equal, spread wider than a 25 % bound: neither same nor worse.
+    rows = ab_pairs.summarize(_pairs(base, base[::-1]), {"wall_s": 0.25})
+    assert rows[0]["verdict"] == "unresolved"
+    # Unless every change run is below every base run.
+    rows = ab_pairs.summarize(_pairs(base, [b * 0.2 for b in base]), {"wall_s": 0.25})
+    assert rows[0]["verdict"] == "gain"
+    rows = ab_pairs.summarize(_pairs(base, [0.69] * 10), {"wall_s": 0.25})
+    assert rows[0]["won"] == 10 and rows[0]["verdict"] == "within bound"
+
+
+def test_read_bounds_from_the_base_checkout(tmp_path):
+    assert ab_pairs.read_bounds(tmp_path) == {}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": [
+        {"name": "wall_s", "bound": 0.25}, {"name": "peak_rss_mb", "bound": 0.1}, {"name": "n"},
+    ]}))
+    assert ab_pairs.read_bounds(tmp_path) == {"wall_s": 0.25, "peak_rss_mb": 0.1}
+    repo = Path(__file__).resolve().parent.parent
+    assert ab_pairs.read_bounds(repo)["wall_s"] > 0

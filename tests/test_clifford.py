@@ -34,7 +34,7 @@ from statesynth.clifford import (
 )
 from statesynth.f2linalg import F2Matrix
 from statesynth.numerics import PureState, haar_random_state, norm2
-from statesynth.rng import substream
+from statesynth.rng import RawHalves, substream
 
 _H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 _S = np.array([[1, 0], [0, 1j]], dtype=complex)
@@ -415,6 +415,65 @@ def test_top_bit_of_a_four_way_draw_is_a_two_way_draw():
             assert four.bit_generator.state == two.bit_generator.state
 
 
+def test_raw_halves_are_the_generator_draws():
+    # The searches read their substream's raw outputs as uint32 halves: on a
+    # fresh stream half >> 30 must be integers(0, 4) and half >> 31
+    # integers(0, 2), at odd and even sizes, 10^4 (seed, size) pairs each.
+    for seed in range(2_000):
+        for size in (1, 2, 7, 64, 333):
+            label = f"halves-{size}"
+            halves = RawHalves(seed, label).read(size)
+            assert halves.dtype == np.uint32
+            assert np.array_equal(halves >> 30, substream(seed, label).integers(0, 4, size))
+            assert np.array_equal(halves >> 31, substream(seed, label).integers(0, 2, size))
+
+
+def test_raw_halves_reads_continue_the_stream():
+    # Reads of any sizes, odd ones included, hand out the stream in order,
+    # as one Generator drawing the same sizes call after call does.
+    sizes = np.random.default_rng(5)
+    for seed in range(300):
+        reader, rng = RawHalves(seed, "halves"), substream(seed, "halves")
+        for size in sizes.integers(0, 12, size=8).tolist():
+            assert np.array_equal(reader.read(size) >> 30, rng.integers(0, 4, size))
+
+
+def test_search_draws_are_its_substream_drawn_one_by_one(monkeypatch):
+    # A search parses its private reader's blocks, refilling as it runs
+    # short; its random trials must be the descriptions random_clifford_from
+    # draws one by one from the search's substream.  alpha 2 is never
+    # reached, so every trial is drawn: 500 seeds at each n in 1..8.  The
+    # trials are scored on eta itself, which leaves the draws as they are.
+    drawn: list[CliffordDesc] = []
+    refills = []
+
+    def recorded(rng, n):
+        drawn.append(random_clifford_from(rng, n))
+        return drawn[-1]
+
+    def counted(chunks):
+        refills.append(chunks)
+        more(chunks)
+
+    more = clifford._Chunks.more
+    monkeypatch.setattr(clifford, "random_clifford_from", recorded)
+    monkeypatch.setattr(clifford._Chunks, "more", counted)
+    monkeypatch.setattr(clifford, "apply_inverse", lambda desc, eta: eta)
+    for n in range(1, 9):
+        eta = haar_random_state(n, n)
+        trials = 6 if n <= 3 else 3
+        refills.clear()
+        for seed in range(500):
+            drawn.clear()
+            with pytest.raises(SearchExhaustedError):
+                find_overlap_clifford(eta, 2.0, max_trials=trials, seed=seed)
+            rng = substream(seed, f"clifford-search-{n}")
+            assert drawn == [random_clifford_from(rng, n) for _ in drawn]
+            assert len(drawn) == trials - 1
+        # Some searches ran short of their first block and read another.
+        assert len(refills) > 500
+
+
 def test_single_qubit_coset_frequencies():
     """All 24 single-qubit Clifford cosets appear at their exact word rates.
 
@@ -559,6 +618,20 @@ def test_find_overlap_clifford_refuses_bad_budget_and_alpha():
     # An empty budget is still a search that found nothing.
     with pytest.raises(SearchExhaustedError):
         find_overlap_clifford(eta, 0.35, max_trials=0)
+
+
+def test_find_overlap_clifford_refuses_a_non_finite_residual(monkeypatch):
+    # A NaN or infinite residual norm would score no trial and burn the
+    # whole budget; it is refused before any trial and before any stream.
+    def no_stream(*_args):
+        raise AssertionError("no stream may be built")
+
+    monkeypatch.setattr(clifford, "RawHalves", no_stream)
+    monkeypatch.setattr(clifford, "apply_inverse", no_stream)
+    for bad in (float("nan"), float("inf")):
+        eta = PureState(2, [bad, 0.5, 0.5, 0.5])
+        with pytest.raises(ValueError, match="residual norm must be finite"):
+            find_overlap_clifford(eta, 0.3, seed=1)
 
 
 def test_description_serialization_roundtrip():

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statesynth import clifford as cliff
-from statesynth import synthesis
+from statesynth import f2linalg, synthesis
 from statesynth.clifford import SearchExhaustedError, SignPattern, desc_to_bytes, identity_desc, sr
 from statesynth.f2linalg import F2Matrix, apply_to_index
 from statesynth.numerics import PureState, haar_random_state, partial_trace_keep_first
@@ -814,6 +814,47 @@ def test_find_hash_matrix_cases():
     with pytest.raises(SearchExhaustedError) as info:
         find_hash_matrix({0, 1, 2, 3}, 2, 4, max_trials=0, seed=9)
     assert (info.value.trials, info.value.seed) == (0, 9)
+
+
+def _reference_hash_search(s_array, k, n, seed):
+    """The trial find_hash_matrix stops at, its matrix and its images: the
+    candidates drawn one by one from the search's substream."""
+    rng = substream(seed, f"hash-matrix-{k}x{n}")
+    for trial in itertools.count():
+        m = F2Matrix(k, n, f2linalg.random_rows_from(rng, k, n))
+        if f2linalg.rank(m) == k:
+            images = f2linalg.apply_to_all(m)
+            if len(set(images[s_array].tolist())) > 1 << (k - 1):
+                return trial, m, images
+
+
+def test_find_hash_matrix_reads_its_substream_candidates():
+    # The search reads its candidates a block at a time off the substream's
+    # raw halves; it must stop at the trial, with the matrix and images, of
+    # the reference loop, and a budget one short must run out.  Supports
+    # are random sets or, so that the searches run past a block, subspaces.
+    rng = np.random.default_rng(11)
+    cases = past_block = 0
+    for case in itertools.count():
+        if cases == 2_000:
+            break
+        n = 1 + case % 10
+        k = int(rng.integers(1, n + 1))
+        if case % 2:
+            s_array = np.sort(rng.choice(1 << n, size=1 << k, replace=False))
+        else:
+            basis = F2Matrix(n, k, f2linalg.random_rows_from(rng, n, k))
+            s_array = np.unique(f2linalg.apply_to_all(basis))
+            if len(s_array) != 1 << k:
+                continue
+        trial, m, images = _reference_hash_search(s_array, k, n, case)
+        got, got_images = find_hash_matrix(s_array, k, n, max_trials=trial + 1, seed=case)
+        assert got == m and np.array_equal(got_images, images)
+        with pytest.raises(SearchExhaustedError):
+            find_hash_matrix(s_array, k, n, max_trials=trial, seed=case)
+        cases += 1
+        past_block += trial >= synthesis._HASH_BLOCK
+    assert past_block > 100
 
 
 def test_build_plan_search_exhaustion_context():

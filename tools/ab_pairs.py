@@ -11,10 +11,23 @@ The script then prints, for every metric the runs print (the end-to-end
 metrics, the stage sums and fail_ratio), the median and the quartiles on
 each side, the change of the medians, and the number of pairs the change
 won, a pair being won when its metric is lower on the change side (every
-perfbench timing, memory and failure metric is better lower).  A run that
-fails or prints `"correct": false` is reported and stops the script.
+perfbench timing, memory and failure metric is better lower), and a
+verdict:
 
-Standard library only; it reads the runs' output and changes no file.
+- `gain`: the change won at least 9 of every 10 pairs (ties count for
+  neither side) and its median is lower than the base's by more than the
+  base's quartile spread (q3 - q1);
+- for the end-to-end metrics, with their bounds read from the base
+  checkout's BENCHMARK.json: `WORSE` when the change median is higher than
+  the base's by more than the bound (relative to the base median);
+  `unresolved` when the base's quartile spread is wider than the bound and
+  not every change run is below every base run; else `within bound`.
+
+A run that fails or prints `"correct": false` is reported and stops the
+script.
+
+Standard library only; it reads the runs' output and BENCHMARK.json and
+changes no file.
 """
 
 from __future__ import annotations
@@ -59,12 +72,39 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(pairs: list[tuple[dict, dict]]) -> list[dict]:
+def read_bounds(checkout: Path) -> dict[str, float]:
+    """{name: bound} of the end-to-end metrics in the checkout's
+    BENCHMARK.json; empty when it has none."""
+    path = checkout / "BENCHMARK.json"
+    if not path.is_file():
+        return {}
+    spec = json.loads(path.read_text())
+    return {m["name"]: float(m["bound"]) for m in spec.get("end_to_end", []) if "bound" in m}
+
+
+def _verdict(base: list[float], change: list[float], bound: float | None) -> str:
+    """The verdict of the module docstring for one metric (lower is better)."""
+    (b1, b2, b3), (_, c2, _) = _quartiles(base), _quartiles(change)
+    won = sum(c < b for b, c in zip(base, change))
+    if 10 * won >= 9 * len(base) and b2 - c2 > b3 - b1:
+        return "gain"
+    if bound is None:
+        return ""
+    if c2 - b2 > bound * b2:
+        return "WORSE"
+    if b3 - b1 > bound * b2 and not max(change) < min(base):
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(pairs: list[tuple[dict, dict]], bounds: dict[str, float] | None = None) -> list[dict]:
     """One row per metric present on both sides of every pair: the base and
-    change medians and quartiles, the relative change of the medians, and
-    the pairs won by the change (its value strictly lower)."""
+    change medians and quartiles, the relative change of the medians, the
+    pairs won by the change (its value strictly lower) and the verdict,
+    judged against `bounds` for the metrics it names."""
     if not pairs:
         return []
+    bounds = bounds or {}
     names = [name for name in pairs[0][0] if all(name in b and name in c for b, c in pairs)]
     rows = []
     for name in names:
@@ -79,19 +119,20 @@ def summarize(pairs: list[tuple[dict, dict]]) -> list[dict]:
             "rel": (cq[1] - bq[1]) / bq[1] if bq[1] else 0.0,
             "won": sum(c < b for b, c in zip(base, change)),
             "pairs": len(pairs),
+            "verdict": _verdict(base, change, bounds.get(name)),
         })
     return rows
 
 
 def format_rows(rows: list[dict]) -> str:
     out = [f"{'metric':22s} {'base median (q1-q3)':>30s} {'change median (q1-q3)':>30s}"
-           f" {'change':>8s} {'won':>6s}"]
+           f" {'change':>8s} {'won':>6s}  verdict"]
     for r in rows:
         b, c = r["base"], r["change"]
         out.append(
             f"{r['metric']:22s} {b[1]:11.5g} ({b[0]:.5g}-{b[2]:.5g}) "
             f"{c[1]:11.5g} ({c[0]:.5g}-{c[2]:.5g}) {100 * r['rel']:+7.1f}% "
-            f"{r['won']:>3d}/{r['pairs']}"
+            f"{r['won']:>3d}/{r['pairs']}  {r['verdict']}".rstrip()
         )
     return "\n".join(out)
 
@@ -124,7 +165,7 @@ def main(argv: list[str] | None = None) -> int:
               f"{got[args.change]['wall_s'][0]:.4g}", flush=True)
     print(f"# {args.workload} seed {args.seed}, {len(pairs)} pairs, "
           f"base {args.base}, change {args.change}")
-    print(format_rows(summarize(pairs)))
+    print(format_rows(summarize(pairs, read_bounds(args.base))))
     return 0
 
 
