@@ -5,7 +5,9 @@ the step-weight superposition on the index register, queries the oracle once
 (phase kickback on the sign table, XOR of the description string into a
 classical register), applies the indexed step transforms, and unloads the
 index register.  All drivers are built from forward/inverse applications of
-this circuit, so query and z bookkeeping live here.
+this circuit, so query and z bookkeeping live here, and so does the one
+reflection the ten- and four-query amplification share: about the prepared
+state lifted beside a rotation qubit, on a (2, rows, 2^n) stack in place.
 
 What A takes from the plan alone is built once per plan and shared by every
 driver call on it: the weight gates, the stacked sign bits, the blocks of
@@ -115,8 +117,9 @@ def _weight_gates(weights: np.ndarray, t_reg: int) -> list[np.ndarray]:
 def _index_qubit_gate(view: np.ndarray, mat: np.ndarray, scratch: np.ndarray) -> None:
     """Apply the 2x2 gate mat in place to the qubit that axis 1 of view
     splits out, view being a (2^q, 2, 2^(t_reg-1-q), cols) reshape of an
-    index-register state.  scratch has view's shape with the size-2 axis
-    first.  Row 0 gets mat[0,0] v0 + mat[0,1] v1 and row 1 mat[1,0] v0 +
+    index-register state, or (1, 2, rows, dim) for a rotation qubit beside
+    the register.  scratch has view's shape with the size-2 axis first.
+    Row 0 gets mat[0,0] v0 + mat[0,1] v1 and row 1 mat[1,0] v0 +
     mat[1,1] v1, each product with the real coefficient as its left operand,
     so the result is bit-identical to evaluating those sums into fresh
     arrays."""
@@ -130,6 +133,21 @@ def _index_qubit_gate(view: np.ndarray, mat: np.ndarray, scratch: np.ndarray) ->
     mul(mat[1, 1], v1, v1)
     add(s1, v1, v1)
     np.copyto(v0, s0)
+
+
+def _reflect_about_lift(state: np.ndarray, g: tuple, v: np.ndarray, scratch: np.ndarray) -> None:
+    """v <- 2<theta|v> theta - v, in place, about theta = (g0 state, g1 state),
+    the prepared state beside a rotation qubit in g0|0> + g1|1>: the
+    reflection of the ten- and four-query amplification.  theta is built in
+    scratch, a stack of v's shape that the call overwrites."""
+    np.multiply(g[0], state, out=scratch[0])
+    np.multiply(g[1], state, out=scratch[1])
+    # <theta|v> is taken over the whole stack, a zero half of v included:
+    # BLAS splits a sum over one half differently, and the four-query error
+    # carries that last-bit change to its fourth digit.
+    c = 2.0 * np.vdot(scratch, v)
+    np.multiply(c, scratch, out=scratch)
+    np.subtract(scratch, v, out=v)
 
 
 def _hadamard_target(block: np.ndarray, n: int) -> None:

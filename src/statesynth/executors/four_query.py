@@ -15,11 +15,18 @@ Two evaluators: :func:`run_four_query` tracks the s + 1 exactly-known
 branches (first success at k, or all fail) as per-register factors, which
 scales to the real copy counts; :func:`run_four_query_dense` simulates the
 full register on tiny instances and is used to cross-check the structured
-bookkeeping, including the classical description-register flow.  In the
-all-fail branch the routing swap entangles the first copy with the output;
-the structured evaluator reads only that branch's overlaps with |0..0> on
-the copy, whose output payload is tau_hat[0], and only the dense reference
-:func:`expand_structured` builds the branch's joint vector.
+bookkeeping, including the classical description-register flow.  Of the
+three factors only the junk image U^dagger |0>|tau> needs the rotation
+qubit: it is a (2, rows, 2^n) stack, computed in two stacks of that shape.
+A^dagger on a prepared or a junk copy leaves that qubit at |0>, so those two
+factors are one register each.  The structured evaluator builds one factor
+at a time, reads its amplitude at |0..0> (and the junk image's distance
+from it) and drops it.  In the all-fail branch the routing swap entangles
+the first copy with the output; the structured evaluator reads only that
+branch's overlaps with |0..0> on the copy, whose output payload is
+tau_hat[0], and only the dense reference :func:`expand_structured` builds
+the branch's joint vector, padding each one-register factor with the
+rotation qubit's |1> half.
 
 Every entry point starts from one ``_setup``: the :class:`PreparedCircuit`
 (plan passed in or the default one), the column h of the amplification
@@ -38,6 +45,7 @@ import numpy as np
 from ..numerics import PureState
 from ..synthesis import OracleSpec, SynthesisPlan
 from .common import ExecutionReport, PreparedCircuit, _ratio_gate, ensure_plan
+from .common import _index_qubit_gate, _reflect_about_lift
 
 _FOUR_QUERY_COUNT = 4
 _SIN_PI_6 = math.sin(math.pi / 6.0)
@@ -55,52 +63,43 @@ def default_copy_count(epsilon: float, delta: float) -> int:
     return s
 
 
-def _apply_w_dagger(prep: PreparedCircuit, h: tuple[float, float], v: np.ndarray) -> np.ndarray:
-    """W^dagger = (G (x) A)^dagger on a (2, rows, dim) rotation-qubit stack."""
-    h0, h1 = h
-    tmp0 = h0 * v[0] + h1 * v[1]
-    tmp1 = -h1 * v[0] + h0 * v[1]
-    return np.stack([prep.apply_dagger(tmp0), prep.apply_dagger(tmp1)])
-
-
 def _junk_uncompute_image(prep: PreparedCircuit, h: tuple[float, float]) -> np.ndarray:
-    """U^dagger applied to the clean junk state |0>|tau>; ideally |0..0>.
+    """U^dagger applied to the clean junk state |0>|tau>, ideally |0..0>:
+    a (2, rows, dim) stack over the rotation qubit.
 
     Temporal order of U^dagger: the reflection about the prepared state
     theta4 = W|0..0> (W R0 W^dagger), the junk-flag reflection, then
-    W^dagger -- three oracle layers in total.
+    W^dagger = (G (x) A)^dagger -- three oracle layers in total.  It runs
+    in two stacks of that shape: v, which starts as |0>|tau> and takes every
+    layer in place, and a scratch, through which the reflection lifts theta4
+    and G^dagger mixes v's halves.  _index_qubit_gate keeps each real
+    coefficient on the left of its product, as the sums h0 v0 + h1 v1 and
+    -h1 v0 + h0 v1 into fresh arrays do.  The scratch is dropped before
+    A^dagger replaces each half of v.
     """
     h0, h1 = h
-    theta4 = np.stack([h0 * prep.state, h1 * prep.state])
-    v = np.stack([prep.tau_hat, np.zeros_like(prep.tau_hat)])
-    v = 2.0 * np.vdot(theta4, v) * theta4 - v
+    v = np.zeros((2,) + prep.tau_hat.shape, dtype=np.complex128)
+    v[0] = prep.tau_hat
+    scratch = np.empty_like(v)
+    _reflect_about_lift(prep.state, h, v, scratch)
     v[0, 1:, :] *= -1.0
-    return _apply_w_dagger(prep, h, v)
-
-
-def _stack_g0(factor: np.ndarray) -> np.ndarray:
-    """Lift a (rows, dim) factor to (2, rows, dim) with the rotation qubit at 0."""
-    return np.stack([factor, np.zeros_like(factor)])
-
-
-def _copy_e0(rows: int, dim: int) -> np.ndarray:
-    v = np.zeros((2, rows, dim), dtype=np.complex128)
-    v[0, 0, 0] = 1.0
+    _index_qubit_gate(v[None], np.array([[h0, h1], [-h1, h0]]), scratch[:, None])
+    del scratch
+    for half in v:
+        half[...] = prep.apply_dagger(half)
     return v
 
 
-def _structured_branches(
-    prep: PreparedCircuit, h: tuple[float, float], s: int
-) -> tuple[list[float], float, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-register factors for the s + 1 branches after the uncomputation
-    layers, each computed once: the branch weights, the fail weight,
-    U^dagger |0>|tau>, and A^dagger on a prepared copy and on a junk copy."""
-    w_junk = _junk_uncompute_image(prep, h)
-    w_back = prep.apply_dagger(prep.state)
-    w_fail_copy = prep.apply_dagger(prep.tau_hat)
+def _structured_branches(prep: PreparedCircuit, s: int) -> tuple[list[float], float]:
+    """The weights of the s + 1 branches after the uncomputation layers:
+    first success at copy k, amp * delta_eff^k, and all copies failed,
+    delta_eff^s.  A branch is a product over the copies of three
+    per-register factors, which each evaluator computes from prep itself:
+    _junk_uncompute_image on a failed copy, a rotation-qubit stack, and
+    A^dagger on a prepared copy and on a junk copy, one register each, whose
+    rotation qubit stays at |0>."""
     delta_eff = math.sqrt(max(0.0, 1.0 - prep.amp**2))
-    weights = [prep.amp * delta_eff**k for k in range(s)]
-    return weights, delta_eff**s, w_junk, _stack_g0(w_back), _stack_g0(w_fail_copy)
+    return [prep.amp * delta_eff**k for k in range(s)], delta_eff**s
 
 
 def _k_column_overlap(gamma: float, delta: float, s: int, k: int) -> float:
@@ -111,17 +110,26 @@ def _k_column_overlap(gamma: float, delta: float, s: int, k: int) -> float:
 def _structured_run(
     prep: PreparedCircuit, h: tuple[float, float], s: int
 ) -> tuple[ExecutionReport, dict]:
-    weights, fail_weight, w_junk, w_back, w_fail_copy = _structured_branches(prep, h, s)
+    weights, fail_weight = _structured_branches(prep, s)
     psi = prep.plan.target.amps
     theta_hat = prep.theta_hat
     # The all-fail branch routes the first junk copy's payload to the
     # output: projected onto |0..0> of that copy, the output holds
     # tau_hat[0], the junk state's success row.
     fail_output = prep.tau_hat[0]
-    e0 = _copy_e0(prep.circuit.rows, prep.circuit.dim)
-    a_junk = complex(np.vdot(e0, w_junk))
-    a_back = complex(np.vdot(e0, w_back))
-    a_fail = complex(np.vdot(e0, w_fail_copy))
+    # Each factor is reduced to what the overlaps read and dropped before
+    # anything else is built: its amplitude at |0..0> on the copy and, for
+    # the junk image, its distance from |0..0>.
+    w_junk = _junk_uncompute_image(prep, h)
+    a_junk = complex(w_junk[0, 0, 0])
+    w_junk[0, 0, 0] -= 1.0
+    junk_uncompute_gap = float(np.linalg.norm(w_junk))
+    del w_junk
+    w_back = prep.apply_dagger(prep.state)
+    w_fail_copy = prep.apply_dagger(prep.tau_hat)
+    a_back, a_fail = complex(w_back[0, 0]), complex(w_fail_copy[0, 0])
+    back_fail = complex(np.vdot(w_back, w_fail_copy))
+    del w_back, w_fail_copy
     o_psi = complex(np.vdot(psi, theta_hat))
     gamma_a, delta_a = prep.gamma, prep.delta
 
@@ -149,7 +157,6 @@ def _structured_run(
     # junk state has no support on the success flag (tau_hat[0] = 0), but it
     # is computed honestly here.
     theta_on_fail = complex(np.tensordot(np.conj(theta_hat), fail_output, axes=1))
-    back_fail = complex(np.vdot(w_back, w_fail_copy))
     cross = weights[0] * fail_weight * theta_on_fail * back_fail ** (s - 1)
     norm_sq = sum(w * w for w in weights) + fail_weight**2 + 2.0 * cross.real
     gap_sq = norm_sq + 1.0 - 2.0 * target_overlap.real
@@ -166,7 +173,7 @@ def _structured_run(
         "psi7_gap": math.sqrt(max(0.0, psi7_sq)),
         "norm_sq": norm_sq,
         "copies": s,
-        "junk_uncompute_gap": float(np.linalg.norm(w_junk - e0)),
+        "junk_uncompute_gap": junk_uncompute_gap,
         "prep_deviation": float(np.linalg.norm(prep.state - prep.designed)),
         "error_2norm": error_2norm,
         "delta_nominal": delta_a,
@@ -277,9 +284,7 @@ def _dense_run(
 
     f_dim = rows * dim
     a_mat = np.zeros((f_dim, f_dim), dtype=np.complex128)
-    for col in range(f_dim):
-        basis = np.zeros((rows, dim), dtype=np.complex128)
-        basis[col // dim, col % dim] = 1.0
+    for col, basis in enumerate(np.eye(f_dim, dtype=np.complex128).reshape(f_dim, rows, dim)):
         a_mat[:, col] = prep.apply(basis).reshape(-1)
     h0, h1 = h
     g_mat = np.array([[h0, -h1], [h1, h0]], dtype=np.complex128)
@@ -287,11 +292,10 @@ def _dense_run(
     w_dag = w_mat.conj().T
     r0 = -np.eye(2 * f_dim, dtype=np.complex128)
     r0[0, 0] = 1.0
+    # The junk-flag reflection: -1 on the rotation qubit's |0> half off the
+    # success row.
     r_flag = np.eye(2 * f_dim, dtype=np.complex128)
-    for b in range(1, rows):
-        for a in range(dim):
-            idx = b * dim + a
-            r_flag[idx, idx] = -1.0
+    np.fill_diagonal(r_flag[dim:f_dim, dim:f_dim], -1.0)
 
     state = np.zeros(1 << total, dtype=np.complex128)
     state[0] = 1.0
@@ -422,7 +426,15 @@ def expand_structured(
     if sh["total"] > 22:
         raise ValueError(f"refusing {sh['total']}-qubit expansion")
     k_bits = (s - 1).bit_length()
-    weights, fail_weight, w_junk, w_back, w_fail_copy = _structured_branches(prep, h, s)
+    weights, fail_weight = _structured_branches(prep, s)
+
+    def padded(factor: np.ndarray) -> np.ndarray:
+        """A one-register factor of a copy with its rotation qubit at |0>, flat."""
+        return np.stack([factor, np.zeros_like(factor)]).reshape(-1)
+
+    w_junk = _junk_uncompute_image(prep, h).reshape(-1)
+    w_back = padded(prep.apply_dagger(prep.state))
+    w_fail_copy = padded(prep.apply_dagger(prep.tau_hat))
 
     l_mat = np.ones((1, 1))
     for q in range(k_bits):
@@ -434,9 +446,9 @@ def expand_structured(
             out = np.kron(out, part)
         return out
 
-    e_copy = _copy_e0(rows, dim).reshape(-1)
-    tau_stack = _stack_g0(prep.tau_hat).reshape(-1)
-    psi_eff_stack = _stack_g0(prep.state).reshape(-1)
+    e_copy = padded(prep.circuit.zero_state())
+    tau_stack = padded(prep.tau_hat)
+    psi_eff_stack = padded(prep.state)
     theta_hat = prep.theta_hat
     # The fail branch's joint (output, rotation, index, payload) factor for
     # copy 0: the routing swap moved the output's |0..0> into the payload
@@ -452,12 +464,12 @@ def expand_structured(
         kvec[k] = 1.0
         copies_ck = [tau_stack] * k + [e_copy] + [psi_eff_stack] * (s - 1 - k)
         checkpoint += weight * branch_vector(kvec, [theta_hat] + copies_ck)
-        copies_fin = [w_junk.reshape(-1)] * k + [e_copy] + [w_back.reshape(-1)] * (s - 1 - k)
+        copies_fin = [w_junk] * k + [e_copy] + [w_back] * (s - 1 - k)
         final += weight * branch_vector(l_mat.T @ kvec, [theta_hat] + copies_fin)
     kvec0 = np.zeros(s, dtype=np.complex128)
     kvec0[0] = 1.0
     checkpoint += fail_weight * branch_vector(kvec0, [fail_joint] + [tau_stack] * (s - 1))
     final += fail_weight * branch_vector(
-        l_mat.T @ kvec0, [fail_joint] + [w_fail_copy.reshape(-1)] * (s - 1)
+        l_mat.T @ kvec0, [fail_joint] + [w_fail_copy] * (s - 1)
     )
     return checkpoint, final

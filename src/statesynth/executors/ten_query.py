@@ -19,7 +19,7 @@ import numpy as np
 
 from ..numerics import PureState
 from ..synthesis import OracleSpec, SynthesisPlan, nominal_success_amplitude
-from .common import ExecutionReport, PreparedCircuit, ensure_plan
+from .common import ExecutionReport, PreparedCircuit, _reflect_about_lift, ensure_plan
 
 _TEN_QUERY_COUNT = 10
 
@@ -42,20 +42,22 @@ def run_ten_query(
     prep = PreparedCircuit(plan, oracle, ideal)
     g0 = lift / g
     g1 = math.sqrt(1.0 - g0 * g0)
-    theta = np.stack([g0 * prep.state, g1 * prep.state])
-    state = theta.copy()
+    # Two stacks over the rotation qubit: the state, reflected in place, and
+    # the scratch each reflection builds theta in.
+    state = np.stack([g0 * prep.state, g1 * prep.state])
+    scratch = np.empty_like(state)
     for _ in range(4):
         state[0, 0, :] *= -1.0
-        state = 2.0 * np.vdot(theta, state) * theta - state
-    n = plan.params.n
-    target = np.zeros_like(state)
-    target[0, 0, :] = plan.target.amps
-    total_qubits = 1 + prep.circuit.t_reg + n
-    final = PureState(total_qubits, state.reshape(-1))
+        _reflect_about_lift(prep.state, (g0, g1), state, scratch)
+    # The error against the target |0>|0..0>|psi>, taken in scratch: the
+    # difference is the state but for psi subtracted from its success row.
+    np.copyto(scratch, state)
+    scratch[0, 0, :] -= plan.target.amps
+    final = PureState(1 + prep.circuit.t_reg + plan.params.n, state.reshape(-1))
     # The ten queries XOR z into the description register an even number of
     # times (1 prepare + 2 per reflection + 1 uncompute), leaving it zero.
     return ExecutionReport(
         query_count=_TEN_QUERY_COUNT,
-        error_2norm=float(np.linalg.norm(state - target)),
+        error_2norm=float(np.linalg.norm(scratch)),
         output_pure=final,
     )

@@ -13,7 +13,6 @@ import gc
 import hashlib
 import itertools
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -942,18 +941,47 @@ def test_hash_circuit_outputs_pinned():
     assert h.hexdigest() == _HASH_CIRCUIT_DIGEST
 
 
-def test_four_query_memory_stays_per_register():
-    """The structured evaluator keeps per-register factors only: at 256 rows
-    x 64 amplitudes and s = 256 copies, a dense (2, rows, dim, dim) branch
-    tensor alone would take 32 MiB."""
-    psi = haar_random_state(6, 11)
-    plan = build_plan(psi, derive_params(6, 0.25), seed=1)
-    oracle = plan_to_oracle(plan)
-    tracemalloc.start()
-    try:
-        report = run_four_query(psi, 0.25, plan=plan, oracle=oracle)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.copies == 256
-    assert peak <= 16 << 20
+def _memory_case(strategy: str):
+    """The target, plan and oracle of an amplification memory case: the n = 6
+    Clifford plan that four-query runs with s = 256 copies (256 rows x 64
+    amplitudes), or the n = 8 hash plan of test_hash_circuit_outputs_pinned
+    (1024 rows x 256 amplitudes)."""
+    if strategy == "clifford":
+        psi = haar_random_state(6, 11)
+        plan = build_plan(psi, derive_params(6, EPS), seed=1)
+    else:
+        psi = haar_random_state(8, 48)
+        plan = build_plan(
+            psi, derive_hash_params(8, EPS, t_override=9), strategy="hash", seed=8
+        )
+    return psi, plan, plan_to_oracle(plan)
+
+
+@pytest.mark.parametrize(
+    ("driver", "strategy", "ideal", "copies", "registers"),
+    [
+        (run_four_query, "clifford", False, 256, 7),
+        (run_four_query, "hash", False, 4096, 6),
+        (run_four_query, "hash", True, 4096, 11),
+        (run_ten_query, "clifford", False, None, 5),
+        (run_ten_query, "clifford", True, None, 7),
+    ],
+    ids=["four-n6-s256", "four-hash-n8", "four-hash-n8-ideal", "ten-n6", "ten-n6-ideal"],
+)
+def test_amplification_memory_stays_per_register(driver, strategy, ideal, copies, registers):
+    """Four- and ten-query hold a few registers (R, one 2^t_reg x 2^n state)
+    beside the plan's cached A|0..0>, and no branch tensor: at s = 256
+    copies of a 256 x 64 register a dense (2, rows, dim, dim) one alone
+    would take 32 MiB.  Four-query peaks at 5-6 R (v, its scratch,
+    tau_hat and A^dagger's buffers) and ten-query at 4 R (the state and its
+    scratch); ideal mode adds designed and tau_hat, and for four-query the
+    ideal rotation's xi, g, xi_perp and buffers.  Zero-padded stacks peaked
+    near 11 R, 11 R, 15 R, 8 R and 10 R on these cases."""
+    psi, plan, oracle = _memory_case(strategy)
+    PostselectCircuit(plan, oracle).prepare()
+    register = (1 << plan.t_register) * (1 << plan.params.n) * 16
+    reports = []
+    call = functools.partial(driver, psi, EPS, ideal=ideal, plan=plan, oracle=oracle)
+    peak, _kept = traced_memory(lambda: reports.append(call()))
+    assert reports[0].copies == copies
+    assert peak <= registers * register
