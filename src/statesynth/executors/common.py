@@ -36,9 +36,12 @@ holds the pieces all constructions share: the actual state, its normalized
 junk direction tau_hat, the nominal amplitude gamma and
 delta = sqrt(1 - gamma^2).  In ideal mode the prepared state is
 the designed gamma |0..0>|psi> + delta |tau_hat>, and A is composed with a
-planar rotation that sends |0..0> to A^dagger of it (the one-row case of
-the hash steps' rotation layer), so the drivers see a genuine unitary that
-prepares the designed state.
+rotation that sends e0 = |0..0> to xi = A^dagger of it, so the drivers see
+a genuine unitary that prepares the designed state.  That rotation is
+PreparedCircuit's own, in closed form in the plane of e0 and xi: every
+product against e0 is a scalar, so it holds no e0 register, and it keeps
+xi alone beside the state, rebuilding its other frames per call.  The
+hash steps' rotation layer, _PlanarRotations, serves only the hash steps.
 """
 
 from __future__ import annotations
@@ -178,37 +181,20 @@ def _row_dots(u: np.ndarray, v: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.matmul(scratch[:, None, :], v[:, :, None])[:, :, 0]
 
 
-class _DenseRows:
-    """Frame rows held as one stacked (rows, d) complex array."""
-
-    #: Buffer slots that block() writes: none, it returns a view.
-    slots = 0
-
-    def __init__(self, array: np.ndarray) -> None:
-        self.array = array
-        self.shape = array.shape
-
-    def block(self, b: slice, spare) -> np.ndarray:
-        """Rows b: a view of the array, taking nothing from spare."""
-        return self.array[b]
-
-
 class _SignRows:
     """The sign states of the rows of a sign-bit table: each row's +-1
     signs times scale, the same product, cast to complex, that a dense array
     of them would hold."""
-
-    slots = 1
 
     def __init__(self, bits: np.ndarray, scale: float) -> None:
         self.bits = bits
         self.scale = scale
         self.shape = bits.shape
 
-    def block(self, b: slice, spare) -> np.ndarray:
-        """Rows b, written into the next buffer slot of spare and returned."""
+    def block(self, b: slice, out: np.ndarray) -> np.ndarray:
+        """Rows b, written into out and returned."""
         signs = cliff.signs_from_bits(self.bits[b])
-        return np.multiply(signs, self.scale, out=next(spare))
+        return np.multiply(signs, self.scale, out=out)
 
 
 class _SparseRows:
@@ -218,8 +204,6 @@ class _SparseRows:
     array and their values, row after row in one array each; starts[i] is
     where row i's entries begin."""
 
-    slots = 1
-
     def __init__(self, d: int, phases, supports, values) -> None:
         counts = [len(support) for support in supports]
         self.shape = (len(counts), d)
@@ -228,11 +212,10 @@ class _SparseRows:
         self.positions = np.repeat(np.arange(len(counts)) * d, counts) + np.concatenate(supports)
         self.values = np.concatenate(values)
 
-    def block(self, b: slice, spare) -> np.ndarray:
-        """Rows b, written into the next buffer slot of spare and returned:
-        zeros, then the support values, then the product with the phases,
-        as phase * state_vector() computes a row."""
-        out = next(spare)
+    def block(self, b: slice, out: np.ndarray) -> np.ndarray:
+        """Rows b, written into out and returned: zeros, then the support
+        values, then the product with the phases, as phase * state_vector()
+        computes a row."""
         lo, hi = self.starts[b.start], self.starts[b.stop]
         out.fill(0.0)
         flat = out.reshape(-1)
@@ -243,8 +226,7 @@ class _SparseRows:
 class _PlanarRotations:
     """A layer of rank-two unitaries on the rows of a state: row i takes the
     unit vector w[i] to xi[i], the queried sign state to a hash step's
-    state.  Ideal mode is the one-row case on the flattened register: |0..0>
-    to A^dagger |designed>.
+    state.
 
     The plane of row i is framed by (w, g) and its image by (xi, xi_perp),
     with g = (xi - c w) / s, xi_perp = s w - conj(c) g, c = <w, xi> and
@@ -252,23 +234,21 @@ class _PlanarRotations:
     frames swapped.  A row with xi = c w (s <= 1e-14) is degenerate: its
     map scales the w component by c, or by conj(c) for the inverse.
 
-    w and xi are row sources (_DenseRows, _SignRows, _SparseRows) of one
-    (rows, d) shape; a source's block(b, spare) takes its ``slots`` buffer
-    slots (1, or 0 for a view) from the iterator spare.  The layer stores
-    only c, s and the degenerate rows.  frames builds the four frames of a
-    block of rows into a buffer by the formulas above, and rotate applies
-    them to that block of the state in place: the circuit's pass does both
-    for each block, and ideal mode builds g and xi_perp once and keeps them.
-    Every formula is the one a single row would use, so neither stacking
-    nor blocking the rows moves a bit.
+    w is a _SignRows and xi a _SparseRows of one (rows, d) shape, each
+    building a block of its rows into a buffer slot.  The layer stores only
+    c, s and the degenerate rows.  frames builds the four frames of a block
+    of rows into a buffer by the formulas above, and rotate, which the
+    circuit's pass calls per block, rebuilds them so and applies them to
+    that block of the state in place.  Every formula is the one a single
+    row would use, so neither stacking nor blocking the rows moves a bit.
     """
 
-    def __init__(self, w, xi) -> None:
+    def __init__(self, w: _SignRows, xi: _SparseRows) -> None:
         self.w, self.xi = w, xi
         buf = self.buffer()
         c = np.empty((w.shape[0], 1), dtype=np.complex128)
         for b in _blocks(*w.shape):
-            c[b] = _row_dots(*self.sources(b, buf[3:]), buf[0][: b.stop - b.start])
+            c[b] = _row_dots(*self.sources(b, buf), buf[0][: b.stop - b.start])
         cs = c[:, 0].tolist()
         s = np.array([math.sqrt(max(0.0, 1.0 - abs(ci) ** 2)) for ci in cs])
         degenerate = s <= 1e-14
@@ -278,24 +258,21 @@ class _PlanarRotations:
         self.c = c
 
     def buffer(self) -> list[np.ndarray]:
-        """Room for one block's scratch, g and xi_perp, then for w and xi
-        where their sources build the rows rather than view them: separate
-        arrays, so that g and xi_perp can be kept without the rest."""
+        """Five slots of one block's rows: scratch, g, xi_perp, w and xi."""
         rows, d = self.w.shape
         shape = (min(rows, max(1, _BLOCK_AMPS // d)), d)
-        slots = 3 + self.w.slots + self.xi.slots
-        return [np.empty(shape, dtype=np.complex128) for _ in range(slots)]
+        return [np.empty(shape, dtype=np.complex128) for _ in range(5)]
 
-    def sources(self, b: slice, slots: list[np.ndarray]) -> tuple:
-        """(w, xi) of rows b, built in the given buffer slots."""
-        spare = iter([slot[: b.stop - b.start] for slot in slots])
-        return self.w.block(b, spare), self.xi.block(b, spare)
+    def sources(self, b: slice, buf: list[np.ndarray]) -> tuple:
+        """(w, xi) of rows b, built in the last two slots of buf."""
+        rows = b.stop - b.start
+        return self.w.block(b, buf[3][:rows]), self.xi.block(b, buf[4][:rows])
 
     def frames(self, b: slice, buf: list[np.ndarray]) -> tuple:
         """((w, g), (xi, xi_perp)) of rows b, rebuilt in buf (from buffer),
         whose first slot is left as scratch."""
         scratch, g, xi_perp = (slot[: b.stop - b.start] for slot in buf[:3])
-        w, xi = self.sources(b, buf[3:])
+        w, xi = self.sources(b, buf)
         np.multiply(self.c[b], w, out=g)
         np.subtract(xi, g, out=g)
         np.divide(g, self.s[b], out=g)
@@ -304,19 +281,18 @@ class _PlanarRotations:
         np.subtract(xi_perp, scratch, out=xi_perp)
         return (w, g), (xi, xi_perp)
 
-    def rotate(
-        self, v: np.ndarray, b: slice, frames: tuple, inverse: bool, scratch: np.ndarray
-    ) -> None:
+    def rotate(self, v: np.ndarray, b: slice, buf: list[np.ndarray], inverse: bool) -> None:
         """The layer (or its inverse) on v, rows b of a state, in place, by
-        the frames of those rows and through scratch, a buffer of at least
-        v's rows: each row v becomes v - a0 u0 - a1 u1 + a0 d0 + a1 d1, with
+        the frames of those rows, which it rebuilds in buf (from buffer):
+        each row v becomes v - a0 u0 - a1 u1 + a0 d0 + a1 d1, with
         a_i = <u_i, v>.  A degenerate row is then remade from its value
         before by its own map."""
         kept = [(i - b.start, c, v[i - b.start].copy())
                 for i, c in self.degenerate if b.start <= i < b.stop]
+        frames = self.frames(b, buf)
         w = frames[0][0]
         (u0, u1), (d0, d1) = frames[::-1] if inverse else frames
-        scratch = scratch[: len(v)]
+        scratch = buf[0][: len(v)]
         a0 = _row_dots(u0, v, scratch)
         a1 = _row_dots(u1, v, scratch)
         for a, u, op in ((a0, u0, np.subtract), (a1, u1, np.subtract),
@@ -385,7 +361,7 @@ class _PlanCircuit:
         """The step layer (or its inverse) on block, rows b of a state, in
         place; buf is the rotation layer's buffer, None for Clifford steps."""
         if self.rotations is not None:
-            self.rotations.rotate(block, b, self.rotations.frames(b, buf), invert, buf[0])
+            self.rotations.rotate(block, b, buf, invert)
         elif b.start in self._moved:
             rows, descs = self._moved[b.start]
             layer = self._layers.get((b.start, invert))
@@ -559,6 +535,46 @@ def ensure_plan(
     return plan, oracle
 
 
+#: e0 = |0..0> as its two kinds of entry: entry 0, and every other entry.
+_E0 = _read_only(np.array([1.0, 0.0], dtype=np.complex128))
+
+
+def _e0_dot(v: np.ndarray) -> np.complex128:
+    """<e0|v> for a flat state v, with np.vdot(e0, v)'s bits.  Every term
+    but conj(e0[0]) v[0] is an exact zero, so a nonzero part of v[0] comes
+    out unchanged; the dot sums its terms from +0.0, so a zero part comes
+    out +0.0, as adding +0.0 makes it."""
+    return v[0] + 0j
+
+
+def _e0_update(v: np.ndarray, a: complex, op) -> None:
+    """v <- op(v, a e0) for a flat state v, in place, with the bits of that
+    dense operation, -0.0 included: a e0 is a (1+0j) at entry 0 and
+    a (0+0j) everywhere else, so it is one scalar op over v and one entry
+    write, each product taken by the multiply a dense a e0 would use."""
+    at0, rest = np.multiply(a, _E0)
+    x0 = op(v[0], at0)
+    op(v, rest, out=v)
+    v[0] = x0
+
+
+def _plane_g(out: np.ndarray, xi: np.ndarray, c: complex, s: float) -> np.ndarray:
+    """g = (xi - c e0) / s of the plane of e0 and a flat xi, into out and
+    returned, by the formula and operand order of _PlanarRotations.frames."""
+    np.copyto(out, xi)
+    _e0_update(out, c, np.subtract)
+    return np.divide(out, s, out=out)
+
+
+def _plane_perp(g: np.ndarray, c: complex, s: float) -> np.ndarray:
+    """xi_perp = s e0 - conj(c) g in place of g, returned, by the formula
+    and operand order of _PlanarRotations.frames: conj(c) g, and then
+    _e0_update with the subtraction's operands swapped."""
+    np.multiply(np.conj(c), g, out=g)
+    _e0_update(g, s, lambda x, y, out=None: np.subtract(y, x, out=out))
+    return g
+
+
 class PreparedCircuit:
     """The plan's A and A^dagger, and A|0..0>, for one driver call.
 
@@ -574,6 +590,12 @@ class PreparedCircuit:
     state, the norm of its row 0 and that row normalized, or in ideal mode
     the designed state, gamma and the target psi.  circuit keeps counting
     the queries the driver applies next, through apply and apply_dagger.
+
+    In ideal mode apply rotates its input by _ideal_rotation, which sends
+    e0 = |0..0> to xi = A^dagger |designed>, and then applies A, so that A
+    takes e0 to the designed state; apply_dagger undoes both.  Beside
+    the prepared register that mode holds designed, tau_hat and xi, one
+    register each, and c alone in place of xi on a degenerate plane.
     """
 
     def __init__(self, plan: SynthesisPlan, oracle: OracleSpec, ideal: bool = False) -> None:
@@ -618,36 +640,70 @@ class PreparedCircuit:
 
     @cached_property
     def _ideal_rotation(self) -> tuple:
-        """|0..0> -> A^dagger |designed>, so that A after it prepares the
-        designed state: one row over the flattened register, with its frames
-        g and xi_perp, built once.  Its construction applies A^dagger once."""
-        xi = self.circuit.apply_dagger(self.designed).reshape(1, -1)
-        e0 = _SparseRows(xi.shape[1], [1.0], [[0]], [[1.0]])
-        rotation = _PlanarRotations(e0, _DenseRows(xi))
-        (_, g), (_, xi_perp) = rotation.frames(slice(0, 1), rotation.buffer())
-        return rotation, g, xi_perp
+        """The rotation in the plane of e0 = |0..0> and xi = A^dagger
+        |designed> that sends e0 to xi, so that A after it prepares the
+        designed state: (c, s, xi), xi flat, c = <e0|xi> and
+        s = sqrt(max(0, 1 - |c|^2)); a degenerate plane (s <= 1e-14,
+        xi = c e0) keeps only c, as (c, None, None).  Built once; it applies
+        A^dagger once."""
+        xi = self.circuit.apply_dagger(self.designed).reshape(-1)
+        c = complex(_e0_dot(xi))
+        s = math.sqrt(max(0.0, 1.0 - abs(c) ** 2))
+        return (c, None, None) if s <= 1e-14 else (c, s, xi)
 
     def _rotate(self, flat: np.ndarray, inverse: bool) -> None:
-        """The ideal-mode rotation (or its inverse) on a (1, rows 2^n) view
-        of a state, in place.  w = e0 is made for the call, not kept."""
-        rotation, g, xi_perp = self._ideal_rotation
-        row = slice(0, 1)
-        w, xi = rotation.sources(row, [np.empty_like(g)])
-        rotation.rotate(flat, row, ((w, g), (xi, xi_perp)), inverse, np.empty_like(g))
+        """The ideal-mode rotation (or its inverse) on a flat state, in
+        place: v - a0 u0 - a1 u1 + a0 d0 + a1 d1 with a_i = <u_i|v>, through
+        the frames (u0, u1) = (e0, g) and (d0, d1) = (xi, xi_perp), swapped
+        for the inverse, as _PlanarRotations.rotate maps a row; on a
+        degenerate plane v + <e0|v> (c - 1) e0, with conj(c) for the inverse.
+
+        The terms are taken in that order, each over the whole register: one
+        against e0 by _e0_update, any other a block of _BLOCK_AMPS
+        amplitudes at a time through one scratch of that size, which is
+        elementwise and so moves no bit.  g and xi_perp are rebuilt per call
+        in one register, g for the forward map's first product and xi_perp
+        for the inverse's second, and then turned into the other frame, so
+        that the rotation keeps only xi beside the state."""
+        c, s, xi = self._ideal_rotation
+        if xi is None:
+            _e0_update(flat, _e0_dot(flat) * ((np.conj(c) if inverse else c) - 1.0), np.add)
+            return
+        scratch = np.empty(min(flat.size, _BLOCK_AMPS), dtype=np.complex128)
+
+        def add(a, u, op):
+            if u is None:
+                return _e0_update(flat, a, op)
+            for lo in range(0, flat.size, _BLOCK_AMPS):
+                part = flat[lo : lo + _BLOCK_AMPS]
+                term = np.multiply(a, u[lo : lo + _BLOCK_AMPS], out=scratch[: part.size])
+                op(part, term, out=part)
+
+        frame = _plane_g(np.empty_like(flat), xi, c, s)
+        if inverse:
+            _plane_perp(frame, c, s)
+        u0, d0 = (xi, None) if inverse else (None, xi)
+        a0 = _e0_dot(flat) if u0 is None else np.vdot(u0, flat)
+        a1 = np.vdot(frame, flat)
+        add(a0, u0, np.subtract)
+        add(a1, frame, np.subtract)
+        add(a0, d0, np.add)
+        # frame turns from u1 into d1: g into xi_perp, or xi_perp into g.
+        add(a1, _plane_g(frame, xi, c, s) if inverse else _plane_perp(frame, c, s), np.add)
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         """A |state>, A composed with the ideal-mode rotation in ideal mode."""
         if not self.ideal:
             return self.circuit.apply(state)
         # One copy: A runs in place on the rotated copy, as in apply_dagger.
-        flat = state.reshape(1, -1).copy()
-        self._rotate(flat, inverse=False)
-        return self.circuit._forward(flat.reshape(state.shape))
+        state = state.copy()
+        self._rotate(state.reshape(-1), inverse=False)
+        return self.circuit._forward(state)
 
     def apply_dagger(self, state: np.ndarray) -> np.ndarray:
         """A^dagger |state>, the exact inverse of apply."""
         state = self.circuit.apply_dagger(state)
         if self.ideal:
             # The circuit's output is a fresh array: rotate it in place.
-            self._rotate(state.reshape(1, -1), inverse=True)
+            self._rotate(state.reshape(-1), inverse=True)
         return state

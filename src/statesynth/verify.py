@@ -28,7 +28,8 @@ from .executors import (
     run_postselect,
     run_ten_query,
 )
-from .executors.four_query import expand_structured, four_query_diagnostics
+from .executors import four_query
+from .executors.four_query import expand_structured
 from .geometry import (
     GeometryQuery,
     cap_fraction,
@@ -376,7 +377,11 @@ def _suite_executors(instances: int, seed: int) -> list[CheckResult]:
             abs(float(np.real(np.trace(one.output_reduced.entries))) - 1.0) <= 1e-9,
         )
 
-        diag = four_query_diagnostics(psi, eps, plan=plan, oracle=oracle)
+        # One exact structured four-query evaluation gives the report and
+        # the diagnostics that run_four_query and four_query_diagnostics each
+        # take from it.
+        setup = four_query._setup(psi, eps, False, None, plan, oracle)
+        four, diag = four_query._structured_run(*setup)
         dev = diag["prep_deviation"]
 
         ten = run_ten_query(psi, eps, plan=plan, oracle=oracle)
@@ -395,7 +400,6 @@ def _suite_executors(instances: int, seed: int) -> list[CheckResult]:
             f"measured {gap} > bound {query_substitution_bound(10, dev)}",
         )
 
-        four = run_four_query(psi, eps, plan=plan, oracle=oracle)
         rec.record("four-query-count", four.query_count == 4)
         rec.record(
             "four-query-branch-norm",
