@@ -36,19 +36,21 @@ round, parses it, then restores the state and draws again just the digits
 it used.  Either way the values, and on a Generator the stream state, are
 those of a sampler drawing round by round, and equal seeds give equal
 descriptions.  `f2linalg.invertible_pair` accepts or rejects each candidate,
-so a sampled description skips the constructor's check.  A layer whose rows
-all hold one description (so every one-description layer) compiles that one
-row, whose ops broadcast over the others, and each round takes a short
-branch: the set H bits, one P row, one CNOT index map.  Up to n = 3 a P
-row's S-power table and a CNOT index map come from memos of read-only
-arrays.
+so a sampled description skips the constructor's check.  Each interned round
+is compiled and serialized once: a memo keyed by the round's identity holds
+its op in each direction (its set H qubits, its read-only P phase factors, or
+its CNOT index map from the matrix-keyed memo of read-only maps) and its
+bytes, each made on first use.  So a one-description layer over interned
+rounds is a list of memoized ops, and its serialized form a join of memoized
+bytes.  Every other round (from n = 4 on, or built by `desc_from_bytes` or a
+constructor) goes through the same per-round functions and is kept nowhere.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,12 +255,64 @@ def _index_map(m: F2Matrix) -> np.ndarray:
 
 #: Up to n = 3 the memos hold every P row, 2 (4 + 16 + 64), and every CNOT
 #: index map, one per element of GL_1, GL_2 and GL_3 over F2 (1 + 6 + 168),
-#: and the searches' one-description layers compile the same rows again and
-#: again; from n = 4 on the rows seldom recur, so larger n skips them.  The
-#: arrays are shared by every layer that compiles them, hence read-only.
+#: and layers compile the same rows again and again; from n = 4 on the rows
+#: seldom recur, so larger n skips them.  The arrays are shared by every
+#: layer that compiles them, hence read-only.
 _MEMO_MAX_N = 3
 _memo_phase_row = functools.lru_cache(maxsize=2 * (4 + 16 + 64))(_phase_row)
 _memo_index_map = functools.lru_cache(maxsize=1 + 6 + 168)(_index_map)
+
+#: Ids of the rounds `_Rounds` interns (up to n = 3).  Its tables live as
+#: long as the process, so such an id names one round for good.
+_interned: set[int] = set()
+#: Per interned round, made on first use: its op in each direction, by
+#: (id, invert), at most 2 (14 + 84 + 175) of them up to n = 3, and its bytes,
+#: by (id,).
+_round_ops: dict[tuple[int, bool], tuple] = {}
+_round_bytes: dict[tuple[int], bytes] = {}
+
+
+def _per_round(rounds: Iterable[Round], n: int, make, memo: dict, *args) -> list:
+    """make(rnd, *args) of each round, kept in memo under (id(rnd), *args)
+    when the round is interned."""
+    if n > _MEMO_MAX_N:
+        return [make(rnd, *args) for rnd in rounds]
+    out = []
+    for rnd in rounds:
+        key = (id(rnd), *args)
+        value = memo.get(key)
+        if value is None:
+            value = make(rnd, *args)
+            if key[0] in _interned:
+                memo[key] = value
+        out.append(value)
+    return out
+
+
+@functools.cache
+def _eye_rows(n: int) -> tuple[int, ...]:
+    return tuple(1 << c for c in range(n))
+
+
+def _compile_round(rnd: Round, invert: bool) -> tuple:
+    """The op of one round on one row, () for a round that moves no row:
+    ("H", [(qubit, None), ...]) for the set H bits, ("P", factors) with the
+    (1, 2^n) read-only phase factors of the row's S-power table, or
+    ("C", index) with the index map of the matrix the row gathers through."""
+    if isinstance(rnd, HRound):
+        qubits = [(i, None) for i, b in enumerate(rnd.bits) if b]
+        return ("H", qubits) if qubits else ()
+    if isinstance(rnd, PRound):
+        if not any(rnd.digits):
+            return ()
+        phase_row = _memo_phase_row if len(rnd.digits) <= _MEMO_MAX_N else _phase_row
+        factors = _PHASES[phase_row(rnd.digits, invert)[None, :]]
+        factors.flags.writeable = False
+        return ("P", factors)
+    m = rnd.m if invert else rnd.m_inv
+    if m.row_bits == _eye_rows(m.rows):
+        return ()
+    return ("C", (_memo_index_map if m.rows <= _MEMO_MAX_N else _index_map)(m))
 
 
 def _butterfly(amps: np.ndarray, n: int, i: int, rows: np.ndarray | None) -> None:
@@ -289,11 +343,18 @@ class CliffordLayer:
     Row r of a (k, 2^n) array moves by description r, or by its inverse when
     compiled with invert=True (rounds in written order, P digits negated mod
     4, each C round gathering through the opposite matrix).  H rounds are
-    butterflies on the rows whose bit is set, P rounds multiply by a per-row
-    table of S-power digits (int8), and C rounds gather every row through
-    `f2linalg.apply_to_all` of its matrix at once: out[Mx] = amps[x] is
-    out[y] = amps[M^-1 y].  Every factor is an exact unit and every gather a
-    permutation, so a row's values do not depend on the batch it is in.
+    butterflies on the rows whose bit is set, P rounds multiply by per-row
+    phase factors, read off a table of S-power digits, and C rounds gather
+    every row through `f2linalg.apply_to_all` of its matrix at once:
+    out[Mx] = amps[x] is out[y] = amps[M^-1 y].  Every factor is an exact
+    unit and every gather a permutation, so a row's values do not depend on
+    the batch it is in.  A layer whose rows all hold one description (always
+    when k = 1) is that description's list of per-round ops, which broadcast
+    over the rows: each is compiled by `_compile_round`, once per direction
+    for an interned round, whose op the round memo keeps, and a P op holds
+    its phase factors.  Other layers compile each round over all their rows,
+    and their P ops ("S") hold the int8 S-power tables, one byte an entry
+    in the layers a circuit keeps, whose factors are looked up per call.
     """
 
     def __init__(self, descs: Sequence[CliffordDesc], invert: bool = False) -> None:
@@ -303,50 +364,32 @@ class CliffordLayer:
         k = len(descs)
         self.n = n
         self.k = k
-        eye = tuple(1 << c for c in range(n))
-        no_phase = (0,) * n
-        phase_row = _memo_phase_row if n <= _MEMO_MAX_N else _phase_row
-        index_map = _memo_index_map if n <= _MEMO_MAX_N else _index_map
-        # Index maps by matrix rows, so a repeated matrix is mapped once.
-        images: dict[tuple[int, ...], np.ndarray] = {}
-        last = len(ROUND_PATTERN) - 1
-        ops: list[tuple[str, object]] = []
-        # A layer whose rows all hold one description (always when k = 1)
-        # compiles that one row, whose ops broadcast over the others, and
-        # each of its rounds takes the short branch.
-        one_row = all(d is descs[0] for d in descs)
-        for pos in range(last + 1) if invert else range(last, -1, -1):
-            kind = ROUND_PATTERN[pos]
-            if one_row:
-                rnd = descs[0].rounds[pos]
-            else:
-                rounds = [d.rounds[pos] for d in descs]
-            # Rounds that leave every row as it is compile to nothing.
-            if kind == "H":
-                if one_row:
-                    qubits = [(i, None) for i, b in enumerate(rnd.bits) if b]
-                else:
+        if all(d is descs[0] for d in descs):
+            rounds = descs[0].rounds if invert else reversed(descs[0].rounds)
+            ops = [op for op in _per_round(rounds, n, _compile_round, _round_ops, invert) if op]
+        else:
+            eye = _eye_rows(n)
+            no_phase = (0,) * n
+            phase_row = _memo_phase_row if n <= _MEMO_MAX_N else _phase_row
+            index_map = _memo_index_map if n <= _MEMO_MAX_N else _index_map
+            # Index maps by matrix rows, so a repeated matrix is mapped once.
+            images: dict[tuple[int, ...], np.ndarray] = {}
+            ops = []
+            columns = list(zip(ROUND_PATTERN, *[d.rounds for d in descs]))
+            for kind, *rounds in columns if invert else reversed(columns):
+                # Rounds that leave every row as it is compile to nothing.
+                if kind == "H":
                     qubits = []
                     for i, column in enumerate(zip(*[r.bits for r in rounds])):
                         hits = k - column.count(0)
                         if hits:
                             qubits.append((i, None if hits == k else np.flatnonzero(column)))
-                if qubits:
-                    ops.append(("H", qubits))
-            elif kind == "P":
-                if one_row:
-                    if rnd.digits != no_phase:
-                        ops.append(("P", phase_row(rnd.digits, invert)[None, :]))
-                else:
+                    if qubits:
+                        ops.append(("H", qubits))
+                elif kind == "P":
                     digits = [r.digits for r in rounds]
                     if digits.count(no_phase) < k:
-                        ops.append(("P", np.array([phase_row(d, invert) for d in digits])))
-            else:
-                if one_row:
-                    m = rnd.m if invert else rnd.m_inv
-                    if m.row_bits == eye:
-                        continue
-                    index = index_map(m)
+                        ops.append(("S", np.array([phase_row(d, invert) for d in digits])))
                 else:
                     mats = [r.m if invert else r.m_inv for r in rounds]
                     keys = [m.row_bits for m in mats]
@@ -355,12 +398,12 @@ class CliffordLayer:
                     for key, m in zip(keys, mats):
                         if key not in images:
                             images[key] = index_map(m)
-                    index = np.array([images[key] for key in keys])
-                if k > 1:
-                    # Flat indices into the (k, 2^n) array: row r starts at
-                    # r 2^n (a one-row map broadcasts over the k rows).
-                    index = index + (np.arange(k) << n)[:, None]
-                ops.append(("C", index.reshape(-1)))
+                    ops.append(("C", np.array([images[key] for key in keys])))
+        if k > 1:
+            # Flat indices into the (k, 2^n) array: row r starts at r 2^n (a
+            # one-row map broadcasts over the k rows).
+            rows = (np.arange(k) << n)[:, None]
+            ops = [(kind, (data + rows).reshape(-1) if kind == "C" else data) for kind, data in ops]
         self._ops = ops
 
     def __call__(self, amps: np.ndarray) -> np.ndarray:
@@ -373,6 +416,8 @@ class CliffordLayer:
                 for i, rows in data:
                     _butterfly(work, self.n, i, rows)
             elif kind == "P":
+                work *= data
+            elif kind == "S":
                 work *= _PHASES[data]
             else:
                 work = work.reshape(-1)[data].reshape(work.shape)
@@ -419,7 +464,12 @@ class _Rounds(dict):
         self.build, self.keep = build, keep
 
     def __missing__(self, key: int | tuple[int, ...]) -> Round | None:
-        return self.setdefault(key, self.build(key)) if self.keep else self.build(key)
+        rnd = self.build(key)
+        if self.keep:
+            self[key] = rnd
+            if rnd is not None:
+                _interned.add(id(rnd))
+        return rnd
 
 
 @functools.cache
@@ -629,30 +679,26 @@ def find_overlap_clifford(
 
 def desc_to_bytes(d: CliffordDesc) -> bytes:
     """Serialize: rounds in order; H-round n bits LSB-first, P-round n 2-bit
-    digits LSB-first, C-round M then M^-1 in the matrix format."""
+    digits LSB-first, C-round M then M^-1 in the matrix format.  Each round's
+    bytes come from `_round_to_bytes`, once for an interned round."""
     if d is identity_desc(d.n):
         return _identity_bytes(d.n)
-    return _rounds_to_bytes(d)
+    return b"".join(_per_round(d.rounds, d.n, _round_to_bytes, _round_bytes))
 
 
 @functools.lru_cache(maxsize=None)
 def _identity_bytes(n: int) -> bytes:
-    return _rounds_to_bytes(identity_desc(n))
+    return b"".join(map(_round_to_bytes, identity_desc(n).rounds))
 
 
-def _rounds_to_bytes(d: CliffordDesc) -> bytes:
-    out = bytearray()
-    for rnd in d.rounds:
-        if isinstance(rnd, HRound):
-            acc = sum(bit << i for i, bit in enumerate(rnd.bits))
-            out += acc.to_bytes((d.n + 7) // 8, "little")
-        elif isinstance(rnd, PRound):
-            acc = sum((digit & 3) << (2 * i) for i, digit in enumerate(rnd.digits))
-            out += acc.to_bytes((2 * d.n + 7) // 8, "little")
-        else:
-            out += rnd.m.to_bytes()
-            out += rnd.m_inv.to_bytes()
-    return bytes(out)
+def _round_to_bytes(rnd: Round) -> bytes:
+    if isinstance(rnd, HRound):
+        acc = sum(bit << i for i, bit in enumerate(rnd.bits))
+        return acc.to_bytes((len(rnd.bits) + 7) // 8, "little")
+    if isinstance(rnd, PRound):
+        acc = sum((digit & 3) << (2 * i) for i, digit in enumerate(rnd.digits))
+        return acc.to_bytes((2 * len(rnd.digits) + 7) // 8, "little")
+    return rnd.m.to_bytes() + rnd.m_inv.to_bytes()
 
 
 def desc_from_bytes(data: bytes, offset: int, n: int) -> tuple[CliffordDesc, int]:

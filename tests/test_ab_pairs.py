@@ -122,3 +122,38 @@ def test_read_bounds_from_the_base_checkout(tmp_path):
     assert ab_pairs.read_bounds(tmp_path) == {"wall_s": 0.25, "peak_rss_mb": 0.1}
     repo = Path(__file__).resolve().parent.parent
     assert ab_pairs.read_bounds(repo)["wall_s"] > 0
+
+
+def test_bench_out_records_each_workload_once(tmp_path):
+    base = [1.00, 1.02, 0.98, 1.01, 0.99, 1.03, 0.97, 1.00, 1.02, 0.98]
+    change = [b - 0.2 for b in base]
+    rows = ab_pairs.summarize(_pairs(base, change), {"wall_s": 0.25})
+    record = ab_pairs.bench_record("small-n", 0, 32, rows)
+    assert (record["workload"], record["seed"], record["seconds"], record["pairs"]) == (
+        "small-n", 0, 32, 10)
+    assert record["python"].count(".") == 2 and record["numpy"]
+    wall = record["metrics"]["wall_s"]
+    assert wall["unit"] == "s" and wall["verdict"] == "gain" and wall["won"] == 10
+    # Per-pair values as the runs printed them (six significant digits).
+    assert wall["base"]["values"] == base
+    assert wall["change"]["values"] == pytest.approx(change, abs=1e-6)
+    q1, median, q3 = ab_pairs._quartiles(base)
+    assert (wall["base"]["q1"], wall["base"]["median"], wall["base"]["q3"]) == (q1, median, q3)
+    assert wall["change"]["median"] == pytest.approx(median - 0.2)
+    assert wall["rel"] == pytest.approx(-0.2 / median)
+    assert record["metrics"]["plan_s"]["verdict"] == ""
+    # A second workload is added; the same workload and seed again replaces
+    # its record, and another seed is its own record.
+    path = tmp_path / "BENCH_test.json"
+    ab_pairs.write_bench(path, record)
+    hash_rows = ab_pairs.summarize(_pairs(base, base), {"wall_s": 0.25})
+    ab_pairs.write_bench(path, ab_pairs.bench_record("hash", 0, 32, hash_rows))
+    again = ab_pairs.bench_record("small-n", 0, 8, rows)
+    ab_pairs.write_bench(path, again)
+    ab_pairs.write_bench(path, ab_pairs.bench_record("small-n", 7919, 32, rows))
+    runs = json.loads(path.read_text())["runs"]
+    assert [(r["workload"], r["seed"], r["seconds"]) for r in runs] == [
+        ("hash", 0, 32), ("small-n", 0, 8), ("small-n", 7919, 32)]
+    assert runs[0]["metrics"]["wall_s"]["won"] == 0
+    assert runs[0]["metrics"]["wall_s"]["verdict"] == "within bound"
+    assert ab_pairs.bench_record("hash", 0, 32, [])["pairs"] == 0

@@ -152,7 +152,9 @@ def test_all_row_butterfly_matches_reference_bit_for_bit():
 def _layer_ops_reference(descs, invert: bool) -> list:
     """The ops of `CliffordLayer(descs, invert)`, compiled by the one loop it
     used before one-row layers took a short branch: every round builds per-row
-    lists and stacks them, with no memo of index maps."""
+    lists and stacks them, with no memo of index maps.  A one-row layer's P
+    ops hold the phase factors `_PHASES[table]`, other layers' ("S") the
+    S-power tables."""
     n = descs[0].n
     k = len(descs)
     eye = tuple(1 << c for c in range(n))
@@ -177,7 +179,8 @@ def _layer_ops_reference(descs, invert: bool) -> list:
         elif kind == "P":
             digits = [r.digits for r in rounds]
             if digits.count(no_phase) < rows:
-                ops.append(("P", np.array([clifford._phase_row(d, invert) for d in digits])))
+                table = np.array([clifford._phase_row(d, invert) for d in digits])
+                ops.append(("P", clifford._PHASES[table]) if rows == 1 else ("S", table))
         else:
             mats = [r.m if invert else r.m_inv for r in rounds]
             keys = [m.row_bits for m in mats]
@@ -256,6 +259,8 @@ def test_index_map_memo_stops_at_n3():
         assert _index_memo_lookups() > before
         assert not clifford._memo_index_map(m).flags.writeable
         assert not clifford._memo_phase_row((1,) * n, False).flags.writeable
+        p = next(r for r in d.rounds if isinstance(r, PRound) and any(r.digits))
+        assert not clifford._round_ops[id(p), False][1].flags.writeable
     for n in (4, 6):
         d, e = random_clifford(n, 5), random_clifford(n, 6)
         before = _index_memo_lookups()
@@ -263,6 +268,56 @@ def test_index_map_memo_stops_at_n3():
             for invert in (False, True):
                 clifford.CliffordLayer(descs, invert)
         assert _index_memo_lookups() == before
+
+
+def _interned_round_count() -> int:
+    return sum(r is not None for n in (1, 2, 3)
+               for table in clifford._sampling(n)[3:] for r in table.values())
+
+
+def test_round_memo_keeps_interned_rounds_only():
+    # Rounds equal in value to the interned ones but parsed back from bytes
+    # give the same layer bits and bytes, and neither enters the memo; the
+    # interned rounds' ops and bytes do, and every memoized array is
+    # read-only.
+    for n in (1, 2, 3):
+        rng = substream(n, "test-round-memo")
+        for _ in range(20):
+            d = random_clifford_from(rng, n)
+            e, _ = desc_from_bytes(desc_to_bytes(d), 0, n)
+            assert e == d
+            amps = rng.standard_normal((1, 1 << n)) + 1j * rng.standard_normal((1, 1 << n))
+            for invert in (False, True):
+                got = clifford.CliffordLayer([e], invert)(amps)
+                want = clifford.CliffordLayer([d], invert)(amps)
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, invert)
+                assert all((id(r), invert) in clifford._round_ops for r in d.rounds)
+                assert all((id(r), invert) not in clifford._round_ops for r in e.rounds)
+            assert desc_to_bytes(e) == desc_to_bytes(d)
+            assert all((id(r),) in clifford._round_bytes for r in d.rounds)
+            assert all((id(r),) not in clifford._round_bytes for r in e.rounds)
+            assert not any(id(r) in clifford._interned for r in e.rounds)
+    for op in clifford._round_ops.values():
+        if op and op[0] != "H":
+            assert not op[1].flags.writeable
+
+
+def test_round_memo_after_the_small_n_plans_stays_small():
+    # The six small-n benchmark targets (n 1-3, eps 0.1 and 0.01, seed 0),
+    # planned, serialized and run once: at most one op per direction of
+    # each interned round, and one bytes entry per round.
+    from statesynth import executors, synthesis
+
+    for i, (n, eps) in enumerate((n, eps) for n in (1, 2, 3) for eps in (0.1, 0.01)):
+        rng = np.random.default_rng([0, i])
+        amps = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+        psi = PureState(n, amps / np.linalg.norm(amps))
+        plan = synthesis.build_plan(psi, synthesis.derive_params(n, eps),
+                                    seed=int(rng.integers(2**31)))
+        executors.run_postselect(plan, synthesis.plan_to_oracle(plan))
+    interned = _interned_round_count()
+    assert len(clifford._round_ops) <= 2 * interned <= 2 * (14 + 84 + 175)
+    assert len(clifford._round_bytes) <= interned
 
 
 def test_to_matrix_gate_constants():
@@ -644,6 +699,39 @@ def test_description_serialization_roundtrip():
             assert consumed == len(blob)
             assert desc_to_bytes(back) == blob
             assert back == d
+
+
+def _desc_bytes_reference(d: CliffordDesc) -> bytes:
+    """The serialized description written out round by round: an H round's
+    bits and a P round's 2-bit digits LSB-first in whole bytes, a C round
+    M then M^-1, each as rows and cols (u16 LE) and its row-major bits
+    LSB-first."""
+    out = bytearray()
+    for rnd in d.rounds:
+        if isinstance(rnd, HRound):
+            acc = sum(bit << i for i, bit in enumerate(rnd.bits))
+            out += acc.to_bytes((d.n + 7) // 8, "little")
+        elif isinstance(rnd, PRound):
+            acc = sum(digit << (2 * i) for i, digit in enumerate(rnd.digits))
+            out += acc.to_bytes((2 * d.n + 7) // 8, "little")
+        else:
+            for m in (rnd.m, rnd.m_inv):
+                acc = sum(bits << (r * d.n) for r, bits in enumerate(m.row_bits))
+                out += d.n.to_bytes(2, "little") * 2 + acc.to_bytes((d.n * d.n + 7) // 8, "little")
+    return bytes(out)
+
+
+def test_desc_to_bytes_matches_per_round_reference():
+    # Interned rounds (n <= 3) serialize from the memo, the rest afresh;
+    # both give the reference bytes, as do the parsed-back copies.
+    for n in (1, 2, 3, 4):
+        assert desc_to_bytes(identity_desc(n)) == _desc_bytes_reference(identity_desc(n))
+        rng = substream(n, "test-desc-bytes")
+        for _ in range(260):
+            d = random_clifford_from(rng, n)
+            want = _desc_bytes_reference(d)
+            assert desc_to_bytes(d) == want
+            assert desc_to_bytes(desc_from_bytes(want, 0, n)[0]) == want
 
 
 def test_round_pattern_is_fixed():

@@ -26,14 +26,23 @@ verdict:
 A run that fails or prints `"correct": false` is reported and stops the
 script.
 
+With `--bench-out PATH` the script also records the run in the JSON file
+PATH (a `BENCH_*.json`): under "runs", one record per workload and seed,
+which replaces a record of the same workload and seed and keeps the others.
+A record holds the workload, seed, seconds and pair count, the Python and
+numpy versions, and per metric its unit, each side's per-pair values,
+median and quartiles, the relative change, the pairs won and the verdict.
+
 Standard library only; it reads the runs' output and BENCHMARK.json and
-changes no file.
+writes no file but PATH.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
+import platform
 import statistics
 import subprocess
 import sys
@@ -116,6 +125,8 @@ def summarize(pairs: list[tuple[dict, dict]], bounds: dict[str, float] | None = 
             "unit": pairs[0][0][name][1],
             "base": bq,
             "change": cq,
+            "base_values": base,
+            "change_values": change,
             "rel": (cq[1] - bq[1]) / bq[1] if bq[1] else 0.0,
             "won": sum(c < b for b, c in zip(base, change)),
             "pairs": len(pairs),
@@ -137,6 +148,32 @@ def format_rows(rows: list[dict]) -> str:
     return "\n".join(out)
 
 
+def bench_record(workload: str, seed: int, seconds: int, rows: list[dict]) -> dict:
+    """One A/B run as a BENCH_*.json record (see the module docstring)."""
+    try:
+        numpy = importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:
+        numpy = None
+    metrics = {}
+    for r in rows:
+        sides = {side: {"values": r[f"{side}_values"], "q1": r[side][0],
+                        "median": r[side][1], "q3": r[side][2]} for side in ("base", "change")}
+        metrics[r["metric"]] = {"unit": r["unit"], **sides, "rel": r["rel"], "won": r["won"],
+                                "verdict": r["verdict"]}
+    return {"workload": workload, "seed": seed, "seconds": seconds,
+            "pairs": rows[0]["pairs"] if rows else 0, "python": platform.python_version(),
+            "numpy": numpy, "metrics": metrics}
+
+
+def write_bench(path: Path, record: dict) -> None:
+    """Put `record` into the BENCH file at `path`, in place of a record of
+    the same workload and seed."""
+    runs = json.loads(path.read_text())["runs"] if path.is_file() else []
+    same = (record["workload"], record["seed"])
+    runs = [r for r in runs if (r["workload"], r["seed"]) != same] + [record]
+    path.write_text(json.dumps({"runs": runs}, indent=1) + "\n")
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -154,6 +191,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=int, default=32)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--bench-out", type=Path, help="BENCH_*.json file to record the run in")
     args = parser.parse_args(argv)
     args.base, args.change = args.base.resolve(), args.change.resolve()
     pairs = []
@@ -165,7 +203,10 @@ def main(argv: list[str] | None = None) -> int:
               f"{got[args.change]['wall_s'][0]:.4g}", flush=True)
     print(f"# {args.workload} seed {args.seed}, {len(pairs)} pairs, "
           f"base {args.base}, change {args.change}")
-    print(format_rows(summarize(pairs, read_bounds(args.base))))
+    rows = summarize(pairs, read_bounds(args.base))
+    print(format_rows(rows))
+    if args.bench_out is not None:
+        write_bench(args.bench_out, bench_record(args.workload, args.seed, args.seconds, rows))
     return 0
 
 
