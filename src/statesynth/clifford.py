@@ -37,13 +37,14 @@ it used.  Either way the values, and on a Generator the stream state, are
 those of a sampler drawing round by round, and equal seeds give equal
 descriptions.  `f2linalg.invertible_pair` accepts or rejects each candidate,
 so a sampled description skips the constructor's check.  Each interned round
-is compiled and serialized once: a memo keyed by the round's identity holds
-its op in each direction (its set H qubits, its read-only P phase factors, or
-its CNOT index map from the matrix-keyed memo of read-only maps) and its
-bytes, each made on first use.  So a one-description layer over interned
-rounds is a list of memoized ops, and its serialized form a join of memoized
-bytes.  Every other round (from n = 4 on, or built by `desc_from_bytes` or a
-constructor) goes through the same per-round functions and is kept nowhere.
+is compiled and serialized once: a memo that the round carries holds its op
+in each direction (its set H qubits, its read-only P phase factors, or its
+CNOT index map from the matrix-keyed memo of read-only maps) and its bytes,
+each made on first use.  So a one-description layer over interned rounds is
+a list of memoized ops, and its serialized form a join of memoized bytes.
+Every other round (from n = 4 on, or built by `desc_from_bytes` or a
+constructor) carries no memo and goes through the same per-round functions
+afresh.
 """
 
 from __future__ import annotations
@@ -262,30 +263,27 @@ _MEMO_MAX_N = 3
 _memo_phase_row = functools.lru_cache(maxsize=2 * (4 + 16 + 64))(_phase_row)
 _memo_index_map = functools.lru_cache(maxsize=1 + 6 + 168)(_index_map)
 
-#: Ids of the rounds `_Rounds` interns (up to n = 3).  Its tables live as
-#: long as the process, so such an id names one round for good.
-_interned: set[int] = set()
-#: Per interned round, made on first use: its op in each direction, by
-#: (id, invert), at most 2 (14 + 84 + 175) of them up to n = 3, and its bytes,
-#: by (id,).
-_round_ops: dict[tuple[int, bool], tuple] = {}
-_round_bytes: dict[tuple[int], bytes] = {}
+def _per_round(rounds: Iterable[Round], make, *args) -> list:
+    """make(rnd, *args) of each round, kept under args in the memo of an
+    interned round.
 
-
-def _per_round(rounds: Iterable[Round], n: int, make, memo: dict, *args) -> list:
-    """make(rnd, *args) of each round, kept in memo under (id(rnd), *args)
-    when the round is interned."""
-    if n > _MEMO_MAX_N:
-        return [make(rnd, *args) for rnd in rounds]
+    `_Rounds` gives every round it interns (up to n = 3) an empty memo dict
+    in the round's own __dict__, as `functools.cached_property` keeps its
+    values, so a memo lives and dies with its round.  Its entries, made on
+    first use, are the round's op in each direction, by (invert,), and its
+    bytes, by ().  Rounds built anywhere else have no memo and are made
+    afresh on every call.
+    """
     out = []
     for rnd in rounds:
-        key = (id(rnd), *args)
-        value = memo.get(key)
-        if value is None:
-            value = make(rnd, *args)
-            if key[0] in _interned:
-                memo[key] = value
-        out.append(value)
+        memo = rnd.__dict__.get("_memo")
+        if memo is None:
+            out.append(make(rnd, *args))
+        else:
+            value = memo.get(args)
+            if value is None:
+                value = memo[args] = make(rnd, *args)
+            out.append(value)
     return out
 
 
@@ -296,19 +294,22 @@ def _eye_rows(n: int) -> tuple[int, ...]:
 
 def _compile_round(rnd: Round, invert: bool) -> tuple:
     """The op of one round on one row, () for a round that moves no row:
-    ("H", [(qubit, None), ...]) for the set H bits, ("P", factors) with the
-    (1, 2^n) read-only phase factors of the row's S-power table, or
-    ("C", index) with the index map of the matrix the row gathers through."""
+    ("H", [(qubit, None), ...]) for the set H bits; for a P round up to
+    n = 3 ("F", factors), the (1, 2^n) read-only phase factors of the row's
+    S-power table, and from n = 4 on ("P", table), that int8 table itself;
+    or ("C", index) with the index map of the matrix the row gathers
+    through."""
     if isinstance(rnd, HRound):
         qubits = [(i, None) for i, b in enumerate(rnd.bits) if b]
         return ("H", qubits) if qubits else ()
     if isinstance(rnd, PRound):
         if not any(rnd.digits):
             return ()
-        phase_row = _memo_phase_row if len(rnd.digits) <= _MEMO_MAX_N else _phase_row
-        factors = _PHASES[phase_row(rnd.digits, invert)[None, :]]
+        if len(rnd.digits) > _MEMO_MAX_N:
+            return ("P", _phase_row(rnd.digits, invert)[None, :])
+        factors = _PHASES[_memo_phase_row(rnd.digits, invert)[None, :]]
         factors.flags.writeable = False
-        return ("P", factors)
+        return ("F", factors)
     m = rnd.m if invert else rnd.m_inv
     if m.row_bits == _eye_rows(m.rows):
         return ()
@@ -351,10 +352,11 @@ class CliffordLayer:
     the batch it is in.  A layer whose rows all hold one description (always
     when k = 1) is that description's list of per-round ops, which broadcast
     over the rows: each is compiled by `_compile_round`, once per direction
-    for an interned round, whose op the round memo keeps, and a P op holds
-    its phase factors.  Other layers compile each round over all their rows,
-    and their P ops ("S") hold the int8 S-power tables, one byte an entry
-    in the layers a circuit keeps, whose factors are looked up per call.
+    for an interned round, whose memo keeps it.  Other layers compile each
+    round over all their rows.  A P op holds the int8 S-power table, one
+    byte an entry in the layers a circuit keeps, whose factors are looked up
+    per call; only a one-row P op up to n = 3 ("F") holds its 2^n factors
+    themselves, which saves the lookup on the many small calls there.
     """
 
     def __init__(self, descs: Sequence[CliffordDesc], invert: bool = False) -> None:
@@ -366,7 +368,7 @@ class CliffordLayer:
         self.k = k
         if all(d is descs[0] for d in descs):
             rounds = descs[0].rounds if invert else reversed(descs[0].rounds)
-            ops = [op for op in _per_round(rounds, n, _compile_round, _round_ops, invert) if op]
+            ops = [op for op in _per_round(rounds, _compile_round, invert) if op]
         else:
             eye = _eye_rows(n)
             no_phase = (0,) * n
@@ -389,7 +391,7 @@ class CliffordLayer:
                 elif kind == "P":
                     digits = [r.digits for r in rounds]
                     if digits.count(no_phase) < k:
-                        ops.append(("S", np.array([phase_row(d, invert) for d in digits])))
+                        ops.append(("P", np.array([phase_row(d, invert) for d in digits])))
                 else:
                     mats = [r.m if invert else r.m_inv for r in rounds]
                     keys = [m.row_bits for m in mats]
@@ -416,9 +418,9 @@ class CliffordLayer:
                 for i, rows in data:
                     _butterfly(work, self.n, i, rows)
             elif kind == "P":
-                work *= data
-            elif kind == "S":
                 work *= _PHASES[data]
+            elif kind == "F":
+                work *= data
             else:
                 work = work.reshape(-1)[data].reshape(work.shape)
         return work
@@ -468,7 +470,7 @@ class _Rounds(dict):
         if self.keep:
             self[key] = rnd
             if rnd is not None:
-                _interned.add(id(rnd))
+                rnd.__dict__["_memo"] = {}
         return rnd
 
 
@@ -683,7 +685,7 @@ def desc_to_bytes(d: CliffordDesc) -> bytes:
     bytes come from `_round_to_bytes`, once for an interned round."""
     if d is identity_desc(d.n):
         return _identity_bytes(d.n)
-    return b"".join(_per_round(d.rounds, d.n, _round_to_bytes, _round_bytes))
+    return b"".join(_per_round(d.rounds, _round_to_bytes))
 
 
 @functools.lru_cache(maxsize=None)

@@ -6,6 +6,7 @@ explicit 2x2 gate constants, then used to check `apply` on larger inputs.
 
 from __future__ import annotations
 
+import gc
 import pickle
 
 import numpy as np
@@ -153,8 +154,7 @@ def _layer_ops_reference(descs, invert: bool) -> list:
     """The ops of `CliffordLayer(descs, invert)`, compiled by the one loop it
     used before one-row layers took a short branch: every round builds per-row
     lists and stacks them, with no memo of index maps.  A one-row layer's P
-    ops hold the phase factors `_PHASES[table]`, other layers' ("S") the
-    S-power tables."""
+    ops up to n = 3 ("F") hold the phase factors `_PHASES[table]`."""
     n = descs[0].n
     k = len(descs)
     eye = tuple(1 << c for c in range(n))
@@ -180,7 +180,7 @@ def _layer_ops_reference(descs, invert: bool) -> list:
             digits = [r.digits for r in rounds]
             if digits.count(no_phase) < rows:
                 table = np.array([clifford._phase_row(d, invert) for d in digits])
-                ops.append(("P", clifford._PHASES[table]) if rows == 1 else ("S", table))
+                ops.append(("F", clifford._PHASES[table]) if rows == 1 and n <= 3 else ("P", table))
         else:
             mats = [r.m if invert else r.m_inv for r in rounds]
             keys = [m.row_bits for m in mats]
@@ -260,7 +260,7 @@ def test_index_map_memo_stops_at_n3():
         assert not clifford._memo_index_map(m).flags.writeable
         assert not clifford._memo_phase_row((1,) * n, False).flags.writeable
         p = next(r for r in d.rounds if isinstance(r, PRound) and any(r.digits))
-        assert not clifford._round_ops[id(p), False][1].flags.writeable
+        assert not p.__dict__["_memo"][False,][1].flags.writeable
     for n in (4, 6):
         d, e = random_clifford(n, 5), random_clifford(n, 6)
         before = _index_memo_lookups()
@@ -270,15 +270,23 @@ def test_index_map_memo_stops_at_n3():
         assert _index_memo_lookups() == before
 
 
-def _interned_round_count() -> int:
-    return sum(r is not None for n in (1, 2, 3)
-               for table in clifford._sampling(n)[3:] for r in table.values())
+def _interned_memos() -> list[dict]:
+    """The memos of the rounds the sampler has interned (n 1-3)."""
+    return [r.__dict__["_memo"] for n in (1, 2, 3)
+            for table in clifford._sampling(n)[3:] for r in table.values() if r is not None]
+
+
+def _assert_same_layer_bits(d: CliffordDesc, e: CliffordDesc, amps: np.ndarray) -> None:
+    for invert in (False, True):
+        got = clifford.CliffordLayer([e], invert)(amps)
+        want = clifford.CliffordLayer([d], invert)(amps)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (d.n, invert)
 
 
 def test_round_memo_keeps_interned_rounds_only():
     # Rounds equal in value to the interned ones but parsed back from bytes
-    # give the same layer bits and bytes, and neither enters the memo; the
-    # interned rounds' ops and bytes do, and every memoized array is
+    # give the same layer bits and bytes, and carry no memo; the interned
+    # rounds' memos hold their ops and bytes, and every memoized array is
     # read-only.
     for n in (1, 2, 3):
         rng = substream(n, "test-round-memo")
@@ -287,19 +295,33 @@ def test_round_memo_keeps_interned_rounds_only():
             e, _ = desc_from_bytes(desc_to_bytes(d), 0, n)
             assert e == d
             amps = rng.standard_normal((1, 1 << n)) + 1j * rng.standard_normal((1, 1 << n))
-            for invert in (False, True):
-                got = clifford.CliffordLayer([e], invert)(amps)
-                want = clifford.CliffordLayer([d], invert)(amps)
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (n, invert)
-                assert all((id(r), invert) in clifford._round_ops for r in d.rounds)
-                assert all((id(r), invert) not in clifford._round_ops for r in e.rounds)
+            _assert_same_layer_bits(d, e, amps)
             assert desc_to_bytes(e) == desc_to_bytes(d)
-            assert all((id(r),) in clifford._round_bytes for r in d.rounds)
-            assert all((id(r),) not in clifford._round_bytes for r in e.rounds)
-            assert not any(id(r) in clifford._interned for r in e.rounds)
-    for op in clifford._round_ops.values():
-        if op and op[0] != "H":
-            assert not op[1].flags.writeable
+            assert all(set(r.__dict__["_memo"]) == {(False,), (True,), ()} for r in d.rounds)
+            assert not any("_memo" in r.__dict__ for r in e.rounds)
+    for memo in _interned_memos():
+        for key, op in memo.items():
+            if key and op and op[0] != "H":
+                assert not op[1].flags.writeable
+
+
+def test_round_memo_dies_with_the_round_tables():
+    # Clearing the sampler's tables frees their rounds and the memos they
+    # carry.  Rounds sampled afterwards may take a freed round's address;
+    # they still give the layer bits of their parsed-back copies (compiled
+    # afresh) and the reference bytes.
+    for n in (1, 2, 3):
+        rng = substream(n, "test-round-memo-clear")
+        for _ in range(4):
+            for _ in range(25):
+                d = random_clifford_from(rng, n)
+                e, _ = desc_from_bytes(desc_to_bytes(d), 0, n)
+                amps = rng.standard_normal((1, 1 << n)) + 1j * rng.standard_normal((1, 1 << n))
+                _assert_same_layer_bits(d, e, amps)
+                assert desc_to_bytes(d) == _desc_bytes_reference(d)
+            del d, e
+            clifford._sampling.cache_clear()
+            gc.collect()
 
 
 def test_round_memo_after_the_small_n_plans_stays_small():
@@ -315,9 +337,11 @@ def test_round_memo_after_the_small_n_plans_stays_small():
         plan = synthesis.build_plan(psi, synthesis.derive_params(n, eps),
                                     seed=int(rng.integers(2**31)))
         executors.run_postselect(plan, synthesis.plan_to_oracle(plan))
-    interned = _interned_round_count()
-    assert len(clifford._round_ops) <= 2 * interned <= 2 * (14 + 84 + 175)
-    assert len(clifford._round_bytes) <= interned
+    memos = _interned_memos()
+    assert all(set(memo) <= {(False,), (True,), ()} for memo in memos)
+    ops = sum(len(memo) - (() in memo) for memo in memos)
+    assert ops <= 2 * len(memos) <= 2 * (14 + 84 + 175)
+    assert sum(() in memo for memo in memos) <= len(memos)
 
 
 def test_to_matrix_gate_constants():
